@@ -6,7 +6,7 @@ GO ?= go
 # the run loudly, not stall CI at the default 10 minutes per package.
 TEST_TIMEOUT ?= 300s
 
-.PHONY: build test vet race chaos corrupt fuzz bench bench-json bench-compare jobd-smoke verify
+.PHONY: build test vet race chaos corrupt fuzz bench bench-json bench-compare bench-test jobd-smoke verify
 
 build:
 	$(GO) build ./...
@@ -38,17 +38,19 @@ chaos:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./internal/chaos/...
 
 # The trace-integrity gate: the etrace corruption matrix (every fault
-# class × every replay mode — detected or byte-identical, never silent
-# divergence), the format-generation compat suite, and the end-to-end
-# rerecord-on-corrupt scheduler scenarios.
+# class × inline and worker-pool decode × strict and salvage — detected
+# or byte-identical, never silent divergence), the format-generation
+# compat suite, and the end-to-end rerecord-on-corrupt scheduler
+# scenarios.
 corrupt:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestCorruptionMatrix|TestSalvageAccounting|TestFormatGenerations|TestStatReportsGenerations' -v ./internal/etrace
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestChaosCorrupt|TestChaosENOSPC|TestChaosTornTail' -v .
 
 # Short fuzzing budgets for the text/binary-format parsers: the
-# event-trace decoder, the salvage replay paths, the indexed parallel
-# replay pipeline, the JSON profile envelope and the cache-geometry
-# grammar.  None may panic on any input.
+# event-trace replay with inline decode, salvage replay, the indexed
+# replay pipeline with a decode worker pool (checked against Stat's
+# index-free frame walk), the JSON profile envelope and the
+# cache-geometry grammar.  None may panic on any input.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReplay -fuzztime 10s ./internal/etrace
 	$(GO) test -run xxx -fuzz FuzzSalvage -fuzztime 10s ./internal/etrace
@@ -82,6 +84,12 @@ bench-json:
 # Per-benchmark deltas between the two newest BENCH_*.json logs.
 bench-compare:
 	$(GO) run ./cmd/benchcmp
+
+# The benchmark program (bench/, its own module, so the root ./...
+# patterns never compile it): vet it and run its tests against this
+# checkout.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test -count=1 -timeout $(TEST_TIMEOUT) ./...
 
 # The analysis-daemon gate: end-to-end HTTP submit → succeeded → artifact
 # byte-identity against cmd/tquad's golden sweep, plus the kill/resume

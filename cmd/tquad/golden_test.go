@@ -85,21 +85,38 @@ func TestGoldenCacheSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestGoldenRecordReplayParallel: -record then -replay must print the
-// same charts and statistics as the live run, and the indexed parallel
-// replay (-replay-jobs > 1) must be byte-identical to the sequential
-// one — at single-worker, multi-worker and GOMAXPROCS settings, with
-// both stack policies.
+// TestGoldenRecordReplayParallel: -record then -replay must reproduce
+// the live run's profile.  For each stack policy the live -record run
+// exports its profile with -json, and the replay's -json profile must be
+// byte-identical to it at every -replay-jobs setting — inline decode,
+// two and four workers, GOMAXPROCS — with the printed charts and
+// statistics identical across those settings too.
 func TestGoldenRecordReplayParallel(t *testing.T) {
-	trace := t.TempDir() + "/small.etrace"
-	runSelf(t, "-config", "small", "-slice", "200000", "-record", trace)
+	dir := t.TempDir()
 	for _, stack := range []string{"include", "exclude"} {
-		want := runSelf(t, "-replay", trace, "-slice", "200000", "-stack", stack, "-replay-jobs", "1")
-		for _, jobs := range []string{"2", "4", "0"} {
-			got := runSelf(t, "-replay", trace, "-slice", "200000", "-stack", stack, "-replay-jobs", jobs)
-			if got != want {
-				t.Errorf("-stack %s -replay-jobs %s output differs from sequential replay:\n--- got ---\n%s--- want ---\n%s",
-					stack, jobs, got, want)
+		trace := dir + "/small-" + stack + ".etrace"
+		live := dir + "/live-" + stack + ".json"
+		runSelf(t, "-config", "small", "-slice", "200000", "-stack", stack, "-record", trace, "-json", live)
+		want, err := os.ReadFile(live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantOut string
+		for _, jobs := range []string{"1", "2", "4", "0"} {
+			replayed := dir + "/replay-" + stack + "-" + jobs + ".json"
+			out := runSelf(t, "-replay", trace, "-slice", "200000", "-stack", stack, "-replay-jobs", jobs, "-json", replayed)
+			got, err := os.ReadFile(replayed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("-stack %s -replay-jobs %s: replayed profile differs from the live run's", stack, jobs)
+			}
+			if wantOut == "" {
+				wantOut = out
+			} else if out != wantOut {
+				t.Errorf("-stack %s -replay-jobs %s output differs from -replay-jobs 1:\n--- got ---\n%s--- want ---\n%s",
+					stack, jobs, out, wantOut)
 			}
 		}
 	}

@@ -71,7 +71,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -116,7 +115,7 @@ func main() {
 		recordOut  = flag.String("record", "", "record the guest event stream to this file (single-interval live run)")
 		replayIn   = flag.String("replay", "", "replay a recorded event stream instead of executing the guest")
 		salvage    = flag.Bool("salvage", false, "with -replay: replay around damaged chunks and report the gap")
-		replayJobs = flag.Int("replay-jobs", 1, "trace-decode workers for -replay and sweep replays: 1 = sequential, 0 = GOMAXPROCS")
+		replayJobs = flag.Int("replay-jobs", 1, "trace-decode workers for -replay and sweep replays: 1 = inline decode, 0 = GOMAXPROCS")
 		timeout    = flag.Duration("timeout", 0, "wall-clock deadline for the whole invocation (0 = none)")
 		maxICount  = flag.Uint64("max-icount", 0, "guest instruction budget per run (0 = default)")
 		retries    = flag.Int("retries", 0, "sweep only: retries per run after transient failures")
@@ -475,7 +474,7 @@ func main() {
 type replayOpts struct {
 	intervals    []uint64
 	caches       []memsim.Config
-	jobs         int  // decode workers; 1 = sequential Replayer
+	jobs         int  // decode workers; 1 decodes inline, 0 = GOMAXPROCS
 	salvage      bool // replay around damaged chunks instead of failing
 	includeStack bool
 	ignoreLibs   bool
@@ -549,38 +548,18 @@ func replayOne(ctx context.Context, path string, interval uint64, mc *memsim.Con
 		if interval = info.FinalICount / 64; interval == 0 {
 			interval = 1
 		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
 	}
 
 	instrument := ob.Tracer().Start("instrument")
-	// Sequential and indexed-parallel replay share the Consumer host; the
-	// driver only differs in how it walks the chunks.
-	var host *etrace.Consumer
-	var driver interface{ ReplayContext(context.Context) error }
-	if o.jobs == 1 {
-		var rp *etrace.Replayer
-		if o.salvage {
-			rp, err = etrace.NewSalvageReplayer(f)
-		} else {
-			rp, err = etrace.NewReplayer(f)
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		host, driver = rp.Consumer, rp
-	} else {
-		fi, err := f.Stat()
-		if err != nil {
-			return err
-		}
-		pr, err := etrace.NewParallelReplayer(f, fi.Size(), etrace.ParallelOptions{Jobs: o.jobs, Salvage: o.salvage})
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		host, driver = pr.NewConsumer(), pr
+	fi, err := f.Stat()
+	if err != nil {
+		return err
 	}
+	pr, err := etrace.NewParallelReplayer(f, fi.Size(), etrace.ParallelOptions{Jobs: o.jobs, Salvage: o.salvage})
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	host := pr.NewConsumer()
 	tool := core.Attach(host, core.Options{
 		SliceInterval: interval,
 		IncludeStack:  o.includeStack,
@@ -600,7 +579,7 @@ func replayOne(ctx context.Context, path string, interval uint64, mc *memsim.Con
 	instrument.End()
 
 	replay := ob.Tracer().Start("replay")
-	if err := driver.ReplayContext(ctx); err != nil {
+	if err := pr.ReplayContext(ctx); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	replay.SetInstr(host.ICount())

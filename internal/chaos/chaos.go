@@ -6,7 +6,7 @@
 //   - vm: trap the live guest at a fixed instruction count (TrapAt);
 //   - trace I/O: fail the recording's trace writer after a byte budget
 //     (RecordFailures/RecordFailAfter), slow it down (WriteDelay), or
-//     truncate the replay stream (ReplayTruncate);
+//     truncate the trace a replay reads (ReplayTruncate);
 //   - disk faults: silently corrupt the recorded trace bytes — seeded
 //     bit flips (RecordFlipOffsets, BitFlips), a torn tail where writes
 //     past an offset report success but never land (RecordTornTail), or
@@ -78,8 +78,8 @@ type Plan struct {
 	RecordFailAfter int64
 	// WriteDelay slows every trace write by this much (slow I/O seam).
 	WriteDelay time.Duration
-	// ReplayTruncate caps every replay's trace stream at this many
-	// bytes, simulating a torn trace file; 0 disables.
+	// ReplayTruncate caps the trace file every replay pass reads at this
+	// many bytes, simulating a torn trace file; 0 disables.
 	ReplayTruncate int64
 
 	// RecordFlipOffsets lists trace-stream byte offsets whose low bits
@@ -214,11 +214,11 @@ func (in *Injector) recordWriter(w io.Writer) io.Writer {
 	return w
 }
 
-func (in *Injector) replayReader(r io.Reader) io.Reader {
-	if in.plan.ReplayTruncate > 0 {
-		return io.LimitReader(r, in.plan.ReplayTruncate)
+func (in *Injector) replayReader(ra io.ReaderAt, size int64) (io.ReaderAt, int64) {
+	if in.plan.ReplayTruncate > 0 && size > in.plan.ReplayTruncate {
+		size = in.plan.ReplayTruncate
 	}
-	return r
+	return ra, size
 }
 
 // corruptsRecord decides whether this record attempt's writer gets the

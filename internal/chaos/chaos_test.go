@@ -225,13 +225,15 @@ func TestCorruptionBudget(t *testing.T) {
 	}
 }
 
-// TestReplayTruncate: the replay reader is capped at the plan's budget.
+// TestReplayTruncate: the replayed trace's size is capped at the plan's
+// budget, and a trace already shorter is left alone.
 func TestReplayTruncate(t *testing.T) {
 	in := New(Plan{ReplayTruncate: 4})
-	r := in.Hooks().ReplayReader(bytes.NewReader(make([]byte, 100)))
-	b, err := io.ReadAll(r)
-	if err != nil || len(b) != 4 {
-		t.Fatalf("read %d bytes (err=%v), want 4", len(b), err)
+	if _, size := in.Hooks().ReplayReader(bytes.NewReader(make([]byte, 100)), 100); size != 4 {
+		t.Fatalf("replay size %d, want 4", size)
+	}
+	if _, size := in.Hooks().ReplayReader(bytes.NewReader(make([]byte, 3)), 3); size != 3 {
+		t.Fatalf("replay size %d, want the untruncated 3", size)
 	}
 }
 

@@ -2,7 +2,6 @@ package etrace_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"tquad/internal/core"
@@ -19,9 +18,9 @@ import (
 //	gen3 — version byte 2: header/chunk/footer CRC32C checksums.
 //
 // This suite pins the compatibility promise: all three generations
-// replay to byte-identical tQUAD profiles under every driver —
-// sequential, parallel, and salvage — and Stat reports each stream's
-// generation honestly.
+// replay to byte-identical tQUAD profiles in every replay mode — inline
+// decode (Jobs 1), a decode worker pool (Jobs 2), and salvage — and Stat
+// reports each stream's generation honestly.
 
 // recordAtVersion records the shared small workload at a forced format
 // revision and returns the raw stream.
@@ -61,47 +60,31 @@ func generations(t *testing.T) map[string][]byte {
 	return map[string][]byte{"gen1": gen1, "gen2": gen2, "gen3": gen3}
 }
 
-// profileVia replays one stream through one driver with the core tool
-// attached and returns the serialised temporal profile.
+// profileVia replays one stream in one mode with the core tool attached
+// and returns the serialised temporal profile.
 func profileVia(t *testing.T, data []byte, mode string, interval uint64) []byte {
 	t.Helper()
-	opts := core.Options{SliceInterval: interval, IncludeStack: true}
-	var host pin.Host
-	var run func() error
+	opts := etrace.ParallelOptions{Jobs: 1}
 	switch mode {
-	case "sequential":
-		rp, err := etrace.NewReplayer(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		host, run = rp, rp.Replay
-	case "parallel":
-		pr, err := etrace.NewParallelReplayer(bytes.NewReader(data), int64(len(data)),
-			etrace.ParallelOptions{Jobs: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		host, run = pr.NewConsumer(), pr.Replay
+	case "jobs1":
+	case "jobs2":
+		opts.Jobs = 2
 	case "salvage":
-		rp, err := etrace.NewSalvageReplayer(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		host, run = rp, func() error {
-			if err := rp.Replay(); err != nil {
-				return err
-			}
-			if rep := rp.Consumer.SalvageReport(); rep.Damaged() {
-				return fmt.Errorf("undamaged stream reported damage: %s", rep)
-			}
-			return nil
-		}
+		opts.Salvage = true
 	default:
 		t.Fatalf("unknown mode %q", mode)
 	}
-	tool := core.Attach(host, opts)
-	if err := run(); err != nil {
+	pr, err := etrace.NewParallelReplayer(bytes.NewReader(data), int64(len(data)), opts)
+	if err != nil {
 		t.Fatal(err)
+	}
+	host := pr.NewConsumer()
+	tool := core.Attach(host, core.Options{SliceInterval: interval, IncludeStack: true})
+	if err := pr.Replay(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := host.SalvageReport(); rep != nil && rep.Damaged() {
+		t.Fatalf("undamaged stream reported damage: %s", rep)
 	}
 	var out bytes.Buffer
 	if err := trace.SaveTemporal(&out, tool.Snapshot()); err != nil {
@@ -118,14 +101,14 @@ func TestFormatGenerationsReplayIdentically(t *testing.T) {
 	interval := rec.icount / 16
 	var want []byte
 	for _, gen := range []string{"gen1", "gen2", "gen3"} {
-		for _, mode := range []string{"sequential", "parallel", "salvage"} {
+		for _, mode := range []string{"jobs1", "jobs2", "salvage"} {
 			got := profileVia(t, gens[gen], mode, interval)
 			if want == nil {
 				want = got
 				continue
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("%s/%s: profile diverges from gen1/sequential", gen, mode)
+				t.Errorf("%s/%s: profile diverges from gen1/jobs1", gen, mode)
 			}
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // suffer — bit flips in the header, a chunk payload, a length prefix or
 // the index footer; truncation mid-chunk, at a chunk boundary, or a few
 // torn tail bytes; a whole chunk zeroed — crossed with every replay mode
-// (sequential and parallel, strict and salvage).  The invariant is
+// (inline decode and a decode worker pool, strict and salvage).  The invariant is
 // fail-closed-or-accounted: each injected fault is either DETECTED (a
 // strict replay stops with a CorruptError; a salvage replay counts the
 // loss in its report) or the output is byte-identical to the pristine
@@ -37,26 +37,10 @@ type replayMode struct {
 }
 
 func replayModes() []replayMode {
-	seq := func(salvage bool) func([]byte) (string, *etrace.SalvageReport, error) {
-		return func(data []byte) (string, *etrace.SalvageReport, error) {
-			var rp *etrace.Replayer
-			var err error
-			if salvage {
-				rp, err = etrace.NewSalvageReplayer(bytes.NewReader(data))
-			} else {
-				rp, err = etrace.NewReplayer(bytes.NewReader(data))
-			}
-			if err != nil {
-				return "", nil, err
-			}
-			err = rp.Replay()
-			return traceDigest(rp.Consumer), rp.Consumer.SalvageReport(), err
-		}
-	}
-	par := func(salvage bool) func([]byte) (string, *etrace.SalvageReport, error) {
+	mode := func(jobs int, salvage bool) func([]byte) (string, *etrace.SalvageReport, error) {
 		return func(data []byte) (string, *etrace.SalvageReport, error) {
 			pr, err := etrace.NewParallelReplayer(bytes.NewReader(data), int64(len(data)),
-				etrace.ParallelOptions{Jobs: 3, Salvage: salvage})
+				etrace.ParallelOptions{Jobs: jobs, Salvage: salvage})
 			if err != nil {
 				return "", nil, err
 			}
@@ -66,10 +50,10 @@ func replayModes() []replayMode {
 		}
 	}
 	return []replayMode{
-		{name: "sequential", salvage: false, run: seq(false)},
-		{name: "parallel", salvage: false, run: par(false)},
-		{name: "sequential-salvage", salvage: true, run: seq(true)},
-		{name: "parallel-salvage", salvage: true, run: par(true)},
+		{name: "jobs1", salvage: false, run: mode(1, false)},
+		{name: "jobs3", salvage: false, run: mode(3, false)},
+		{name: "jobs1-salvage", salvage: true, run: mode(1, true)},
+		{name: "jobs3-salvage", salvage: true, run: mode(3, true)},
 	}
 }
 
@@ -97,7 +81,7 @@ func TestCorruptionMatrix(t *testing.T) {
 	// zero damage — salvage of an undamaged trace IS the strict replay.
 	want, _, err := modes[0].run(rec.data)
 	if err != nil {
-		t.Fatalf("pristine sequential replay: %v", err)
+		t.Fatalf("pristine %s replay: %v", modes[0].name, err)
 	}
 	for _, m := range modes[1:] {
 		d, rep, err := m.run(rec.data)
@@ -234,8 +218,8 @@ func TestSalvageAccounting(t *testing.T) {
 // FuzzSalvage feeds arbitrary bytes to the salvage replay paths: the
 // contract is that salvage NEVER panics or hangs — it errors only when
 // the header is unusable, and otherwise completes with a loss report.
-// On an undamaged trace, salvage must reproduce the strict sequential
-// replay exactly (checked against a strict run inside the fuzz body).
+// On an undamaged trace, salvage must reproduce the strict replay exactly
+// (checked against a strict run inside the fuzz body).
 func FuzzSalvage(f *testing.F) {
 	w, err := wfs.NewWorkload(wfs.Small())
 	if err != nil {
@@ -263,13 +247,13 @@ func FuzzSalvage(f *testing.F) {
 	f.Add([]byte("TQET\x02"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if rp, err := etrace.NewSalvageReplayer(bytes.NewReader(b)); err == nil {
-			if err := rp.Replay(); err == nil && !rp.Consumer.SalvageReport().Damaged() {
+		if rp, err := openSolo(b, true); err == nil {
+			if err := rp.Replay(); err == nil && !rp.SalvageReport().Damaged() {
 				// Salvage saw a pristine trace: a strict replay must agree
 				// byte for byte, and must not error where salvage succeeded.
-				strict, err := etrace.NewReplayer(bytes.NewReader(b))
+				strict, err := openSolo(b, false)
 				if err != nil {
-					t.Fatalf("salvage passed undamaged but strict header failed: %v", err)
+					t.Fatalf("salvage passed undamaged but strict open failed: %v", err)
 				}
 				if err := strict.Replay(); err != nil {
 					t.Fatalf("salvage passed undamaged but strict replay failed: %v", err)

@@ -54,9 +54,10 @@
 //	end      final icount, final pc, exit code, halted flag
 //
 // The Recorder attaches to a pin.Engine exactly like a profiling tool;
-// the Replayer implements pin.Host, so core.Attach, quad.Attach and
-// flatprof.Attach run unchanged against a recorded stream and produce
-// byte-identical profiles (asserted by the golden tests).
+// a ParallelReplayer's Consumer implements pin.Host, so core.Attach,
+// quad.Attach and flatprof.Attach run unchanged against a recorded
+// stream and produce byte-identical profiles (asserted by the golden
+// tests).
 package etrace
 
 import (

@@ -75,9 +75,29 @@ func workload(t *testing.T) *wfs.Workload {
 	return smallWorkload
 }
 
-func replayer(t *testing.T, rec *recorded) *etrace.Replayer {
+// solo is a single-consumer replay with inline decode (Jobs 1): attach
+// tools to its embedded Consumer, then call Replay.
+type solo struct {
+	*etrace.Consumer
+	pr *etrace.ParallelReplayer
+}
+
+func (s solo) Replay() error                 { return s.pr.Replay() }
+func (s solo) OnProgress(fn func(ic uint64)) { s.pr.OnProgress(fn) }
+
+// openSolo opens data for a solo replay.
+func openSolo(data []byte, salvage bool) (solo, error) {
+	pr, err := etrace.NewParallelReplayer(bytes.NewReader(data), int64(len(data)),
+		etrace.ParallelOptions{Jobs: 1, Salvage: salvage})
+	if err != nil {
+		return solo{}, err
+	}
+	return solo{Consumer: pr.NewConsumer(), pr: pr}, nil
+}
+
+func replayer(t *testing.T, rec *recorded) solo {
 	t.Helper()
-	rp, err := etrace.NewReplayer(bytes.NewReader(rec.data))
+	rp, err := openSolo(rec.data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +325,7 @@ func TestReplayerRejectsCorruptInput(t *testing.T) {
 		"mid truncate": rec.data[:len(rec.data)/3],
 	}
 	for name, data := range cases {
-		rp, err := etrace.NewReplayer(bytes.NewReader(data))
+		rp, err := openSolo(data, false)
 		if err != nil {
 			continue // rejected at the header: good
 		}
@@ -322,7 +342,7 @@ func TestReplayerRejectsCorruptInput(t *testing.T) {
 		}
 		mut := append([]byte(nil), rec.data...)
 		mut[off] ^= 0x55
-		rp, err := etrace.NewReplayer(bytes.NewReader(mut))
+		rp, err := openSolo(mut, false)
 		if err != nil {
 			continue
 		}
@@ -375,7 +395,7 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte("TQET\x01"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		rp, err := etrace.NewReplayer(bytes.NewReader(b))
+		rp, err := openSolo(b, false)
 		if err == nil {
 			core.Attach(rp, core.Options{SliceInterval: 1000, IncludeStack: true})
 			_ = rp.Replay()

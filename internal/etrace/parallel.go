@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -28,18 +29,23 @@ type ParallelOptions struct {
 	Salvage bool
 }
 
-// ParallelReplayer replays one recorded trace through any number of
-// consumers in a single pass, decoding chunks concurrently.
+// ParallelReplayer drives profiling tools from a recorded event trace:
+// it replays the trace through any number of consumers in a single pass,
+// decoding chunks concurrently.  Each Consumer implements pin.Host, so
+// the tools' Attach functions run against it unchanged: their
+// instrumentation callbacks fire when static records stream in (the
+// code-cache fill) and their analysis routines fire per dynamic record —
+// no vm.Machine is ever constructed.
 //
 // The division of labour: chunk *decode* (varint parsing, delta
 // reconstruction) parallelises freely because every delta chain resets
 // at a chunk boundary; decoded chunks are re-sequenced into file order
 // and fanned out to the consumers, each applying the stream on its own
-// goroutine.  Every consumer therefore observes exactly the record
-// sequence a sequential Replayer would deliver — parallel replay is
-// byte-identical by construction, asserted by the golden and
-// differential tests — while N tool stacks profile one decode pass
-// concurrently instead of replaying the trace N times.
+// goroutine.  Every consumer therefore observes the records in file
+// order whatever the worker count — replay at any Jobs is byte-identical
+// by construction, asserted by the golden and differential tests — while
+// N tool stacks profile one decode pass concurrently instead of replaying
+// the trace N times.
 //
 // Memory stays bounded: the ordered-promise window holds at most ~2x
 // the worker count of decoded chunks, each recycled through a pool once
@@ -151,8 +157,8 @@ func (p *ParallelReplayer) NewConsumer() *Consumer {
 }
 
 // OnProgress registers a heartbeat callback invoked with the replayed
-// instruction count (of the first consumer) every cancelCheckStride
-// records, mirroring Replayer.OnProgress.
+// instruction count of the first consumer once per applied chunk — off
+// the per-record hot path, and free when no callback is registered.
 func (p *ParallelReplayer) OnProgress(fn func(ic uint64)) { p.progress = fn }
 
 // Replay runs the single decode pass, feeding every record to every
@@ -208,10 +214,22 @@ func (s *chunkShare) release() {
 	}
 }
 
-// ReplayContext is Replay under a context, with Replayer's cancellation
-// contract: a cancelled context stops the replay with a *vm.CancelError
-// carrying the (first consumer's) instruction count at the interruption
-// point.
+// PanicError is a panic raised by one consumer's analysis routines during
+// a replay, recovered so that the pass and the other consumers carry on.
+type PanicError struct {
+	Value any    // the recovered panic value
+	Stack []byte // the panicking goroutine's stack
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("etrace: analysis routine panic: %v\n%s", e.Value, e.Stack)
+}
+
+// ReplayContext is Replay under a context: a cancelled context stops the
+// replay with a *vm.CancelError carrying the (first consumer's)
+// instruction count at the interruption point.  It returns the pass's
+// failure if there is one, else the first consumer's own panic; each
+// consumer's outcome is also available from its Err.
 func (p *ParallelReplayer) ReplayContext(ctx context.Context) error {
 	if p.done {
 		return errors.New("etrace: trace already replayed")
@@ -234,23 +252,22 @@ func (p *ParallelReplayer) ReplayContext(ctx context.Context) error {
 	// Apply side: one goroutine per consumer, each walking the shared
 	// record stream in order.  The first consumer doubles as the
 	// progress heartbeat source.
-	errs := make([]error, len(p.consumers))
 	chans := make([]chan *chunkShare, len(p.consumers))
 	var wg sync.WaitGroup
-	for i := range p.consumers {
+	for i, c := range p.consumers {
 		ch := make(chan *chunkShare, 2)
 		chans[i] = ch
 		wg.Add(1)
-		go func(i int, c *Consumer, ch <-chan *chunkShare) {
+		go func(lead bool) {
 			defer wg.Done()
-			errs[i] = p.applyLoop(ctx, cancel, c, i == 0, ch)
-		}(i, p.consumers[i], ch)
+			c.err = p.applyLoop(ctx, cancel, c, lead, ch)
+		}(i == 0)
 	}
 
 	// Coordinator: fan each ordered chunk out to every consumer.  A
 	// chunk that decoded with an error still fans out first — consumers
-	// must apply the records preceding the failure, matching where a
-	// sequential replay stops.  In salvage mode decode damage arrives as
+	// must apply the records preceding the failure, so the replay stops
+	// exactly at the damage.  In salvage mode decode damage arrives as
 	// flags instead of errors: the coordinator tallies it (single
 	// goroutine, no races) and the fan-out continues past the damage.
 	var decodeErr error
@@ -317,21 +334,36 @@ fanout:
 		}
 	}
 
-	// Error precedence: a consumer's stream-order failure, then the
-	// decode failure, then cancellation.  (With several consumers the
-	// first failing index is reported; pass-level callers treat any
-	// failure as failing the whole pass.)
-	for _, err := range errs {
-		if err != nil {
-			return corrupt(err)
+	// The pass's failure, by precedence: a consumer's stream-order
+	// failure (every consumer sees the same records, so it is the
+	// trace's, not the consumer's), then the decode failure, then
+	// cancellation.  A panic belongs to its consumer alone.
+	var passErr error
+	for _, c := range p.consumers {
+		if _, panicked := c.err.(*PanicError); c.err != nil && !panicked {
+			passErr = c.err
+			break
 		}
 	}
-	if decodeErr != nil {
-		return corrupt(decodeErr)
+	if passErr == nil && decodeErr != nil {
+		passErr = corrupt(decodeErr)
 	}
-	if dispatched != len(p.index.Chunks) {
+	if passErr == nil && dispatched != len(p.index.Chunks) {
 		c := p.consumers[0]
-		return &vm.CancelError{PC: c.pc, ICount: c.ic, Cause: context.Cause(cctx)}
+		passErr = &vm.CancelError{PC: c.pc, ICount: c.ic, Cause: context.Cause(cctx)}
+	}
+	for _, c := range p.consumers {
+		if c.err == nil {
+			c.err = passErr
+		}
+	}
+	if passErr != nil {
+		return passErr
+	}
+	for _, c := range p.consumers {
+		if c.err != nil {
+			return c.err
+		}
 	}
 	return nil
 }
@@ -340,7 +372,9 @@ fanout:
 // consumer also fires the progress heartbeat.  Cancellation is polled
 // once per chunk, not per record: a chunk is bounded (maxChunkLen) and
 // applies in microseconds, so chunk granularity keeps the hot loop free
-// of per-record bookkeeping without hurting responsiveness.
+// of per-record bookkeeping without hurting responsiveness.  A consumer
+// that fails stops applying but keeps releasing its chunk shares; only a
+// failure of the stream itself stops the pass.
 func (p *ParallelReplayer) applyLoop(ctx context.Context, cancel context.CancelFunc, c *Consumer, lead bool, ch <-chan *chunkShare) error {
 	done := ctx.Done()
 	progress := p.progress
@@ -354,33 +388,41 @@ func (p *ParallelReplayer) applyLoop(ctx context.Context, cancel context.CancelF
 			case <-done:
 				failed = &vm.CancelError{PC: c.pc, ICount: c.ic, Cause: ctx.Err()}
 			default:
-			}
-			if failed == nil {
-				recs := *share.recs
-				for i := range recs {
-					if err := c.apply(&recs[i]); err != nil {
-						if c.salvage != nil {
-							// Fallout of a skipped chunk (dangling block
-							// id, event before its static record): drop
-							// and count, don't fail the pass.
-							c.salvage.RecordsDropped++
-							continue
-						}
-						failed = err
-						break
-					}
-				}
+				failed = c.applyChunk(*share.recs)
 				if failed == nil && progress != nil {
 					progress(c.ic)
 				}
 			}
-			if failed != nil {
+			if _, panicked := failed.(*PanicError); failed != nil && !panicked {
 				cancel() // stop the producer and the other consumers
 			}
 		}
 		share.release()
 	}
 	return failed
+}
+
+// applyChunk applies one decoded chunk's records.  A panic in the
+// consumer's analysis routines is recovered into a *PanicError.
+func (c *Consumer) applyChunk(recs []record) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	for i := range recs {
+		if err := c.apply(&recs[i]); err != nil {
+			if c.salvage != nil {
+				// Fallout of a skipped chunk (dangling block id, event
+				// before its static record): drop and count, don't fail
+				// the pass.
+				c.salvage.RecordsDropped++
+				continue
+			}
+			return corrupt(err)
+		}
+	}
+	return nil
 }
 
 // produceSequential decodes chunks inline, in order — the jobs<=1 path.

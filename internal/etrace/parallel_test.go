@@ -15,9 +15,9 @@ import (
 	"tquad/internal/wfs"
 )
 
-// coreProfile replays rec through a sequential Replayer with one core
+// coreProfile replays rec through a solo Jobs 1 replay with one core
 // tool attached and returns the serialised profile plus final state.
-func coreProfile(t *testing.T, rec *recorded, includeStack bool) ([]byte, *etrace.Replayer) {
+func coreProfile(t *testing.T, rec *recorded, includeStack bool) ([]byte, solo) {
 	t.Helper()
 	rp := replayer(t, rec)
 	tool := core.Attach(rp, core.Options{SliceInterval: 10_000, IncludeStack: includeStack})
@@ -32,9 +32,8 @@ func coreProfile(t *testing.T, rec *recorded, includeStack bool) ([]byte, *etrac
 }
 
 // TestParallelMatchesSequential: for every worker count and both stack
-// policies, an indexed parallel replay must be byte-identical to the
-// sequential replay — same profile serialisation, same final machine
-// state.
+// policies, an indexed replay must be byte-identical to the inline-decode
+// (Jobs 1) replay — same profile serialisation, same final machine state.
 func TestParallelMatchesSequential(t *testing.T) {
 	rec := record(t)
 	for _, includeStack := range []bool{true, false} {
@@ -58,7 +57,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("jobs=%d stack=%v: parallel profile differs from sequential", jobs, includeStack)
+				t.Errorf("jobs=%d stack=%v: profile differs from the jobs=1 replay", jobs, includeStack)
 			}
 			if host.ICount() != seq.ICount() || host.Time() != seq.Time() ||
 				host.ExitCode() != seq.ExitCode() || host.Halted() != seq.Halted() ||
@@ -70,8 +69,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestParallelFanOut: one decode pass drives several differently
-// configured consumers, each matching its own dedicated sequential
-// replay exactly.
+// configured consumers, each matching its own dedicated solo replay
+// exactly.
 func TestParallelFanOut(t *testing.T) {
 	rec := record(t)
 	pr, err := etrace.NewParallelReplayer(bytes.NewReader(rec.data), int64(len(rec.data)),
@@ -96,7 +95,7 @@ func TestParallelFanOut(t *testing.T) {
 		"exclude-stack": {marshalProfile(t, excl.Snapshot()), wantExcl},
 	} {
 		if !bytes.Equal(pair[0], pair[1]) {
-			t.Errorf("%s consumer differs from its sequential replay", name)
+			t.Errorf("%s consumer differs from its solo replay", name)
 		}
 	}
 
@@ -113,7 +112,7 @@ func TestParallelFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("flatprof consumer differs from sequential")
+		t.Error("flatprof consumer differs from its solo replay")
 	}
 }
 
@@ -151,15 +150,15 @@ func TestParallelV1Fallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(marshalProfile(t, tool.Snapshot()), want) {
-		t.Error("v1 fallback replay differs from sequential")
+		t.Error("v1 fallback replay differs from the footer-indexed replay")
 	}
 	if host.ICount() != seq.ICount() {
-		t.Errorf("v1 fallback ICount %d, sequential %d", host.ICount(), seq.ICount())
+		t.Errorf("v1 fallback ICount %d, footer-indexed %d", host.ICount(), seq.ICount())
 	}
 }
 
 // TestParallelCancel: a cancelled context stops the replay with a
-// vm.CancelError, like the sequential replayer.
+// vm.CancelError, mirroring how a live machine surfaces cancellation.
 func TestParallelCancel(t *testing.T) {
 	rec := record(t)
 	pr, err := etrace.NewParallelReplayer(bytes.NewReader(rec.data), int64(len(rec.data)),
@@ -177,8 +176,8 @@ func TestParallelCancel(t *testing.T) {
 	}
 }
 
-// TestParallelProgress mirrors TestReplayOnProgress for the parallel
-// replayer: monotonic heartbeat, never past the recorded count.
+// TestParallelProgress mirrors TestReplayOnProgress with a decode worker
+// pool: monotonic heartbeat, never past the recorded count.
 func TestParallelProgress(t *testing.T) {
 	rec := record(t)
 	pr, err := etrace.NewParallelReplayer(bytes.NewReader(rec.data), int64(len(rec.data)),
@@ -205,8 +204,8 @@ func TestParallelProgress(t *testing.T) {
 	}
 }
 
-// TestParallelReplayTwiceFails: like the sequential replayer, a parallel
-// replayer is single-use.
+// TestParallelReplayTwiceFails: a replayer with a decode worker pool is
+// single-use too.
 func TestParallelReplayTwiceFails(t *testing.T) {
 	rec := record(t)
 	pr, err := etrace.NewParallelReplayer(bytes.NewReader(rec.data), int64(len(rec.data)),
@@ -223,13 +222,63 @@ func TestParallelReplayTwiceFails(t *testing.T) {
 	}
 }
 
-// FuzzIndex drives arbitrary bytes through the indexed parallel pipeline
-// against the sequential decoder.  The contract: never a panic or hang;
-// and whenever the parallel replay succeeds, the sequential replay of
-// the same bytes succeeds with the identical final state.  (The reverse
-// implication does not hold: the parallel decoder additionally rejects
-// non-canonical chunk length prefixes and mid-trace end records that a
-// pure stream decode cannot distinguish.)
+// TestParallelPanicIsolated: an analysis routine that panics mid-replay
+// fails its own consumer only.  Replay returns the *PanicError (stack
+// attached) instead of crashing the process, the panicking consumer's
+// Err reports it, and the healthy consumer sharing the pass finishes
+// with a profile identical to its solo replay.
+func TestParallelPanicIsolated(t *testing.T) {
+	rec := record(t)
+	want, _ := coreProfile(t, rec, true)
+	for _, jobs := range []int{1, 2} {
+		pr, err := etrace.NewParallelReplayer(bytes.NewReader(rec.data), int64(len(rec.data)),
+			etrace.ParallelOptions{Jobs: jobs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := pr.NewConsumer()
+		calls := 0
+		bad.INSAddInstrumentFunction(func(ins *pin.INS) {
+			ins.InsertCall(func(*pin.Context) {
+				if calls++; calls == 5000 {
+					panic("analysis routine blew up")
+				}
+			})
+		})
+		good := pr.NewConsumer()
+		tool := core.Attach(good, core.Options{SliceInterval: 10_000, IncludeStack: true})
+
+		err = pr.Replay()
+		var pe *etrace.PanicError
+		if !errors.As(err, &pe) || pe.Value != "analysis routine blew up" {
+			t.Fatalf("jobs=%d: Replay returned %v, want the consumer's *PanicError", jobs, err)
+		}
+		if !bytes.Contains(pe.Stack, []byte("goroutine")) {
+			t.Errorf("jobs=%d: panic error carries no stack", jobs)
+		}
+		if bad.Err() != err {
+			t.Errorf("jobs=%d: panicking consumer's Err = %v, want the panic", jobs, bad.Err())
+		}
+		if good.Err() != nil {
+			t.Fatalf("jobs=%d: healthy consumer failed: %v", jobs, good.Err())
+		}
+		if !bytes.Equal(marshalProfile(t, tool.Snapshot()), want) {
+			t.Errorf("jobs=%d: healthy consumer's profile differs from its solo replay", jobs)
+		}
+		if good.ICount() != rec.icount {
+			t.Errorf("jobs=%d: healthy consumer replayed %d instructions, recorded %d", jobs, good.ICount(), rec.icount)
+		}
+	}
+}
+
+// FuzzIndex drives arbitrary bytes through the indexed replay pipeline,
+// with Stat as an independent oracle: Stat's decoder walks the chunk
+// frames and ignores the index.  The contract: never a panic or hang;
+// and whenever the indexed replay succeeds, Stat succeeds on the same
+// bytes and reports a complete trace with the identical final state.
+// (The reverse implication does not hold: the indexed replay
+// additionally rejects non-canonical chunk length prefixes, mid-trace
+// end records and index hints that a pure stream decode cannot check.)
 func FuzzIndex(f *testing.F) {
 	w, err := wfs.NewWorkload(wfs.Small())
 	if err != nil {
@@ -255,17 +304,17 @@ func FuzzIndex(f *testing.F) {
 		if pr.Replay() != nil {
 			return
 		}
-		// Parallel accepted the input: sequential must agree exactly.
-		rp, err := etrace.NewReplayer(bytes.NewReader(b))
+		// The indexed replay accepted the input: the frame walk must agree.
+		info, err := etrace.Stat(bytes.NewReader(b))
 		if err != nil {
-			t.Fatalf("parallel replay succeeded, sequential open failed: %v", err)
+			t.Fatalf("indexed replay succeeded, Stat failed: %v", err)
 		}
-		if err := rp.Replay(); err != nil {
-			t.Fatalf("parallel replay succeeded, sequential replay failed: %v", err)
+		if !info.Complete {
+			t.Fatal("indexed replay succeeded, Stat found no end record")
 		}
-		if par.ICount() != rp.ICount() || par.ExitCode() != rp.ExitCode() ||
-			par.Halted() != rp.Halted() || par.MemStats() != rp.MemStats() {
-			t.Fatal("parallel and sequential replays disagree on final state")
+		if par.ICount() != info.FinalICount || par.ExitCode() != info.ExitCode || par.Halted() != info.Halted {
+			t.Fatalf("indexed replay (ic=%d exit=%d halted=%v) and Stat (ic=%d exit=%d halted=%v) disagree on final state",
+				par.ICount(), par.ExitCode(), par.Halted(), info.FinalICount, info.ExitCode, info.Halted)
 		}
 	})
 }

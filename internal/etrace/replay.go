@@ -2,7 +2,6 @@ package etrace
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -197,7 +196,10 @@ func (p *chunkParser) delta(prev *uint64) (uint64, error) {
 }
 
 // decoder streams records out of a chunked trace: a sequential refill
-// loop over chunk frames feeding one chunkParser.
+// loop over chunk frames feeding one chunkParser.  It walks the frames
+// without consulting the index, which makes it Stat's engine; replay goes
+// through the index (ParallelReplayer) and uses the decoder only for the
+// header.
 type decoder struct {
 	r       *bufio.Reader
 	p       chunkParser
@@ -206,15 +208,6 @@ type decoder struct {
 
 	chunks int
 	ended  bool
-
-	// salvage switches the refill loop from fail-closed to fail-soft:
-	// damaged chunks are skipped (delta chains reset at the next chunk
-	// boundary) and tallied in report instead of stopping the stream.
-	// Sequential salvage cannot re-synchronise past framing damage — a
-	// broken length prefix ends the stream as a torn tail; only the
-	// indexed parallel replayer can skip over it.
-	salvage bool
-	report  *SalvageReport
 
 	// footer holds the trace's index when the stream carried one; nil
 	// for footer-less v1 traces.  Populated once the end record has been
@@ -350,92 +343,47 @@ func readString(r byteScanner, cap uint64) (string, error) {
 var errTruncated = errors.New("etrace: truncated trace (no end record)")
 
 // next returns the next record.  After the end record it returns io.EOF;
-// a stream that runs dry without one fails with errTruncated.  In salvage
-// mode, damaged chunks are skipped and counted instead: checksum failures
-// drop the whole chunk, a mid-chunk parse error drops the chunk's
-// remainder (the prefix was already delivered), and framing damage or
-// truncation ends the stream as a torn tail with a clean io.EOF.
+// a stream that runs dry without one fails with errTruncated.
 func (d *decoder) next() (record, error) {
 	var rec record
 	if d.ended {
 		return rec, io.EOF
 	}
-	for {
-		for d.p.done() {
-			n, err := binary.ReadUvarint(d.r)
-			if err != nil {
-				if err == io.EOF {
-					if d.salvage {
-						d.report.TornTail = true
-						return rec, io.EOF
-					}
-					return rec, errTruncated
-				}
-				if d.salvage {
-					d.report.TornTail = true
-					return rec, io.EOF
-				}
-				return rec, fmt.Errorf("etrace: chunk length: %w", err)
-			}
-			if n == 0 || n > maxChunkLen || (d.version >= 2 && n <= crcLen) {
-				if d.salvage {
-					d.report.TornTail = true
-					return rec, io.EOF
-				}
-				return rec, fmt.Errorf("etrace: bad chunk length %d", n)
-			}
-			if uint64(cap(d.buf)) < n {
-				d.buf = make([]byte, n)
-			}
-			d.buf = d.buf[:n]
-			if _, err := io.ReadFull(d.r, d.buf); err != nil {
-				if d.salvage {
-					d.report.TornTail = true
-					return rec, io.EOF
-				}
-				return rec, fmt.Errorf("etrace: short chunk: %w", err)
-			}
-			d.chunks++
-			if d.salvage {
-				d.report.ChunksTotal++
-			}
-			payload := d.buf
-			if d.version >= 2 {
-				body, sum := payload[:len(payload)-crcLen], payload[len(payload)-crcLen:]
-				if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(sum) {
-					if d.salvage {
-						d.report.CRCErrors++
-						d.report.ChunksBad++
-						continue // the frame was consumed; skip its records
-					}
-					return rec, fmt.Errorf("etrace: chunk %d checksum mismatch", d.chunks-1)
-				}
-				payload = body
-			}
-			d.p.reset(payload)
+	for d.p.done() {
+		n, err := binary.ReadUvarint(d.r)
+		if err == io.EOF {
+			return rec, errTruncated
 		}
-		if err := d.p.parseRecord(&rec); err != nil {
-			if d.salvage {
-				// The records before the failure were already delivered;
-				// drop the chunk's remainder and resume at the next chunk,
-				// where every delta chain resets.
-				d.p.reset(nil)
-				d.report.ChunksBad++
-				continue
-			}
-			return rec, err
+		if err != nil {
+			return rec, fmt.Errorf("etrace: chunk length: %w", err)
 		}
-		break
+		if n == 0 || n > maxChunkLen || (d.version >= 2 && n <= crcLen) {
+			return rec, fmt.Errorf("etrace: bad chunk length %d", n)
+		}
+		if uint64(cap(d.buf)) < n {
+			d.buf = make([]byte, n)
+		}
+		d.buf = d.buf[:n]
+		if _, err := io.ReadFull(d.r, d.buf); err != nil {
+			return rec, fmt.Errorf("etrace: short chunk: %w", err)
+		}
+		d.chunks++
+		payload := d.buf
+		if d.version >= 2 {
+			body, sum := payload[:len(payload)-crcLen], payload[len(payload)-crcLen:]
+			if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(sum) {
+				return rec, fmt.Errorf("etrace: chunk %d checksum mismatch", d.chunks-1)
+			}
+			payload = body
+		}
+		d.p.reset(payload)
+	}
+	if err := d.p.parseRecord(&rec); err != nil {
+		return rec, err
 	}
 	if rec.kind == recEnd {
 		if err := d.readTrailing(); err != nil {
-			if !d.salvage {
-				return rec, err
-			}
-			d.report.FooterDamaged = true
-		}
-		if d.salvage {
-			d.report.Complete = true
+			return rec, err
 		}
 		d.ended = true
 	}
@@ -485,8 +433,8 @@ const denseSiteSpan = 1 << 22 // instructions
 // Consumer is one pin.Host fed from a replayed record stream.  It holds
 // everything per-tool-stack: the instrumentation callbacks, the code
 // cache of compiled sites, and the replayed machine state (instruction
-// count, memory counters, exit status).  A sequential Replayer embeds
-// exactly one; a ParallelReplayer fans one decode pass out to many.
+// count, memory counters, exit status).  A ParallelReplayer fans one
+// decode pass out to any number of consumers.
 type Consumer struct {
 	hdr header
 
@@ -526,6 +474,10 @@ type Consumer struct {
 	// report (parallel replay merges chunk-level stats in afterwards), so
 	// no synchronisation is needed on the apply path.
 	salvage *SalvageReport
+
+	// err is the consumer's replay outcome (see Err), set once the pass
+	// has finished.
+	err error
 
 	// Stats mirrors pin.Engine.Stats for the replayed run.
 	Stats pin.Stats
@@ -792,114 +744,12 @@ func (c *Consumer) PublishMetrics(reg *obs.Registry) {
 // the consumer replays strictly.  Complete only after the replay.
 func (c *Consumer) SalvageReport() *SalvageReport { return c.salvage }
 
-// Replayer drives profiling tools from a recorded event trace,
-// sequentially.  It implements pin.Host (via its embedded Consumer): the
-// tools' Attach functions run against it unchanged, their
-// instrumentation callbacks fire when static records stream in (the
-// code-cache fill), and their analysis routines fire per dynamic record
-// — no vm.Machine is ever constructed.
-type Replayer struct {
-	*Consumer
-
-	d        *decoder
-	progress func(ic uint64)
-	done     bool
-}
-
-var _ pin.Host = (*Replayer)(nil)
-
-// NewReplayer reads the trace header and prepares a replay.  Attach
-// tools, then call Replay.
-func NewReplayer(r io.Reader) (*Replayer, error) {
-	d := newDecoder(r)
-	hdr, err := d.readHeader()
-	if err != nil {
-		return nil, corrupt(err)
-	}
-	return &Replayer{Consumer: newConsumer(hdr), d: d}, nil
-}
-
-// NewSalvageReplayer is NewReplayer in fail-soft mode: damaged chunks are
-// skipped and tallied (see SalvageReport) instead of stopping the replay.
-// Header damage is still fatal — such a trace is unreadable, not
-// salvageable.  Sequential salvage cannot re-synchronise past framing
-// damage (a broken chunk length prefix); the indexed ParallelReplayer
-// with ParallelOptions.Salvage can.
-func NewSalvageReplayer(r io.Reader) (*Replayer, error) {
-	rep, err := NewReplayer(r)
-	if err != nil {
-		return nil, err
-	}
-	rep.d.salvage = true
-	rep.d.report = new(SalvageReport)
-	rep.Consumer.salvage = rep.d.report
-	return rep, nil
-}
-
-// OnProgress registers a heartbeat callback invoked with the replayed
-// instruction count every cancelCheckStride records — the same stride
-// (and the same loop position) as the context poll, so progress costs
-// nothing on the per-record hot path and nothing at all when no callback
-// is registered.
-func (r *Replayer) OnProgress(fn func(ic uint64)) { r.progress = fn }
-
-// Replay streams the trace, compiling static records through the
-// registered instrumentation callbacks and dispatching dynamic records
-// to the attached analysis routines.  It may be called once.
-func (r *Replayer) Replay() error { return r.ReplayContext(context.Background()) }
-
-// cancelCheckStride is how many replayed records go between context
-// polls — frequent enough that a cancelled sweep stops its replays
-// within microseconds, rare enough to stay off the per-record hot path.
-const cancelCheckStride = 1 << 14
-
-// ReplayContext is Replay under a context: a cancelled or expired
-// context stops the replay with a *vm.CancelError carrying the replayed
-// instruction count at the interruption point, mirroring how a live
-// machine surfaces cancellation.  A context without a Done channel costs
-// nothing.
-func (r *Replayer) ReplayContext(ctx context.Context) error {
-	if r.done {
-		return errors.New("etrace: trace already replayed")
-	}
-	r.done = true
-	done := ctx.Done()
-	var n uint64
-	for {
-		if done != nil || r.progress != nil {
-			if n++; n%cancelCheckStride == 0 {
-				if done != nil {
-					select {
-					case <-done:
-						return &vm.CancelError{PC: r.pc, ICount: r.ic, Cause: ctx.Err()}
-					default:
-					}
-				}
-				if r.progress != nil {
-					r.progress(r.ic)
-				}
-			}
-		}
-		rec, err := r.d.next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return corrupt(err)
-		}
-		if err := r.apply(&rec); err != nil {
-			if r.d.salvage {
-				// A record that decodes but cannot apply (a dangling block
-				// id, an event before its static record — typical fallout
-				// of an earlier skipped chunk) is dropped and counted; no
-				// apply path mutates state before failing.
-				r.Consumer.salvage.RecordsDropped++
-				continue
-			}
-			return corrupt(err)
-		}
-	}
-}
+// Err reports how this consumer's replay ended: nil when it applied the
+// whole stream, a *PanicError when one of its own analysis routines
+// panicked, and otherwise the pass's failure (trace damage or
+// cancellation), which every consumer without a panic of its own shares.
+// Valid once Replay has returned.
+func (c *Consumer) Err() error { return c.err }
 
 func classOf(size int) int {
 	for i, s := range vm.MemSizeClasses {

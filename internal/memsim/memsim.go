@@ -215,7 +215,7 @@ type Tool struct {
 }
 
 // Attach wires a simulator onto the host — a live pin.Engine or an
-// etrace.Replayer.  Call before running the machine (or the replay).
+// etrace.Consumer.  Call before running the machine (or the replay).
 func Attach(h pin.Host, opts Options) (*Tool, error) {
 	if err := opts.Config.Validate(); err != nil {
 		return nil, err

@@ -164,7 +164,7 @@ type Stats struct {
 // Host is the event source a tool attaches to: everything the profiling
 // tools (core, quad, flatprof) need from the instrumentation framework,
 // abstracted from where the dynamic events come from.  *Engine implements
-// it over a live vm.Machine; etrace.Replayer implements it over a
+// it over a live vm.Machine; etrace.Consumer implements it over a
 // recorded event trace, which is what lets a sweep replay one recording
 // per configuration instead of re-executing the guest.
 type Host interface {

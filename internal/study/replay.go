@@ -1,15 +1,17 @@
 // Record-once/replay-many execution for the scheduler: every profiling
 // configuration observes the same dynamic event stream (analysis
 // routines never perturb the guest), so a sweep needs one recorded guest
-// execution per execution-equivalence group and one cheap replay per
-// configuration.  This file holds the recording plumbing and the shared
-// attach/collect helpers that keep the live and replayed paths running
-// the exact same tool code.
+// execution per execution-equivalence group, replayed through every
+// configuration's tools in one decode pass.  This file holds the
+// recording and replay plumbing and the shared attach/collect helpers
+// that keep the live and replayed paths running the exact same tool
+// code.
 package study
 
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -62,10 +64,10 @@ type recording struct {
 	generation  int
 	replacement *recording
 
-	// Batched-replay state, guarded by the scheduler's mu: members
-	// submitted while a coordinator is live join its next pass instead of
-	// replaying individually (see Scheduler.batchReplays).
-	batch    []*batchMember
+	// Replay-pass state, guarded by the scheduler's mu: the members
+	// queued for the recording's next pass, and whether a pass
+	// coordinator is live to run it (see Scheduler.batchReplays).
+	batch    []*member
 	batching bool
 }
 
@@ -185,12 +187,8 @@ func (sc *Scheduler) recordOnce(pol policy, key string, attempt int, rec *record
 			rec.path = ""
 		}
 	}()
-	actx := ctx
-	if pol.runTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, pol.runTimeout)
-		defer cancel()
-	}
+	actx, cancel := pol.attemptContext()
+	defer cancel()
 	pol.emit(obs.Event{Type: obs.EventStarted, Key: "record/" + key, Attempt: attempt + 1})
 	if hook := pol.hooks.BeforeRecord; hook != nil {
 		if herr := hook(actx, key, attempt); herr != nil {
@@ -303,123 +301,72 @@ func (s *Study) recordGuest(w io.Writer, opt runOptions) (*obs.Registry, []obs.S
 	return ro.Metrics, ro.Spans.Records(), m.ICount, nil
 }
 
-// replayConfig produces one configuration's result by replaying the
-// recorded trace at path through the configuration's tools.  It mirrors
-// executeConfig span for span, with a "replay" span where the live path
-// has "execute".  A missing or unreadable trace file is host I/O and
-// reported transient; decode and guest-state failures are permanent.
-func (s *Study) replayConfig(cfg RunConfig, path string, opt runOptions) (*RunResult, error) {
-	ctx := opt.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var ro *obs.Observer
-	if s.Obs != nil {
-		ro = obs.NewObserver()
-	}
-	res := &RunResult{Config: cfg, Key: cfg.Key()}
-	run := ro.Tracer().Start("run")
-	f, err := os.Open(path)
-	if err != nil {
-		run.End()
-		return nil, fmt.Errorf("study: run %s: %w", res.Key, markHostIO(err))
-	}
-	defer f.Close()
-	var in io.Reader = f
-	if opt.hooks.ReplayReader != nil {
-		in = opt.hooks.ReplayReader(f)
-	}
-
-	instrument := ro.Tracer().Start("instrument")
-	rp, err := etrace.NewReplayer(in)
-	var ts *toolset
-	if err == nil {
-		ts, err = attachTools(rp, cfg, ro.Tracer())
-	}
-	instrument.End()
-	if err != nil {
-		run.End()
-		return nil, fmt.Errorf("study: run %s: %w", res.Key, err)
-	}
-	if opt.beat != nil {
-		rp.OnProgress(opt.beat)
-	}
-
-	replay := ro.Tracer().Start("replay")
-	err = rp.ReplayContext(ctx)
-	replay.SetInstr(rp.ICount())
-	rb, wb := rp.Traffic()
-	replay.SetBytes(rb + wb)
-	replay.End()
-	if err == nil && rp.ExitCode() != 0 {
-		err = fmt.Errorf("guest exit code %d", rp.ExitCode())
-	}
-	if err != nil {
-		run.End()
-		return nil, fmt.Errorf("study: run %s: %w", res.Key, err)
-	}
-
-	res.ICount, res.Overhead, res.Time = rp.ICount(), rp.Overhead(), rp.Time()
-	rp.PublishMetrics(ro.Registry())
-	ts.collect(cfg, res, ro)
-	run.End()
-	if ro != nil {
-		res.Registry = ro.Metrics
-		res.Spans = ro.Spans.Records()
-	}
-	return res, nil
-}
-
-// groupRun is one member of a batched replay pass: a configuration plus
-// its heartbeat callback.
+// groupRun is one member's attempt in a pass, live or replayed: a
+// configuration and its heartbeat callback in, its result or its own
+// error out.
 type groupRun struct {
 	Cfg  RunConfig
 	Beat func(ic uint64)
+	Res  *RunResult
+	Err  error
 }
 
-// replayGroup produces every member configuration's result from ONE
-// decode pass over the recorded trace at path, via an
+// replayGroup replays the recorded trace at path ONCE, through an
 // etrace.ParallelReplayer fanning the record stream out to one consumer
-// per member.  It mirrors replayConfig span for span — each member gets
-// its own observer, "run"/"instrument"/"replay" spans and private
-// registry — so batched results are indistinguishable from individually
-// replayed ones.  Any failure fails the whole pass; the scheduler falls
-// back to individual supervised replays, which reproduce the exact
-// per-member error.
-func (s *Study) replayGroup(runs []groupRun, path string, jobs int, ctx context.Context) ([]*RunResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// per run, and settles every run's Res or Err.  Each run gets its own
+// observer, "run"/"instrument"/"replay" spans and private registry —
+// executeConfig's spans, with "replay" where the live path has
+// "execute".  A trace that cannot be opened fails every run alike: a
+// missing or unreadable file is host I/O and reported transient, header
+// damage is an etrace.CorruptError.  Past that, runs fail one by one: a
+// bad tool configuration, a panicking analysis routine (a *PanicError)
+// or a non-zero recorded exit code fails its own run only, while trace
+// damage and cancellation reach every run the pass was still feeding.
+// wrap, when non-nil, wraps the trace file (Hooks.ReplayReader).
+func (s *Study) replayGroup(ctx context.Context, runs []*groupRun, path string, jobs int, wrap func(io.ReaderAt, int64) (io.ReaderAt, int64)) {
+	fail := func(err error) {
+		for _, r := range runs {
+			r.Err = fmt.Errorf("study: run %s: %w", r.Cfg.Key(), err)
+		}
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, markHostIO(err)
+		fail(markHostIO(err))
+		return
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, markHostIO(err)
+		fail(markHostIO(err))
+		return
 	}
-	pr, err := etrace.NewParallelReplayer(f, fi.Size(), etrace.ParallelOptions{Jobs: jobs})
+	var ra io.ReaderAt = f
+	size := fi.Size()
+	if wrap != nil {
+		ra, size = wrap(ra, size)
+	}
+	pr, err := etrace.NewParallelReplayer(ra, size, etrace.ParallelOptions{Jobs: jobs})
 	if err != nil {
-		return nil, err
+		fail(err)
+		return
 	}
 
 	type member struct {
+		*groupRun
 		ro     *obs.Observer
-		res    *RunResult
 		run    *obs.Span
 		replay *obs.Span
 		host   *etrace.Consumer
 		ts     *toolset
 	}
-	members := make([]*member, len(runs))
+	var members []*member
 	var beats []func(uint64)
-	for i, r := range runs {
+	for _, r := range runs {
 		var ro *obs.Observer
 		if s.Obs != nil {
 			ro = obs.NewObserver()
 		}
-		m := &member{ro: ro, res: &RunResult{Config: r.Cfg, Key: r.Cfg.Key()}}
+		m := &member{groupRun: r, ro: ro}
 		m.run = ro.Tracer().Start("run")
 		instrument := ro.Tracer().Start("instrument")
 		m.host = pr.NewConsumer()
@@ -427,12 +374,16 @@ func (s *Study) replayGroup(runs []groupRun, path string, jobs int, ctx context.
 		instrument.End()
 		if err != nil {
 			m.run.End()
-			return nil, fmt.Errorf("study: run %s: %w", m.res.Key, err)
+			r.Err = fmt.Errorf("study: run %s: %w", r.Cfg.Key(), err)
+			continue
 		}
 		if r.Beat != nil {
 			beats = append(beats, r.Beat)
 		}
-		members[i] = m
+		members = append(members, m)
+	}
+	if len(members) == 0 {
+		return
 	}
 	if len(beats) > 0 {
 		pr.OnProgress(func(ic uint64) {
@@ -445,36 +396,41 @@ func (s *Study) replayGroup(runs []groupRun, path string, jobs int, ctx context.
 	for _, m := range members {
 		m.replay = m.ro.Tracer().Start("replay")
 	}
-	err = pr.ReplayContext(ctx)
+	pr.ReplayContext(ctx) // outcomes are per consumer: host.Err
 	for _, m := range members {
 		m.replay.SetInstr(m.host.ICount())
 		rb, wb := m.host.Traffic()
 		m.replay.SetBytes(rb + wb)
 		m.replay.End()
 	}
-	if err != nil {
-		for _, m := range members {
-			m.run.End()
-		}
-		return nil, err
-	}
 
-	results := make([]*RunResult, len(members))
-	for i, m := range members {
-		if m.host.ExitCode() != 0 {
-			return nil, fmt.Errorf("study: run %s: guest exit code %d", m.res.Key, m.host.ExitCode())
+	for _, m := range members {
+		key := m.Cfg.Key()
+		err := m.host.Err()
+		if err == nil && m.host.ExitCode() != 0 {
+			err = fmt.Errorf("guest exit code %d", m.host.ExitCode())
 		}
-		m.res.ICount, m.res.Overhead, m.res.Time = m.host.ICount(), m.host.Overhead(), m.host.Time()
+		var pe *etrace.PanicError
+		switch {
+		case errors.As(err, &pe):
+			m.Err = &PanicError{Key: key, Value: pe.Value, Stack: pe.Stack}
+		case err != nil:
+			m.Err = fmt.Errorf("study: run %s: %w", key, err)
+		}
+		if m.Err != nil {
+			m.run.End()
+			continue
+		}
+		m.Res = &RunResult{Config: m.Cfg, Key: key}
+		m.Res.ICount, m.Res.Overhead, m.Res.Time = m.host.ICount(), m.host.Overhead(), m.host.Time()
 		m.host.PublishMetrics(m.ro.Registry())
-		m.ts.collect(runs[i].Cfg, m.res, m.ro)
+		m.ts.collect(m.Cfg, m.Res, m.ro)
 		m.run.End()
 		if m.ro != nil {
-			m.res.Registry = m.ro.Metrics
-			m.res.Spans = m.ro.Spans.Records()
+			m.Res.Registry = m.ro.Metrics
+			m.Res.Spans = m.ro.Spans.Records()
 		}
-		results[i] = m.res
 	}
-	return results, nil
 }
 
 // toolset holds whichever tools a configuration attaches; live and

@@ -23,9 +23,11 @@ package study
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -179,11 +181,11 @@ type Scheduler struct {
 	replay     bool
 	guestExecs atomic.Uint64
 
-	// replayJobs is the decode worker count handed to batched replay
-	// passes (0: decode inline).  decodePasses counts how many times a
-	// trace was decoded to serve replays — the batched analogue of
-	// GuestExecutions: a sweep of N configurations over one recording
-	// should cost one pass, not N.
+	// replayJobs is the decode worker count handed to replay passes
+	// (etrace.ParallelOptions.Jobs: 0 means GOMAXPROCS, 1 decodes inline).
+	// decodePasses counts how many times a trace was decoded to serve
+	// replays — the replay analogue of GuestExecutions: a sweep of N
+	// configurations over one recording should cost one pass, not N.
 	replayJobs   int
 	decodePasses atomic.Uint64
 
@@ -349,9 +351,9 @@ func (sc *Scheduler) SetReplay(on bool) {
 // number of submitted configurations.
 func (sc *Scheduler) GuestExecutions() uint64 { return sc.guestExecs.Load() }
 
-// SetReplayJobs sets how many decode workers a batched replay pass uses
-// (0, the default, decodes inline on the dispatching goroutine).  Call
-// before the first Submit.
+// SetReplayJobs sets how many decode workers a replay pass uses.  0, the
+// default, means GOMAXPROCS workers; 1 decodes inline, with no worker
+// pool.  Call before the first Submit.
 func (sc *Scheduler) SetReplayJobs(n int) {
 	sc.mu.Lock()
 	if n < 0 {
@@ -362,8 +364,8 @@ func (sc *Scheduler) SetReplayJobs(n int) {
 }
 
 // DecodePasses returns how many decode passes over recorded traces the
-// scheduler has performed — with batching, one per recording per drain
-// rather than one per submitted configuration.
+// scheduler has performed — one per recording per drain of its member
+// queue, rather than one per submitted configuration.
 func (sc *Scheduler) DecodePasses() uint64 { return sc.decodePasses.Load() }
 
 // Close waits for all submitted work and removes the recorded trace
@@ -407,76 +409,63 @@ func (sc *Scheduler) Submit(cfg RunConfig) *Pending {
 	}
 	p := &Pending{key: key, done: make(chan struct{})}
 	sc.memo[key] = p
-	pol := sc.policyLocked()
-	replay := sc.replay && cfg.Kind.known()
-	// Batched replays share one decode pass; the per-run hook seams
-	// (BeforeRun, ReplayReader) force the individual path, where their
-	// faults land on exactly one configuration.
-	batch := replay && pol.hooks.BeforeRun == nil && pol.hooks.ReplayReader == nil
+	m := &member{p: p, cfg: cfg, key: key, pol: sc.policyLocked()}
 	var rec *recording
-	if replay {
+	if sc.replay && cfg.Kind.known() {
 		rec = sc.recordingLocked(cfg.ExecKey())
-	}
-	if batch {
-		rec.batch = append(rec.batch, &batchMember{p: p, cfg: cfg, key: key, pol: pol})
-		batch = !rec.batching // whether to start the coordinator
-		rec.batching = true
-		sc.mu.Unlock()
-		pol.emit(obs.Event{Type: obs.EventQueued, Key: key})
-		if batch {
-			go sc.batchReplays(rec)
-		}
-		return p
 	}
 	invalid := sc.replay && !cfg.Kind.known()
 	sc.mu.Unlock()
-	pol.emit(obs.Event{Type: obs.EventQueued, Key: key})
-	go func() {
-		switch {
-		case invalid:
-			// Reject before recording anything: an unknown kind must not
-			// cost (or wait for) a guest execution, and its failure must
-			// surface for every duplicate submission of the same key.
-			p.err = fmt.Errorf("study: unknown run kind %d", cfg.Kind)
-			pol.emit(obs.Event{Type: obs.EventFailed, Key: key, Err: p.err.Error()})
-			close(p.done)
-		case replay:
-			<-rec.done
-			sc.replayMember(rec, &batchMember{p: p, cfg: cfg, key: key, pol: pol})
-		default:
-			defer close(p.done)
-			p.res, p.err = sc.supervised(pol, key, cfg, func(actx context.Context, attempt int) (*RunResult, error) {
-				if cfg.Kind.known() {
-					sc.guestExecs.Add(1)
-				}
-				return sc.study.executeConfig(cfg, runOptions{
-					ctx: actx, maxInstr: pol.maxInstr, hooks: pol.hooks,
-					beat: pol.beatFunc(key, pol.maxInstr),
-				})
-			})
-			if p.err != nil {
-				pol.emit(obs.Event{Type: obs.EventFailed, Key: key, Err: p.err.Error()})
-				return
-			}
-			sc.finishMember(&batchMember{p: p, cfg: cfg, key: key, pol: pol})
-		}
-	}()
+	m.pol.emit(obs.Event{Type: obs.EventQueued, Key: key})
+	if invalid {
+		// Reject before recording anything: an unknown kind must not cost
+		// (or wait for) a guest execution, and its failure must surface
+		// for every duplicate submission of the same key.
+		p.err = fmt.Errorf("study: unknown run kind %d", cfg.Kind)
+		m.pol.emit(obs.Event{Type: obs.EventFailed, Key: key, Err: p.err.Error()})
+		close(p.done)
+		return p
+	}
+	sc.dispatch(rec, m)
 	return p
 }
 
-// batchMember is one submitted configuration waiting on (or served by) a
-// batched replay pass, with the policy snapshot from its submission.
-type batchMember struct {
-	p   *Pending
-	cfg RunConfig
-	key string
-	pol policy
+// member is one submitted configuration, with the policy snapshot from
+// its submission and the attempts it has spent so far.  actx and cancel
+// belong to the attempt in flight: its context, bounded by the run
+// timeout, from the attempt's start until settle.
+type member struct {
+	p       *Pending
+	cfg     RunConfig
+	key     string
+	pol     policy
+	attempt int
+
+	actx   context.Context
+	cancel context.CancelFunc
 }
 
-// batchReplays is the per-recording batch coordinator: once the
+// dispatch queues a member for its next pass: its recording's next replay
+// pass, or — with rec nil, replay off — a live run of its own.
+func (sc *Scheduler) dispatch(rec *recording, m *member) {
+	if rec == nil {
+		go sc.runPass(nil, []*member{m})
+		return
+	}
+	sc.mu.Lock()
+	rec.batch = append(rec.batch, m)
+	start := !rec.batching
+	rec.batching = true
+	sc.mu.Unlock()
+	if start {
+		go sc.batchReplays(rec)
+	}
+}
+
+// batchReplays is the per-recording pass coordinator: once the
 // recording lands it drains the member queue in passes — each pass one
 // decode of the trace fanned out to every drained member — until no new
-// submissions arrived, then retires.  A later Submit starts a fresh
+// members arrived, then retires.  A later dispatch starts a fresh
 // coordinator (the recording is done by then, so its pass starts
 // immediately).
 func (sc *Scheduler) batchReplays(rec *recording) {
@@ -491,113 +480,197 @@ func (sc *Scheduler) batchReplays(rec *recording) {
 			return
 		}
 		sc.mu.Unlock()
-		sc.replayBatch(rec, members)
+		sc.runPass(rec, members)
 	}
 }
 
-// replayBatch serves one drained member set: a failed recording fails
-// every member; otherwise one batched pass is attempted, and if the
-// whole pass fails each member falls back to its own fully supervised
-// individual replay — reproducing exactly the error, retry and event
-// behaviour an unbatched scheduler would have shown.
-func (sc *Scheduler) replayBatch(rec *recording, members []*batchMember) {
-	if rec.err == nil {
-		if results, err := sc.tryBatch(rec, members); err == nil {
-			for i, m := range members {
-				m.p.res = results[i]
-				sc.finishMember(m)
-				close(m.p.done)
-			}
-			return
+// runPass runs the members' attempts: with rec nil, a single live
+// member's; otherwise those of the members drained from rec's queue.  A
+// failed recording fails them all.  Otherwise the pass takes one worker
+// slot, begins every member's attempt that is not yet under way, and
+// runs the members ready to go — a live guest execution, or one replay
+// of the recorded trace with a consumer each.  Every member's outcome is
+// then settled on its own.
+func (sc *Scheduler) runPass(rec *recording, members []*member) {
+	if rec != nil && rec.err != nil {
+		for _, m := range members {
+			m.p.err = fmt.Errorf("study: run %s: record: %w", m.key, rec.err)
+			m.pol.emit(obs.Event{Type: obs.EventFailed, Key: m.key, Err: m.p.err.Error()})
+			close(m.p.done)
 		}
+		return
 	}
-	var wg sync.WaitGroup
-	for _, m := range members {
-		wg.Add(1)
-		go func(m *batchMember) {
-			defer wg.Done()
-			sc.replayMember(rec, m)
-		}(m)
-	}
-	wg.Wait()
-}
-
-// tryBatch performs one batched replay pass over the recording for all
-// members: one worker slot, one panic scope, one per-run timeout, one
-// decode of the trace.  Supervision here is pass-granular; per-member
-// supervision (retries, precise error attribution) lives in the
-// individual fallback.
-func (sc *Scheduler) tryBatch(rec *recording, members []*batchMember) (results []*RunResult, err error) {
-	pol := members[0].pol
-	ctx := pol.ctx
+	// Members of one pass share their scheduler's context (SetContext
+	// precedes the first Submit), so the first one's will do.
+	ctx := members[0].pol.ctx
 	select {
 	case sc.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		for _, m := range members {
+			sc.settle(rec, m, nil, fmt.Errorf("study: run %s: %w", m.key, ctx.Err()))
+		}
+		return
 	}
 	defer func() { <-sc.sem }()
-	defer func() {
-		if r := recover(); r != nil {
-			sc.sup.Panics.Inc()
-			results = nil
-			err = fmt.Errorf("batched replay panic: %v", r)
+
+	var ready []*member
+	for _, m := range members {
+		if m.actx != nil || sc.begin(rec, m) {
+			ready = append(ready, m)
+		}
+	}
+	if len(ready) == 0 {
+		return
+	}
+	// The members share their sweep context, so the attempt context with
+	// the latest deadline (or none) ends last: the pass runs under it, and
+	// no member's deadline cuts a sibling's replay short.
+	pctx := ready[0].actx
+	runs := make([]*groupRun, len(ready))
+	for i, m := range ready {
+		budget := m.pol.maxInstr
+		if rec != nil {
+			budget = rec.icount
+		}
+		runs[i] = &groupRun{Cfg: m.cfg, Beat: m.pol.beatFunc(m.key, budget)}
+		if last, ok := pctx.Deadline(); ok {
+			if d, ok := m.actx.Deadline(); !ok || d.After(last) {
+				pctx = m.actx
+			}
+		}
+	}
+	sc.execute(pctx, rec, ready[0].pol, runs)
+	for i, m := range ready {
+		sc.settle(rec, m, runs[i].Res, runs[i].Err)
+	}
+}
+
+// begin starts a member's attempt: the started event, the attempt
+// context under the member's own run timeout, then the BeforeRun hook.
+// It reports whether the member can run in this pass.  A member with a
+// hook cannot: the hook runs on the member's own goroutine — one that
+// hangs holds up no other member — and the member joins its recording's
+// next pass once the hook lets it through.
+func (sc *Scheduler) begin(rec *recording, m *member) bool {
+	if cerr := m.pol.ctx.Err(); cerr != nil {
+		sc.settle(rec, m, nil, fmt.Errorf("study: run %s: %w", m.key, cerr))
+		return false
+	}
+	m.actx, m.cancel = m.pol.attemptContext()
+	m.pol.emit(obs.Event{Type: obs.EventStarted, Key: m.key, Attempt: m.attempt + 1})
+	if m.pol.hooks.BeforeRun == nil {
+		return true
+	}
+	go func() {
+		if err := beforeRun(m); err != nil {
+			sc.settle(rec, m, nil, err)
+		} else {
+			sc.dispatch(rec, m)
 		}
 	}()
-	actx := ctx
-	if pol.runTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, pol.runTimeout)
-		defer cancel()
+	return false
+}
+
+// beforeRun fires the member's BeforeRun hook under its attempt context,
+// converting a panic in the hook into a *PanicError.
+func beforeRun(m *member) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Key: m.key, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	if herr := m.pol.hooks.BeforeRun(m.actx, m.cfg, m.attempt); herr != nil {
+		return fmt.Errorf("study: run %s: %w", m.key, herr)
 	}
-	runs := make([]groupRun, len(members))
-	for i, m := range members {
-		m.pol.emit(obs.Event{Type: obs.EventStarted, Key: m.key, Attempt: 1})
-		runs[i] = groupRun{Cfg: m.cfg, Beat: m.pol.beatFunc(m.key, rec.icount)}
+	return nil
+}
+
+// execute runs a pass under the policy of its first member: the lone
+// live member's guest execution when rec is nil, else one replay of
+// rec's trace.  A panic outside the replay consumers' analysis routines
+// (which fail their own run only) fails every run it left unsettled.
+func (sc *Scheduler) execute(ctx context.Context, rec *recording, pol policy, runs []*groupRun) {
+	defer func() {
+		if v := recover(); v != nil {
+			stack := debug.Stack()
+			for _, r := range runs {
+				if r.Res == nil && r.Err == nil {
+					r.Err = &PanicError{Key: r.Cfg.Key(), Value: v, Stack: stack}
+				}
+			}
+		}
+	}()
+	if rec == nil {
+		r := runs[0]
+		if r.Cfg.Kind.known() {
+			sc.guestExecs.Add(1)
+		}
+		r.Res, r.Err = sc.study.executeConfig(r.Cfg, runOptions{
+			ctx: ctx, maxInstr: pol.maxInstr, hooks: pol.hooks, beat: r.Beat,
+		})
+		return
 	}
 	sc.mu.Lock()
 	jobs := sc.replayJobs
 	sc.mu.Unlock()
 	sc.decodePasses.Add(1)
-	return sc.study.replayGroup(runs, rec.path, jobs, actx)
+	sc.study.replayGroup(ctx, runs, rec.path, jobs, pol.hooks.ReplayReader)
 }
 
-// replayMember runs one configuration's individual supervised replay —
-// the non-batched path, also the batch-failure fallback.  It closes the
-// member's Pending and emits its terminal events.  A replay that fails
-// trace verification (etrace.CorruptError) does not fail the member:
-// the recording is retired and the member retries against the
-// replacement (see rerecord); only an exhausted re-record budget — or a
-// corrupt replacement — surfaces the corruption as the member's error.
-func (sc *Scheduler) replayMember(rec *recording, m *batchMember) {
-	defer close(m.p.done)
-	for {
-		if rec.err != nil {
-			m.p.err = fmt.Errorf("study: run %s: record: %w", m.key, rec.err)
-			m.pol.emit(obs.Event{Type: obs.EventFailed, Key: m.key, Err: m.p.err.Error()})
+// settle applies the one outcome rule to a member after an attempt.
+// Success finishes it.  A corrupt recorded trace sends it through
+// rerecord and re-queues it on the replacement recording without
+// spending an attempt.  A transient failure with attempts left emits a
+// retry event and dispatches it again after its backoff.  Anything else
+// — permanent errors, panics, cancellation — fails it.
+func (sc *Scheduler) settle(rec *recording, m *member, res *RunResult, err error) {
+	if m.cancel != nil {
+		m.cancel()
+		m.actx, m.cancel = nil, nil
+	}
+	var pe *PanicError
+	if errors.As(err, &pe) {
+		sc.sup.Panics.Inc()
+	}
+	switch {
+	case err == nil:
+		m.p.res = res
+		sc.finishMember(m)
+		close(m.p.done)
+		return
+	case rec != nil && etrace.IsCorrupt(err):
+		if fresh := sc.rerecord(m.pol, m.cfg.ExecKey(), rec); fresh != nil {
+			sc.dispatch(fresh, m)
 			return
 		}
-		path, icount := rec.path, rec.icount
-		m.p.res, m.p.err = sc.supervised(m.pol, m.key, m.cfg, func(actx context.Context, attempt int) (*RunResult, error) {
-			sc.decodePasses.Add(1)
-			return sc.study.replayConfig(m.cfg, path, runOptions{
-				ctx: actx, hooks: m.pol.hooks,
-				beat: m.pol.beatFunc(m.key, icount),
-			})
-		})
-		if m.p.err == nil {
-			sc.finishMember(m)
-			return
-		}
-		if etrace.IsCorrupt(m.p.err) {
-			if fresh := sc.rerecord(m.pol, m.cfg.ExecKey(), rec); fresh != nil {
-				<-fresh.done
-				rec = fresh
-				continue
+	case m.attempt < m.pol.retries && IsTransient(err):
+		sc.sup.Retries.Inc()
+		m.pol.emit(obs.Event{Type: obs.EventRetry, Key: m.key, Attempt: m.attempt + 1, Err: err.Error()})
+		delay := backoffSchedule(m.key, m.pol.retries, m.pol.base, m.pol.cap)[m.attempt]
+		m.attempt++
+		go func() {
+			if sleepCtx(m.pol.ctx, delay) {
+				sc.dispatch(rec, m)
+			} else {
+				sc.fail(m, err)
 			}
-		}
-		m.pol.emit(obs.Event{Type: obs.EventFailed, Key: m.key, Err: m.p.err.Error()})
+		}()
 		return
 	}
+	sc.fail(m, err)
+}
+
+// fail ends a member with err, counted as a cancellation when its sweep
+// was cancelled and as a failure otherwise.
+func (sc *Scheduler) fail(m *member, err error) {
+	if IsCancelled(err) && m.pol.ctx.Err() != nil {
+		sc.sup.Cancels.Inc()
+	} else {
+		sc.sup.Failures.Inc()
+	}
+	m.p.err = err
+	m.pol.emit(obs.Event{Type: obs.EventFailed, Key: m.key, Err: err.Error()})
+	close(m.p.done)
 }
 
 // rerecord handles a recorded trace that failed integrity verification
@@ -641,9 +714,8 @@ func (sc *Scheduler) rerecord(pol policy, key string, bad *recording) *recording
 }
 
 // finishMember emits the success-side lifecycle events and checkpoints
-// one completed member (shared by the live, individual-replay and
-// batched paths).
-func (sc *Scheduler) finishMember(m *batchMember) {
+// one completed member (shared by the live and replay paths).
+func (sc *Scheduler) finishMember(m *member) {
 	m.pol.emit(obs.Event{Type: obs.EventSucceeded, Key: m.key, ICount: m.p.res.ICount})
 	if m.pol.ckpt != nil {
 		m.pol.ckpt.markDone(doneEntry{

@@ -36,7 +36,6 @@ import (
 	"hash/fnv"
 	"io"
 	"math/rand"
-	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -117,16 +116,18 @@ func IsCancelled(err error) bool {
 // (internal/chaos) attaches here, and the chaos suite is the contract
 // that sweeps degrade gracefully whatever these do — including panic.
 type Hooks struct {
-	// BeforeRun fires in the worker goroutine before a configuration
-	// executes or replays (attempt counts from 0).  Returning an error
+	// BeforeRun fires on the run's own goroutine, under its attempt
+	// context, before each attempt executes or replays (attempt counts
+	// from 0); no worker slot is held while it runs.  Returning an error
 	// fails the attempt; panicking exercises panic isolation.
 	BeforeRun func(ctx context.Context, cfg RunConfig, attempt int) error
 	// BeforeRecord fires before a guest recording attempt.
 	BeforeRecord func(ctx context.Context, execKey string, attempt int) error
 	// RecordWriter wraps the recording's trace writer (I/O fault seam).
 	RecordWriter func(w io.Writer) io.Writer
-	// ReplayReader wraps a replay's trace reader (I/O fault seam).
-	ReplayReader func(r io.Reader) io.Reader
+	// ReplayReader wraps the trace file a replay pass reads, given and
+	// returning the bytes and their size (I/O fault seam).
+	ReplayReader func(ra io.ReaderAt, size int64) (io.ReaderAt, int64)
 	// Machine fires on every freshly configured live machine before it
 	// runs; ctx is the attempt's context (vm fault seam — e.g. install
 	// a vm.Machine.Watchdog that traps at instruction N).
@@ -140,9 +141,9 @@ type runOptions struct {
 	maxInstr uint64
 	hooks    Hooks
 	// beat, when non-nil, receives periodic guest progress (instructions
-	// executed or replayed so far).  Live runs drive it from the vm's
-	// block-boundary watchdog, replays from the trace decoder's stride
-	// poll; nil — the default — leaves both hot paths untouched.
+	// executed so far), driven from the vm's block-boundary watchdog; nil
+	// — the default — leaves the hot path untouched.  (Replays beat once
+	// per applied chunk through groupRun.Beat.)
 	beat func(ic uint64)
 }
 
@@ -176,6 +177,15 @@ func (sc *Scheduler) policyLocked() policy {
 		events:     sc.events,
 		beatEvery:  sc.beatEvery,
 	}
+}
+
+// attemptContext derives one run attempt's context: the sweep context,
+// bounded by the per-run timeout when one is set.
+func (pol policy) attemptContext() (context.Context, context.CancelFunc) {
+	if pol.runTimeout > 0 {
+		return context.WithTimeout(pol.ctx, pol.runTimeout)
+	}
+	return pol.ctx, func() {}
 }
 
 // emit publishes one lifecycle event when an event sink is attached.
@@ -268,72 +278,4 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// supervised runs one configuration's attempt loop: bounded-concurrency
-// acquisition, panic recovery, transient retry on the key's
-// deterministic backoff schedule, and cancellation accounting.
-func (sc *Scheduler) supervised(pol policy, key string, cfg RunConfig, fn func(ctx context.Context, attempt int) (*RunResult, error)) (*RunResult, error) {
-	ctx := pol.ctx
-	sched := backoffSchedule(key, pol.retries, pol.base, pol.cap)
-	var err error
-	for attempt := 0; ; attempt++ {
-		if cerr := ctx.Err(); cerr != nil {
-			sc.sup.Cancels.Inc()
-			return nil, fmt.Errorf("study: run %s: %w", key, cerr)
-		}
-		var res *RunResult
-		res, err = sc.attempt(pol, key, cfg, attempt, fn)
-		if err == nil {
-			return res, nil
-		}
-		if attempt >= pol.retries || !IsTransient(err) {
-			break
-		}
-		sc.sup.Retries.Inc()
-		pol.emit(obs.Event{Type: obs.EventRetry, Key: key, Attempt: attempt + 1, Err: err.Error()})
-		if !sleepCtx(ctx, sched[attempt]) {
-			break
-		}
-	}
-	if IsCancelled(err) && ctx.Err() != nil {
-		sc.sup.Cancels.Inc()
-	} else {
-		sc.sup.Failures.Inc()
-	}
-	return nil, err
-}
-
-// attempt performs one supervised execution attempt: it takes a worker
-// slot (abandoning the wait if the sweep is cancelled), applies the
-// per-run timeout, fires the BeforeRun hook, and converts a panic
-// anywhere below into a *PanicError.
-func (sc *Scheduler) attempt(pol policy, key string, cfg RunConfig, attempt int, fn func(ctx context.Context, attempt int) (*RunResult, error)) (res *RunResult, err error) {
-	ctx := pol.ctx
-	select {
-	case sc.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, fmt.Errorf("study: run %s: %w", key, ctx.Err())
-	}
-	defer func() { <-sc.sem }()
-	defer func() {
-		if r := recover(); r != nil {
-			sc.sup.Panics.Inc()
-			res = nil
-			err = &PanicError{Key: key, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	actx := ctx
-	if pol.runTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, pol.runTimeout)
-		defer cancel()
-	}
-	pol.emit(obs.Event{Type: obs.EventStarted, Key: key, Attempt: attempt + 1})
-	if hook := pol.hooks.BeforeRun; hook != nil {
-		if herr := hook(actx, cfg, attempt); herr != nil {
-			return nil, fmt.Errorf("study: run %s: %w", key, herr)
-		}
-	}
-	return fn(actx, attempt)
 }
