@@ -6,7 +6,7 @@ GO ?= go
 # the run loudly, not stall CI at the default 10 minutes per package.
 TEST_TIMEOUT ?= 300s
 
-.PHONY: build test vet race chaos corrupt fuzz bench bench-json bench-compare bench-test jobd-smoke verify
+.PHONY: build test vet race chaos corrupt fuzz bench bench-test jobd-smoke verify
 
 build:
 	$(GO) build ./...
@@ -63,27 +63,6 @@ fuzz:
 bench:
 	$(GO) test -bench . -benchtime 1x
 	$(GO) test -bench BenchmarkMemSim -benchtime 1x ./internal/memsim
-
-# Same pass, recorded as a dated machine-readable log (go test -json).
-# The date is evaluated once (a := variable) so a run straddling
-# midnight cannot split the log across two files, and both passes write
-# through a single compound redirect so the file is either the complete
-# two-pass log or (on failure) removed — never an interleaved or
-# truncated JSON stream.  Same-day reruns never clobber an earlier log:
-# they write BENCH_<date>.2.json, .3.json, … which cmd/benchcmp orders
-# after the base file.
-BENCH_DATE := $(shell date +%Y-%m-%d)
-bench-json:
-	@f=BENCH_$(BENCH_DATE).json; n=2; \
-	while [ -e $$f ]; do f=BENCH_$(BENCH_DATE).$$n.json; n=$$((n+1)); done; \
-	echo "writing $$f"; \
-	{ $(GO) test -bench . -benchtime 1x -json && \
-	  $(GO) test -bench BenchmarkMemSim -benchtime 1x -json ./internal/memsim; } > $$f \
-	  || { rm -f $$f; exit 1; }
-
-# Per-benchmark deltas between the two newest BENCH_*.json logs.
-bench-compare:
-	$(GO) run ./cmd/benchcmp
 
 # The benchmark program (bench/, its own module, so the root ./...
 # patterns never compile it): vet it and run its tests against this

@@ -45,15 +45,30 @@ func benchStudy(b *testing.B) *study.Study {
 	return benchS
 }
 
+// liveRuns executes the configurations live on a fresh one-worker
+// scheduler — one guest execution each, in order, as the single-table
+// CLIs run them — and returns their results.
+func liveRuns(b *testing.B, cfgs ...study.RunConfig) []*study.RunResult {
+	b.Helper()
+	sch := study.NewScheduler(benchStudy(b), 1)
+	defer sch.Close()
+	sch.SetReplay(false)
+	out := make([]*study.RunResult, len(cfgs))
+	for i, cfg := range cfgs {
+		res, err := sch.Run(cfg)
+		if err != nil {
+			b.Fatalf("%s: %v", cfg.Key(), err)
+		}
+		out[i] = res
+	}
+	return out
+}
+
 // BenchmarkTableI_FlatProfile regenerates the gprof flat profile of the
 // WFS application (paper Table I).
 func BenchmarkTableI_FlatProfile(b *testing.B) {
-	s := benchStudy(b)
 	for i := 0; i < b.N; i++ {
-		p, err := s.FlatProfile()
-		if err != nil {
-			b.Fatalf("flat profile: %v", err)
-		}
+		p := liveRuns(b, study.RunConfig{Kind: study.RunFlat})[0].Flat
 		if i == 0 {
 			b.Logf("Table I\n%s", study.RenderTableI(p))
 			ws, _ := p.Row("wav_store")
@@ -67,16 +82,10 @@ func BenchmarkTableI_FlatProfile(b *testing.B) {
 // BenchmarkTableII_QUAD regenerates the producer/consumer summary (paper
 // Table II), both stack modes.
 func BenchmarkTableII_QUAD(b *testing.B) {
-	s := benchStudy(b)
 	for i := 0; i < b.N; i++ {
-		excl, _, err := s.QUAD(false)
-		if err != nil {
-			b.Fatalf("QUAD excl: %v", err)
-		}
-		incl, _, err := s.QUAD(true)
-		if err != nil {
-			b.Fatalf("QUAD incl: %v", err)
-		}
+		res := liveRuns(b, study.RunConfig{Kind: study.RunQUAD, IncludeStack: false},
+			study.RunConfig{Kind: study.RunQUAD, IncludeStack: true})
+		excl, incl := res[0].Quad, res[1].Quad
 		if i == 0 {
 			b.Logf("Table II\n%s", study.RenderTableII(excl, incl))
 			sf, _ := excl.Kernel("AudioIo_setFrames")
@@ -89,12 +98,9 @@ func BenchmarkTableII_QUAD(b *testing.B) {
 // BenchmarkTableIII_InstrumentedProfile regenerates the flat profile of
 // the QUAD-instrumented binary (paper Table III).
 func BenchmarkTableIII_InstrumentedProfile(b *testing.B) {
-	s := benchStudy(b)
 	for i := 0; i < b.N; i++ {
-		base, instr, err := s.InstrumentedFlat()
-		if err != nil {
-			b.Fatalf("instrumented flat: %v", err)
-		}
+		res := liveRuns(b, study.RunConfig{Kind: study.RunFlat}, study.RunConfig{Kind: study.RunInstrFlat})
+		base, instr := res[0].Flat, res[1].Flat
 		if i == 0 {
 			b.Logf("Table III\n%s", study.RenderTableIII(base, instr))
 			sf, _ := instr.Row("AudioIo_setFrames")
@@ -106,16 +112,13 @@ func BenchmarkTableIII_InstrumentedProfile(b *testing.B) {
 // BenchmarkFigure6_ReadBandwidth regenerates the temporal read-bandwidth
 // graph, stack included, ~64 slices (paper Figure 6).
 func BenchmarkFigure6_ReadBandwidth(b *testing.B) {
-	s := benchStudy(b)
-	iv, err := s.SliceForCount(64)
+	native, err := benchStudy(b).NativeICount()
 	if err != nil {
-		b.Fatalf("slice: %v", err)
+		b.Fatalf("native: %v", err)
 	}
+	cfg := study.RunConfig{Kind: study.RunTQUAD, SliceInterval: native / 64, IncludeStack: true}
 	for i := 0; i < b.N; i++ {
-		prof, _, err := s.TQUAD(core.Options{SliceInterval: iv, IncludeStack: true})
-		if err != nil {
-			b.Fatalf("tQUAD: %v", err)
-		}
+		prof := liveRuns(b, cfg)[0].Temporal
 		if i == 0 {
 			b.Logf("Figure 6\n%s", study.RenderFigure(
 				"memory bandwidth usage, reads, stack included (top ten kernels)",
@@ -130,16 +133,13 @@ func BenchmarkFigure6_ReadBandwidth(b *testing.B) {
 // BenchmarkFigure7_WriteBandwidth regenerates the temporal
 // write-bandwidth graph, stack excluded, ~256 slices (paper Figure 7).
 func BenchmarkFigure7_WriteBandwidth(b *testing.B) {
-	s := benchStudy(b)
-	iv, err := s.SliceForCount(256)
+	native, err := benchStudy(b).NativeICount()
 	if err != nil {
-		b.Fatalf("slice: %v", err)
+		b.Fatalf("native: %v", err)
 	}
+	cfg := study.RunConfig{Kind: study.RunTQUAD, SliceInterval: native / 256, IncludeStack: true}
 	for i := 0; i < b.N; i++ {
-		prof, _, err := s.TQUAD(core.Options{SliceInterval: iv, IncludeStack: true})
-		if err != nil {
-			b.Fatalf("tQUAD: %v", err)
-		}
+		prof := liveRuns(b, cfg)[0].Temporal
 		if i == 0 {
 			// The paper cuts the second half off (only wav_store is
 			// active); the renderer shows the full run.
@@ -156,10 +156,8 @@ func BenchmarkFigure7_WriteBandwidth(b *testing.B) {
 func BenchmarkTableIV_Phases(b *testing.B) {
 	s := benchStudy(b)
 	for i := 0; i < b.N; i++ {
-		phases, prof, err := s.Phases(5000)
-		if err != nil {
-			b.Fatalf("phases: %v", err)
-		}
+		prof := liveRuns(b, study.RunConfig{Kind: study.RunTQUAD, SliceInterval: 5000, IncludeStack: true})[0].Temporal
+		phases := s.PhasesFromProfile(prof)
 		if i == 0 {
 			b.Logf("Table IV\n%s", study.RenderTableIV(phases, prof.NumSlices))
 			b.ReportMetric(float64(len(phases)), "phases")
@@ -181,7 +179,10 @@ func BenchmarkSlowdown_BySlice(b *testing.B) {
 	}
 	ivs := []uint64{native / 2000, native / 64, native / 16}
 	for i := 0; i < b.N; i++ {
-		rows, err := s.Slowdown(ivs)
+		sch := study.NewScheduler(s, 1)
+		sch.SetReplay(false)
+		rows, err := sch.Slowdown(ivs)
+		sch.Close()
 		if err != nil {
 			b.Fatalf("slowdown: %v", err)
 		}
@@ -222,47 +223,14 @@ func BenchmarkStudyParallel(b *testing.B) {
 	for _, jobs := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rows, err := s.SlowdownParallel(ivs, jobs)
+				sch := study.NewScheduler(s, jobs)
+				rows, err := sch.Slowdown(ivs)
+				sch.Close()
 				if err != nil {
 					b.Fatalf("sweep: %v", err)
 				}
 				if i == 0 {
 					b.ReportMetric(float64(len(rows)), "rows")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSliceAccum is the accumulator ablation: a full tQUAD run of
-// the case-study workload with the dense append-only slice series
-// against the original map-per-kernel accumulator
-// (Options.UseMapAccum).  Both produce identical profiles (asserted in
-// internal/core); the dense path drops the per-event map lookup and the
-// per-event slice division.
-func BenchmarkSliceAccum(b *testing.B) {
-	s := benchStudy(b)
-	for _, useMap := range []bool{false, true} {
-		name := "dense"
-		if useMap {
-			name = "map"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m, _ := s.W.NewMachine()
-				e := pin.NewEngine(m)
-				tool := core.Attach(e, core.Options{
-					SliceInterval: 5000,
-					IncludeStack:  true,
-					UseMapAccum:   useMap,
-				})
-				if err := m.Run(wfs.MaxInstr); err != nil {
-					b.Fatalf("run: %v", err)
-				}
-				if i == 0 {
-					prof := tool.Snapshot()
-					b.ReportMetric(float64(prof.TotalInstr), "guest_instructions")
-					b.ReportMetric(float64(prof.NumSlices), "slices")
 				}
 			}
 		})
@@ -302,19 +270,25 @@ func benchObsRun(b *testing.B, o *obs.Observer) {
 	if err != nil {
 		b.Fatalf("study: %v", err)
 	}
-	iv, err := s.SliceForCount(64)
+	native, err := s.NativeICount()
 	if err != nil {
-		b.Fatalf("slice: %v", err)
+		b.Fatalf("native: %v", err)
 	}
-	// Workload build and native calibration (SliceForCount runs the
-	// uninstrumented workload once) are setup, not the instrumented run
-	// under measurement — exclude them so 1x logs compare run cost.
+	cfg := study.RunConfig{Kind: study.RunTQUAD, SliceInterval: native / 64, IncludeStack: true}
+	// Workload build and native calibration are setup, not the
+	// instrumented run under measurement — exclude them so 1x logs
+	// compare run cost.
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prof, _, err := s.TQUAD(core.Options{SliceInterval: iv, IncludeStack: true})
+		sch := study.NewScheduler(s, 1)
+		sch.SetReplay(false)
+		res, err := sch.Run(cfg)
+		sch.Flush()
+		sch.Close()
 		if err != nil {
 			b.Fatalf("tQUAD: %v", err)
 		}
+		prof := res.Temporal
 		if i == 0 {
 			b.ReportMetric(float64(prof.TotalInstr), "guest_instructions")
 			b.ReportMetric(float64(len(o.Registry().Snapshot())), "metrics_exported")

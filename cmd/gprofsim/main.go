@@ -28,35 +28,28 @@ func main() {
 	)
 	flag.Parse()
 
-	var cfg wfs.Config
-	switch *config {
-	case "small":
-		cfg = wfs.Small()
-	case "study":
-		cfg = wfs.Study()
-	default:
-		log.Fatalf("unknown config %q", *config)
+	cfg, err := wfs.ConfigByName(*config)
+	if err != nil {
+		log.Fatal(err)
 	}
 	s, err := study.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-
+	sch := study.NewScheduler(s, 0)
+	defer sch.Close()
+	sch.SetReplay(false)
+	pFlat := sch.Submit(study.RunConfig{Kind: study.RunFlat})
 	if *instrumented {
-		base, instr, err := s.InstrumentedFlat()
-		if err != nil {
-			log.Fatal(err)
-		}
+		pInstr := sch.Submit(study.RunConfig{Kind: study.RunInstrFlat})
+		base, instr := wait(pFlat).Flat, wait(pInstr).Flat
 		fmt.Printf("flat profile of the QUAD-instrumented run (total %.3fs vs native %.3fs)\n\n",
 			instr.TotalSeconds, base.TotalSeconds)
 		fmt.Print(study.RenderTableIII(base, instr))
 		return
 	}
 
-	p, err := s.FlatProfile()
-	if err != nil {
-		log.Fatal(err)
-	}
+	p := wait(pFlat).Flat
 	fmt.Printf("flat profile: %d samples, %.4f simulated seconds\n\n", p.TotalSamples, p.TotalSeconds)
 	if !*all {
 		fmt.Print(study.RenderTableI(p))
@@ -68,4 +61,12 @@ func main() {
 			report.F(r.SelfMsCall), report.F(r.TotalMsCall))
 	}
 	fmt.Print(t.String())
+}
+
+func wait(p *study.Pending) *study.RunResult {
+	res, err := p.Wait()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }

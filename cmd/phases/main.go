@@ -12,7 +12,6 @@ import (
 	"log"
 	"os"
 
-	"tquad/internal/core"
 	"tquad/internal/phase"
 	"tquad/internal/study"
 	"tquad/internal/trace"
@@ -30,23 +29,22 @@ func main() {
 	)
 	flag.Parse()
 
-	var cfg wfs.Config
-	switch *config {
-	case "small":
-		cfg = wfs.Small()
-	case "study":
-		cfg = wfs.Study()
-	default:
-		log.Fatalf("unknown config %q", *config)
+	cfg, err := wfs.ConfigByName(*config)
+	if err != nil {
+		log.Fatal(err)
 	}
 	s, err := study.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof, _, err := s.TQUAD(core.Options{SliceInterval: *slice, IncludeStack: true})
+	sch := study.NewScheduler(s, 1)
+	defer sch.Close()
+	sch.SetReplay(false)
+	res, err := sch.Run(study.RunConfig{Kind: study.RunTQUAD, SliceInterval: *slice, IncludeStack: true})
 	if err != nil {
 		log.Fatal(err)
 	}
+	prof := res.Temporal
 	opts := phase.Options{IncludeStack: true}
 	if !*allFns {
 		opts.Kernels = wfs.KernelNames()

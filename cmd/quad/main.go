@@ -14,7 +14,6 @@ import (
 	"log"
 	"os"
 
-	"tquad/internal/pin"
 	"tquad/internal/quad"
 	"tquad/internal/report"
 	"tquad/internal/study"
@@ -35,28 +34,26 @@ func main() {
 	)
 	flag.Parse()
 
-	var cfg wfs.Config
-	switch *config {
-	case "small":
-		cfg = wfs.Small()
-	case "study":
-		cfg = wfs.Study()
-	default:
-		log.Fatalf("unknown config %q", *config)
+	cfg, err := wfs.ConfigByName(*config)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	run := func(includeStack bool) *quad.Report {
-		w, err := wfs.NewWorkload(cfg)
+	s, err := study.New(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sch := study.NewScheduler(s, 0)
+	defer sch.Close()
+	sch.SetReplay(false)
+	submit := func(includeStack bool) *study.Pending {
+		return sch.Submit(study.RunConfig{Kind: study.RunQUAD, IncludeStack: includeStack, ExcludeLibs: *ignoreLibs})
+	}
+	wait := func(p *study.Pending) *quad.Report {
+		res, err := p.Wait()
 		if err != nil {
 			log.Fatal(err)
 		}
-		m, _ := w.NewMachine()
-		e := pin.NewEngine(m)
-		tool := quad.Attach(e, quad.Options{IncludeStack: includeStack, ExcludeLibs: *ignoreLibs})
-		if err := m.Run(wfs.MaxInstr); err != nil {
-			log.Fatalf("run: %v", err)
-		}
-		return tool.Report()
+		return res.Quad
 	}
 
 	saveJSON := func(rep *quad.Report) {
@@ -75,13 +72,13 @@ func main() {
 
 	switch *stack {
 	case "both":
-		excl := run(false)
-		incl := run(true)
+		pExcl, pIncl := submit(false), submit(true)
+		excl, incl := wait(pExcl), wait(pIncl)
 		fmt.Print(study.RenderTableII(excl, incl))
 		writeDot(incl, *dotFile, *minBytes)
 		saveJSON(incl)
 	case "include", "exclude":
-		rep := run(*stack == "include")
+		rep := wait(submit(*stack == "include"))
 		t := report.NewTable("kernel", "IN", "IN UnMA", "OUT", "OUT UnMA")
 		for _, k := range rep.Kernels {
 			t.AddRow(k.Name, report.U(k.In), report.U(k.InUnMA), report.U(k.Out), report.U(k.OutUnMA))

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -86,22 +87,25 @@ func TestGoldenCacheSweepDeterministic(t *testing.T) {
 }
 
 // TestGoldenRecordReplayParallel: -record then -replay must reproduce
-// the live run's profile.  For each stack policy the live -record run
-// exports its profile with -json, and the replay's -json profile must be
+// the live run.  For each stack policy the live -record run exports its
+// profile with -json, and the replay's -json profile must be
 // byte-identical to it at every -replay-jobs setting — inline decode,
-// two and four workers, GOMAXPROCS — with the printed charts and
-// statistics identical across those settings too.
+// two and four workers, GOMAXPROCS — and every replay's stdout must
+// equal the live run's, less its "event trace written to" line.
 func TestGoldenRecordReplayParallel(t *testing.T) {
 	dir := t.TempDir()
 	for _, stack := range []string{"include", "exclude"} {
 		trace := dir + "/small-" + stack + ".etrace"
 		live := dir + "/live-" + stack + ".json"
-		runSelf(t, "-config", "small", "-slice", "200000", "-stack", stack, "-record", trace, "-json", live)
+		liveOut := runSelf(t, "-config", "small", "-slice", "200000", "-stack", stack, "-record", trace, "-json", live)
 		want, err := os.ReadFile(live)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wantOut string
+		wantOut := strings.Replace(liveOut, "event trace written to "+trace+"\n", "", 1)
+		if wantOut == liveOut {
+			t.Fatalf("-record run did not report its trace:\n%s", liveOut)
+		}
 		for _, jobs := range []string{"1", "2", "4", "0"} {
 			replayed := dir + "/replay-" + stack + "-" + jobs + ".json"
 			out := runSelf(t, "-replay", trace, "-slice", "200000", "-stack", stack, "-replay-jobs", jobs, "-json", replayed)
@@ -112,10 +116,8 @@ func TestGoldenRecordReplayParallel(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Errorf("-stack %s -replay-jobs %s: replayed profile differs from the live run's", stack, jobs)
 			}
-			if wantOut == "" {
-				wantOut = out
-			} else if out != wantOut {
-				t.Errorf("-stack %s -replay-jobs %s output differs from -replay-jobs 1:\n--- got ---\n%s--- want ---\n%s",
+			if out != wantOut {
+				t.Errorf("-stack %s -replay-jobs %s output differs from the live run's:\n--- got ---\n%s--- want ---\n%s",
 					stack, jobs, out, wantOut)
 			}
 		}
@@ -130,5 +132,22 @@ func TestGoldenSweepReplayJobs(t *testing.T) {
 	got := runSelf(t, "-config", "small", "-slice", "200000", "-cache", caches, "-replay-jobs", "4")
 	if got != want {
 		t.Errorf("sweep output depends on -replay-jobs:\n--- jobs=1 ---\n%s--- jobs=4 ---\n%s", want, got)
+	}
+}
+
+// TestSliceSizingHonoursBudget: the -slice 0 sizing run executes under
+// the invocation's -max-icount, so a budget too small for the guest
+// fails there, naming the sizing run, instead of sizing with the full
+// default budget first.
+func TestSliceSizingHonoursBudget(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-config", "small", "-max-icount", "100000")
+	cmd.Env = append(os.Environ(), "TQUAD_BE_TOOL=1")
+	var errb bytes.Buffer
+	cmd.Stderr = &errb
+	if err := cmd.Run(); err == nil {
+		t.Fatal("a 100000-instruction budget did not fail the run")
+	}
+	if !strings.Contains(errb.String(), "sizing run") {
+		t.Errorf("error does not name the sizing run:\n%s", errb.String())
 	}
 }

@@ -126,7 +126,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg, err := pickConfig(*config)
+	cfg, err := wfs.ConfigByName(*config)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -230,24 +230,24 @@ func main() {
 		fmt.Printf("live telemetry at %s\n", srv.URL())
 	}
 
+	out := &output{
+		RenderOptions: study.RenderOptions{Metric: *metric, Kernels: *kernels, Width: *width, IncludeStack: includeStack},
+		stack:         *stack,
+		csv:           *csv,
+		jsonFile:      *jsonFile,
+		svgFile:       *svgFile,
+		metricsOut:    *metricsOut,
+		traceOut:      *traceOut,
+		journalOut:    *journalOut,
+	}
 	if *replayIn != "" {
 		err := runReplay(ctx, *replayIn, &replayOpts{
-			intervals:    intervals,
-			caches:       caches,
-			jobs:         *replayJobs,
-			salvage:      *salvage,
-			includeStack: includeStack,
-			ignoreLibs:   *ignoreLibs,
-			stack:        *stack,
-			metric:       *metric,
-			kernels:      *kernels,
-			width:        *width,
-			csv:          *csv,
-			jsonFile:     *jsonFile,
-			svgFile:      *svgFile,
-			metricsOut:   *metricsOut,
-			traceOut:     *traceOut,
-			journalOut:   *journalOut,
+			output:     out,
+			intervals:  intervals,
+			caches:     caches,
+			jobs:       *replayJobs,
+			salvage:    *salvage,
+			ignoreLibs: *ignoreLibs,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -270,7 +270,7 @@ func main() {
 	// The observer stays nil (zero-cost) unless an export was requested
 	// or the telemetry server needs a registry to publish into.
 	o := liveObs
-	if o == nil && (*metricsOut != "" || *traceOut != "" || *journalOut != "") {
+	if o == nil && out.exports() {
 		o = obs.NewObserver()
 	}
 	run := o.Tracer().Start("run")
@@ -280,36 +280,29 @@ func main() {
 		log.Fatal(err)
 	}
 	w.Interpret = interpret
+	rc := study.RunConfig{Kind: study.RunTQUAD, SliceInterval: intervals[0], IncludeStack: includeStack, ExcludeLibs: *ignoreLibs}
+	if rc.SliceInterval == 0 {
+		// Dry-sizing: aim for ~64 slices like the paper's Figure 6, with a
+		// native run under the invocation's deadline and budget.
+		sch := study.NewScheduler(&study.Study{W: w}, 1)
+		sch.SetReplay(false)
+		sch.SetContext(ctx)
+		sch.SetMaxInstr(budget)
+		rc.SliceInterval, err = sch.SliceForCount(64)
+		sch.Close()
+		if err != nil {
+			log.Fatalf("sizing run for -slice 0: %v", err)
+		}
+	}
+	if len(caches) == 1 {
+		rc.Cache = caches[0].Key()
+	}
 	instrument := o.Tracer().Start("instrument")
 	m, _ := w.NewMachine()
 	e := pin.NewEngine(m)
-	interval := intervals[0]
-	if interval == 0 {
-		// Dry-sizing: aim for ~64 slices like the paper's Figure 6.
-		s, err := study.New(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		interval, err = s.SliceForCount(64)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	tool := core.Attach(e, core.Options{
-		SliceInterval: interval,
-		IncludeStack:  includeStack,
-		ExcludeLibs:   *ignoreLibs,
-	})
-	var memTool *memsim.Tool
-	if len(caches) == 1 {
-		memTool, err = memsim.Attach(e, memsim.Options{
-			Config:        caches[0],
-			SliceInterval: interval,
-			ExcludeLibs:   *ignoreLibs,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
+	tools, err := study.Attach(e, rc, o.Tracer())
+	if err != nil {
+		log.Fatal(err)
 	}
 	var (
 		recFile *os.File
@@ -347,7 +340,11 @@ func main() {
 	}
 
 	execute := o.Tracer().Start("execute")
-	if err := m.RunContext(ctx, budget); err != nil {
+	err = m.RunContext(ctx, budget)
+	if err == nil && m.ExitCode != 0 {
+		err = fmt.Errorf("guest exit code %d", m.ExitCode)
+	}
+	if err != nil {
 		// A cancelled or failed run must not leave a partial trace file
 		// behind masquerading as a recording.
 		if recFile != nil {
@@ -383,84 +380,17 @@ func main() {
 		fmt.Printf("event trace written to %s\n", *recordOut)
 	}
 
-	snapshot := o.Tracer().Start("snapshot")
-	prof := tool.Snapshot()
-	snapshot.SetInstr(prof.TotalInstr)
-	snapshot.End()
+	res := tools.Collect(m.ICount, m.Overhead, o)
 	if tracker != nil {
 		tracker.Publish(obs.Event{Type: obs.EventSucceeded, Key: runKey, ICount: m.ICount})
-		chart.Add(runKey, study.EffectiveBandwidth(prof))
+		chart.Add(runKey, study.EffectiveBandwidth(res.Temporal))
 	}
-	// finish closes the run span, publishes the per-run metrics and writes
-	// the requested export files; it must run on every exit path that
-	// produced a profile.
-	finish := func(reportSpan *obs.Span) {
-		reportSpan.End()
-		run.End()
-		if o == nil {
-			return
-		}
-		m.PublishMetrics(o.Metrics)
-		e.PublishMetrics(o.Metrics)
-		tool.PublishMetrics(o.Metrics)
-		if memTool != nil {
-			memTool.PublishMetrics(o.Metrics)
-		}
-		if prof.TotalInstr > 0 {
-			o.Metrics.Gauge("tquad_run_slowdown").Set(float64(m.Time()) / float64(prof.TotalInstr))
-		}
-		if err := o.WriteFiles(*metricsOut, *traceOut, *journalOut); err != nil {
-			log.Fatal(err)
-		}
+	m.PublishMetrics(o.Registry())
+	e.PublishMetrics(o.Registry())
+	if err := out.write(res, o, run); err != nil {
+		log.Fatal(err)
 	}
-
-	reportSpan := o.Tracer().Start("report")
-	if *jsonFile != "" {
-		fh, err := os.Create(*jsonFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := trace.SaveTemporal(fh, prof); err != nil {
-			log.Fatal(err)
-		}
-		fh.Close()
-	}
-
-	names := study.KernelSet(*kernels, prof)
-	if *svgFile != "" {
-		svg := plot.Heatmap(prof, plot.SortLanesByFirstActivity(prof, names), plot.Options{
-			Title:        fmt.Sprintf("tQUAD %s bandwidth (%s)", *metric, *stack+" stack"),
-			Reads:        *metric != "writes",
-			IncludeStack: includeStack,
-		})
-		if err := os.WriteFile(*svgFile, []byte(svg), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("heatmap written to %s\n", *svgFile)
-	}
-	fmt.Printf("tQUAD: %d instructions, %d slices of %d instructions, slowdown %.1fx\n\n",
-		prof.TotalInstr, prof.NumSlices, prof.SliceInterval,
-		float64(m.Time())/float64(prof.TotalInstr))
-
-	if *csv {
-		emitCSV(prof, names, *metric, includeStack)
-		finish(reportSpan)
-		return
-	}
-	study.WriteCharts(os.Stdout, prof, names, study.RenderOptions{
-		Metric: *metric, Width: *width, IncludeStack: includeStack,
-	})
-	fmt.Print(study.SummaryTable(prof, names, includeStack))
-	if memTool != nil {
-		study.WriteMemSection(os.Stdout, memTool.Snapshot(), names, *width)
-	}
-
-	// End-of-run overhead accounting — the live analogue of the paper's
-	// Table III / Section V.A breakdown.
-	fmt.Println()
-	fmt.Print(tool.Breakdown().String())
-	finish(reportSpan)
-	if o != nil {
+	if o != nil && !out.csv {
 		fmt.Println()
 		fmt.Print("pipeline stages:\n" + study.RenderSpans(o.Spans))
 		if blocks := study.RenderBlockEngine(o.Metrics); blocks != "" {
@@ -470,24 +400,81 @@ func main() {
 	}
 }
 
-// replayOpts carries the output configuration of a -replay invocation.
+// output is a single run's report configuration: what is printed and
+// which export files are written.
+type output struct {
+	study.RenderOptions
+	stack      string // the -stack word, for the heatmap title
+	csv        bool
+	jsonFile   string
+	svgFile    string
+	metricsOut string
+	traceOut   string
+	journalOut string
+}
+
+// exports reports whether an observability export was requested.
+func (out *output) exports() bool {
+	return out.metricsOut != "" || out.traceOut != "" || out.journalOut != ""
+}
+
+// write prints a single run's report — or its CSV — and writes the
+// requested export files.  run is the run's open span: it ends before
+// the exports are written, so the trace and journal cover the whole run.
+func (out *output) write(res *study.RunResult, o *obs.Observer, run *obs.Span) error {
+	prof := res.Temporal
+	reportSpan := o.Tracer().Start("report")
+	if out.jsonFile != "" {
+		fh, err := os.Create(out.jsonFile)
+		if err != nil {
+			return err
+		}
+		err = trace.SaveTemporal(fh, prof)
+		if cerr := fh.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+	}
+	names := study.KernelSet(out.Kernels, prof)
+	if out.svgFile != "" {
+		svg := plot.Heatmap(prof, plot.SortLanesByFirstActivity(prof, names), plot.Options{
+			Title:        fmt.Sprintf("tQUAD %s bandwidth (%s)", out.Metric, out.stack+" stack"),
+			Reads:        out.Metric != "writes",
+			IncludeStack: out.IncludeStack,
+		})
+		if err := os.WriteFile(out.svgFile, []byte(svg), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("heatmap written to %s\n", out.svgFile)
+	}
+	if out.csv {
+		fmt.Printf("tQUAD: %d instructions, %d slices of %d instructions, slowdown %.1fx\n\n",
+			prof.TotalInstr, prof.NumSlices, prof.SliceInterval, float64(res.Time)/float64(prof.TotalInstr))
+		emitCSV(prof, names, out.Metric, out.IncludeStack)
+	} else {
+		study.WriteRunReport(os.Stdout, res, out.RenderOptions)
+	}
+	reportSpan.End()
+	run.End()
+	if o == nil {
+		return nil
+	}
+	if prof.TotalInstr > 0 {
+		o.Metrics.Gauge("tquad_run_slowdown").Set(float64(res.Time) / float64(prof.TotalInstr))
+	}
+	return o.WriteFiles(out.metricsOut, out.traceOut, out.journalOut)
+}
+
+// replayOpts carries a -replay invocation's settings.
 type replayOpts struct {
-	intervals    []uint64
-	caches       []memsim.Config
-	jobs         int  // decode workers; 1 decodes inline, 0 = GOMAXPROCS
-	salvage      bool // replay around damaged chunks instead of failing
-	includeStack bool
-	ignoreLibs   bool
-	stack        string
-	metric       string
-	kernels      string
-	width        int
-	csv          bool
-	jsonFile     string
-	svgFile      string
-	metricsOut   string
-	traceOut     string
-	journalOut   string
+	*output
+	intervals  []uint64
+	caches     []memsim.Config
+	jobs       int  // decode workers; 1 decodes inline, 0 = GOMAXPROCS
+	salvage    bool // replay around damaged chunks instead of failing
+	ignoreLibs bool
 }
 
 // runReplay profiles a recorded event trace at each requested interval
@@ -495,21 +482,21 @@ type replayOpts struct {
 // are cheap enough that a scheduler would be overkill, and they share no
 // state.
 func runReplay(ctx context.Context, path string, o *replayOpts) error {
-	mcs := []*memsim.Config{nil}
+	caches := []string{""}
 	if len(o.caches) > 0 {
-		mcs = mcs[:0]
-		for i := range o.caches {
-			mcs = append(mcs, &o.caches[i])
+		caches = caches[:0]
+		for _, c := range o.caches {
+			caches = append(caches, c.Key())
 		}
 	}
 	first := true
 	for _, iv := range o.intervals {
-		for _, mc := range mcs {
+		for _, cache := range caches {
 			if !first {
 				fmt.Println()
 			}
 			first = false
-			if err := replayOne(ctx, path, iv, mc, o); err != nil {
+			if err := replayOne(ctx, path, iv, cache, o); err != nil {
 				return err
 			}
 		}
@@ -517,11 +504,11 @@ func runReplay(ctx context.Context, path string, o *replayOpts) error {
 	return nil
 }
 
-// replayOne replays the trace once through the tQUAD tool, mirroring the
-// live single-run path's output (charts, statistics, exports).
-func replayOne(ctx context.Context, path string, interval uint64, mc *memsim.Config, o *replayOpts) error {
+// replayOne replays the trace once through the tQUAD tool and reports
+// it exactly as the live single run does.
+func replayOne(ctx context.Context, path string, interval uint64, cache string, o *replayOpts) error {
 	var ob *obs.Observer
-	if o.metricsOut != "" || o.traceOut != "" || o.journalOut != "" {
+	if o.exports() {
 		ob = obs.NewObserver()
 	}
 	run := ob.Tracer().Start("run")
@@ -560,21 +547,12 @@ func replayOne(ctx context.Context, path string, interval uint64, mc *memsim.Con
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	host := pr.NewConsumer()
-	tool := core.Attach(host, core.Options{
-		SliceInterval: interval,
-		IncludeStack:  o.includeStack,
-		ExcludeLibs:   o.ignoreLibs,
-	})
-	var memTool *memsim.Tool
-	if mc != nil {
-		memTool, err = memsim.Attach(host, memsim.Options{
-			Config:        *mc,
-			SliceInterval: interval,
-			ExcludeLibs:   o.ignoreLibs,
-		})
-		if err != nil {
-			return err
-		}
+	tools, err := study.Attach(host, study.RunConfig{
+		Kind: study.RunTQUAD, SliceInterval: interval, IncludeStack: o.IncludeStack,
+		ExcludeLibs: o.ignoreLibs, Cache: cache,
+	}, ob.Tracer())
+	if err != nil {
+		return err
 	}
 	instrument.End()
 
@@ -593,75 +571,17 @@ func replayOne(ctx context.Context, path string, interval uint64, mc *memsim.Con
 		return fmt.Errorf("%s: recorded guest exit code %d", path, host.ExitCode())
 	}
 
-	snapshot := ob.Tracer().Start("snapshot")
-	prof := tool.Snapshot()
-	snapshot.SetInstr(prof.TotalInstr)
-	snapshot.End()
-
-	reportSpan := ob.Tracer().Start("report")
-	if o.jsonFile != "" {
-		fh, err := os.Create(o.jsonFile)
-		if err != nil {
-			return err
-		}
-		if err := trace.SaveTemporal(fh, prof); err != nil {
-			return err
-		}
-		fh.Close()
-	}
-	names := study.KernelSet(o.kernels, prof)
-	if o.svgFile != "" {
-		svg := plot.Heatmap(prof, plot.SortLanesByFirstActivity(prof, names), plot.Options{
-			Title:        fmt.Sprintf("tQUAD %s bandwidth (%s)", o.metric, o.stack+" stack"),
-			Reads:        o.metric != "writes",
-			IncludeStack: o.includeStack,
-		})
-		if err := os.WriteFile(o.svgFile, []byte(svg), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("heatmap written to %s\n", o.svgFile)
-	}
-	fmt.Printf("tQUAD (replay of %s): %d instructions, %d slices of %d instructions, slowdown %.1fx\n\n",
-		path, prof.TotalInstr, prof.NumSlices, prof.SliceInterval,
-		float64(host.Time())/float64(prof.TotalInstr))
-
-	if o.csv {
-		emitCSV(prof, names, o.metric, o.includeStack)
-	} else {
-		study.WriteCharts(os.Stdout, prof, names, study.RenderOptions{
-			Metric: o.metric, Width: o.width, IncludeStack: o.includeStack,
-		})
-		fmt.Print(study.SummaryTable(prof, names, o.includeStack))
-		if memTool != nil {
-			study.WriteMemSection(os.Stdout, memTool.Snapshot(), names, o.width)
-		}
-		fmt.Println()
-		fmt.Print(tool.Breakdown().String())
-	}
-	reportSpan.End()
-	run.End()
-	if ob != nil {
-		host.PublishMetrics(ob.Metrics)
-		tool.PublishMetrics(ob.Metrics)
-		if memTool != nil {
-			memTool.PublishMetrics(ob.Metrics)
-		}
-		if prof.TotalInstr > 0 {
-			ob.Metrics.Gauge("tquad_run_slowdown").Set(float64(host.Time()) / float64(prof.TotalInstr))
-		}
-		if err := ob.WriteFiles(o.metricsOut, o.traceOut, o.journalOut); err != nil {
-			return err
-		}
-	}
-	return nil
+	res := tools.Collect(host.ICount(), host.Overhead(), ob)
+	host.PublishMetrics(ob.Registry())
+	return o.write(res, ob, run)
 }
 
 // supervision bundles the sweep's resilience and telemetry settings.
 type supervision struct {
-	ctx       context.Context
-	retries   int
-	resume    string
-	budget    uint64
+	ctx        context.Context
+	retries    int
+	resume     string
+	budget     uint64
 	interpret  bool // run guests on the reference interpreter (-engine=step)
 	replayJobs int  // decode workers for batched sweep replays
 
@@ -781,16 +701,6 @@ func parseCaches(s string) ([]memsim.Config, error) {
 		return nil, nil
 	}
 	return cliutil.ParseList("-cache", s, ";", memsim.ParseConfig, memsim.Config.Key)
-}
-
-func pickConfig(name string) (wfs.Config, error) {
-	switch name {
-	case "small":
-		return wfs.Small(), nil
-	case "study":
-		return wfs.Study(), nil
-	}
-	return wfs.Config{}, fmt.Errorf("unknown config %q (want small or study)", name)
 }
 
 func emitCSV(prof *core.Profile, names []string, metric string, includeStack bool) {

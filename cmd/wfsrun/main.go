@@ -29,14 +29,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var cfg wfs.Config
-	switch *config {
-	case "small":
-		cfg = wfs.Small()
-	case "study":
-		cfg = wfs.Study()
-	default:
-		log.Fatalf("unknown config %q", *config)
+	cfg, err := wfs.ConfigByName(*config)
+	if err != nil {
+		log.Fatal(err)
 	}
 	w, err := wfs.NewWorkload(cfg)
 	if err != nil {
@@ -76,15 +71,14 @@ func main() {
 	}
 
 	if *overhead {
-		s, err := study.New(cfg)
+		sch := study.NewScheduler(&study.Study{W: w}, 0)
+		defer sch.Close()
+		sch.SetReplay(false)
+		native, err := sch.NativeICount()
 		if err != nil {
 			log.Fatal(err)
 		}
-		native, err := s.NativeICount()
-		if err != nil {
-			log.Fatal(err)
-		}
-		rows, err := s.Slowdown([]uint64{native / 2000, native / 64, native / 16})
+		rows, err := sch.Slowdown([]uint64{native / 2000, native / 64, native / 16})
 		if err != nil {
 			log.Fatal(err)
 		}

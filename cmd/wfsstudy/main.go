@@ -141,14 +141,9 @@ func main() {
 }
 
 func run(ctx context.Context, config string, opt options) error {
-	var cfg wfs.Config
-	switch config {
-	case "small":
-		cfg = wfs.Small()
-	case "study":
-		cfg = wfs.Study()
-	default:
-		return fmt.Errorf("unknown config %q", config)
+	cfg, err := wfs.ConfigByName(config)
+	if err != nil {
+		return err
 	}
 	if opt.timeout > 0 {
 		var cancel context.CancelFunc

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"log"
 
-	"tquad/internal/core"
 	"tquad/internal/study"
 	"tquad/internal/wfs"
 )
@@ -21,12 +20,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Flat profile (Table I): who dominates execution time?
-	flat, err := s.FlatProfile()
+	// One scheduler runs every experiment; with replay off each
+	// configuration executes the guest once, live, and independent ones
+	// run in parallel.
+	sch := study.NewScheduler(s, 0)
+	defer sch.Close()
+	sch.SetReplay(false)
+	iv, err := sch.SliceForCount(64)
 	if err != nil {
 		log.Fatal(err)
 	}
+	pFlat := sch.Submit(study.RunConfig{Kind: study.RunFlat})
+	pFig := sch.Submit(study.RunConfig{Kind: study.RunTQUAD, SliceInterval: iv, IncludeStack: true})
+	pPhases := sch.Submit(study.RunConfig{Kind: study.RunTQUAD, SliceInterval: 5000, IncludeStack: true})
+
+	// Flat profile (Table I): who dominates execution time?
+	flat := wait(pFlat).Flat
 	fmt.Println("top kernels by execution time:")
 	for i, r := range flat.Rows {
 		if i == 5 {
@@ -37,22 +46,13 @@ func main() {
 
 	// Temporal bandwidth (Figures 6/7): when do they run, and how hard
 	// do they hit memory?
-	iv, err := s.SliceForCount(64)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prof, _, err := s.TQUAD(core.Options{SliceInterval: iv, IncludeStack: true})
-	if err != nil {
-		log.Fatal(err)
-	}
+	prof := wait(pFig).Temporal
 	fmt.Println("\ntemporal read-bandwidth (stack included):")
 	fmt.Print(study.RenderFigure("", prof, wfs.TopTenKernels()[:5], true, true, 60))
 
 	// Phases (Table IV): the structure a partitioner needs.
-	phases, pprof, err := s.Phases(5000)
-	if err != nil {
-		log.Fatal(err)
-	}
+	pprof := wait(pPhases).Temporal
+	phases := s.PhasesFromProfile(pprof)
 	fmt.Printf("\n%d execution phases:\n", len(phases))
 	labels := []string{"initialization", "wave load", "wave propagation", "WFS main processing", "wave save"}
 	for i, ph := range phases {
@@ -64,4 +64,12 @@ func main() {
 			label, ph.Start, ph.End-1,
 			100*float64(ph.Span())/float64(pprof.NumSlices), len(ph.Kernels))
 	}
+}
+
+func wait(p *study.Pending) *study.RunResult {
+	res, err := p.Wait()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }

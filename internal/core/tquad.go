@@ -46,13 +46,6 @@ type Options struct {
 	// reads.  Exists for the ablation benchmark; the paper's tool never
 	// does this.
 	TracePrefetches bool
-	// UseMapAccum selects the original map-per-kernel slice accumulator
-	// (one map[uint64]*SlicePoint lookup per traced event) instead of
-	// the dense append-only series.  Exists as the reference
-	// implementation for the equivalence tests and the
-	// BenchmarkSliceAccum ablation; profiles from both paths are
-	// identical.
-	UseMapAccum bool
 
 	// Simulated analysis costs (instruction-equivalents); zero selects
 	// the defaults.
@@ -156,7 +149,6 @@ type Tool struct {
 	// get sub_%x names).
 	lastName string
 	lastID   uint16
-	ref      *mapAccum // non-nil only with Options.UseMapAccum
 	// curSlice is the slice the instruction clock currently lies in and
 	// sliceEnd its exclusive upper bound in instructions: the per-event
 	// slice-boundary check is one compare against sliceEnd, and the
@@ -187,9 +179,6 @@ func Attach(h pin.Host, opts Options) *Tool {
 		ids:      make(map[string]uint16),
 		sliceEnd: opts.SliceInterval,
 	}
-	if opts.UseMapAccum {
-		t.ref = newMapAccum()
-	}
 	h.InitSymbols()
 	t.stack = callstack.New(func(target uint64) (string, bool, bool) {
 		rtn, ok := h.RTNFindByAddress(target)
@@ -217,12 +206,7 @@ func (t *Tool) kernelID(name string) uint16 {
 }
 
 // numKernels returns the number of kernels observed so far.
-func (t *Tool) numKernels() uint64 {
-	if t.ref != nil {
-		return uint64(len(t.ref.ids))
-	}
-	return uint64(len(t.ids))
-}
+func (t *Tool) numKernels() uint64 { return uint64(len(t.ids)) }
 
 // instruction is the Instruction() instrumentation routine: it sets up
 // the analysis calls for memory references, calls and returns.
@@ -307,10 +291,6 @@ func (t *Tool) account(ctx *pin.Context, isRead, isStack bool) {
 		t.rotate(ic)
 	}
 	size := uint64(ctx.Size)
-	if t.ref != nil {
-		t.ref.add(fr.Name, t.curSlice, delta, size, isRead, isStack)
-		return
-	}
 	pt := t.series[t.kernelID(fr.Name)].at(t.curSlice)
 	pt.Instr += delta
 	if isRead {
@@ -330,10 +310,6 @@ func (t *Tool) account(ctx *pin.Context, isRead, isStack bool) {
 // byte traffic (the early-discarded-access path).
 func (t *Tool) chargeInstr(name string, slice, delta uint64) {
 	if delta == 0 {
-		return
-	}
-	if t.ref != nil {
-		t.ref.add(name, slice, delta, 0, false, true)
 		return
 	}
 	t.series[t.kernelID(name)].at(slice).Instr += delta
@@ -482,9 +458,6 @@ func (kp *KernelProfile) finish() {
 
 // assemble materialises the per-kernel profiles, sorted by name.
 func (t *Tool) assemble() []*KernelProfile {
-	if t.ref != nil {
-		return t.ref.kernels()
-	}
 	var out []*KernelProfile
 	for id := 1; id < len(t.series); id++ {
 		ks := t.series[id]

@@ -76,8 +76,8 @@ func (s *JobSpec) normalize() error {
 	if s.Config == "" {
 		s.Config = "small"
 	}
-	if _, err := s.wfsConfig(); err != nil {
-		return err
+	if _, err := wfs.ConfigByName(s.Config); err != nil {
+		return fmt.Errorf("jobd: %w", err)
 	}
 	if len(s.Slices) == 0 {
 		s.Slices = []uint64{0}
@@ -145,17 +145,6 @@ func (s *JobSpec) normalize() error {
 		return fmt.Errorf("jobd: bad retries %d", s.Retries)
 	}
 	return nil
-}
-
-// wfsConfig resolves the spec's workload configuration.
-func (s *JobSpec) wfsConfig() (wfs.Config, error) {
-	switch s.Config {
-	case "small":
-		return wfs.Small(), nil
-	case "study":
-		return wfs.Study(), nil
-	}
-	return wfs.Config{}, fmt.Errorf("jobd: unknown config %q (want small or study)", s.Config)
 }
 
 // includeStack is the Stack word as the bool the run configs take.

@@ -30,6 +30,7 @@ import (
 	"tquad/internal/plot"
 	"tquad/internal/study"
 	"tquad/internal/trace"
+	"tquad/internal/wfs"
 )
 
 // Daemon-level metric names, exposed on the daemon's /metrics.
@@ -374,7 +375,7 @@ func (d *Daemon) publishGauges() {
 // the sweep performed (0 when fully resumed from checkpoint).
 func (d *Daemon) executeJob(ctx context.Context, job Job, tracker *live.Tracker) ([]Artifact, uint64, error) {
 	spec := job.Spec
-	cfg, err := spec.wfsConfig()
+	cfg, err := wfs.ConfigByName(spec.Config)
 	if err != nil {
 		return nil, 0, err
 	}

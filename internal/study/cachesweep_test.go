@@ -137,6 +137,14 @@ func TestCacheKeyCompatibility(t *testing.T) {
 	if other.Key() == cached.Key() {
 		t.Error("distinct hierarchies share a run key")
 	}
+	quad := study.RunConfig{Kind: study.RunQUAD, IncludeStack: true}
+	if got, want := quad.Key(), "quad/stack=include"; got != want {
+		t.Errorf("QUAD key changed: %q, want %q", got, want)
+	}
+	quad.ExcludeLibs = true
+	if got, want := quad.Key(), "quad/stack=include/libs=main"; got != want {
+		t.Errorf("library-excluding QUAD key = %q, want %q", got, want)
+	}
 }
 
 // TestCacheBadConfigFails: a malformed geometry surfaces as a run error,

@@ -3,9 +3,8 @@
 // routines never perturb the guest), so a sweep needs one recorded guest
 // execution per execution-equivalence group, replayed through every
 // configuration's tools in one decode pass.  This file holds the
-// recording and replay plumbing and the shared attach/collect helpers
-// that keep the live and replayed paths running the exact same tool
-// code.
+// recording and replay plumbing; replayed runs attach and report through
+// the same Attach and Collect as live ones (attach.go).
 package study
 
 import (
@@ -17,13 +16,9 @@ import (
 	"os"
 	"runtime/debug"
 
-	"tquad/internal/core"
 	"tquad/internal/etrace"
-	"tquad/internal/flatprof"
-	"tquad/internal/memsim"
 	"tquad/internal/obs"
 	"tquad/internal/pin"
-	"tquad/internal/quad"
 	"tquad/internal/vm"
 	"tquad/internal/wfs"
 )
@@ -357,7 +352,7 @@ func (s *Study) replayGroup(ctx context.Context, runs []*groupRun, path string, 
 		run    *obs.Span
 		replay *obs.Span
 		host   *etrace.Consumer
-		ts     *toolset
+		ts     *Tools
 	}
 	var members []*member
 	var beats []func(uint64)
@@ -370,7 +365,7 @@ func (s *Study) replayGroup(ctx context.Context, runs []*groupRun, path string, 
 		m.run = ro.Tracer().Start("run")
 		instrument := ro.Tracer().Start("instrument")
 		m.host = pr.NewConsumer()
-		m.ts, err = attachTools(m.host, r.Cfg, ro.Tracer())
+		m.ts, err = Attach(m.host, r.Cfg, ro.Tracer())
 		instrument.End()
 		if err != nil {
 			m.run.End()
@@ -421,89 +416,12 @@ func (s *Study) replayGroup(ctx context.Context, runs []*groupRun, path string, 
 			m.run.End()
 			continue
 		}
-		m.Res = &RunResult{Config: m.Cfg, Key: key}
-		m.Res.ICount, m.Res.Overhead, m.Res.Time = m.host.ICount(), m.host.Overhead(), m.host.Time()
 		m.host.PublishMetrics(m.ro.Registry())
-		m.ts.collect(m.Cfg, m.Res, m.ro)
+		m.Res = m.ts.Collect(m.host.ICount(), m.host.Overhead(), m.ro)
 		m.run.End()
 		if m.ro != nil {
 			m.Res.Registry = m.ro.Metrics
 			m.Res.Spans = m.ro.Spans.Records()
-		}
-	}
-}
-
-// toolset holds whichever tools a configuration attaches; live and
-// replayed runs build it through the same attachTools call so the two
-// paths cannot drift.
-type toolset struct {
-	flat *flatprof.Profiler
-	quad *quad.Tool
-	core *core.Tool
-	mem  *memsim.Tool
-}
-
-// attachTools attaches the configuration's tools to the event source.
-func attachTools(h pin.Host, cfg RunConfig, tr *obs.Tracer) (*toolset, error) {
-	ts := &toolset{}
-	switch cfg.Kind {
-	case RunNative:
-	case RunFlat:
-		ts.flat = flatprof.Attach(h, flatprof.Options{Tracer: tr})
-	case RunQUAD:
-		ts.quad = quad.Attach(h, quad.Options{IncludeStack: cfg.IncludeStack})
-	case RunInstrFlat:
-		// The paper's configuration: QUAD with stack accesses discarded
-		// early, profiled by the flat profiler (Table III).
-		quad.Attach(h, quad.Options{IncludeStack: false})
-		ts.flat = flatprof.Attach(h, flatprof.Options{Tracer: tr})
-	case RunTQUAD:
-		ts.core = core.Attach(h, core.Options{
-			SliceInterval:   cfg.SliceInterval,
-			IncludeStack:    cfg.IncludeStack,
-			ExcludeLibs:     cfg.ExcludeLibs,
-			TracePrefetches: cfg.TracePrefetches,
-		})
-		if cfg.Cache != "" {
-			mc, err := memsim.ParseConfig(cfg.Cache)
-			if err != nil {
-				return nil, fmt.Errorf("study: cache config: %w", err)
-			}
-			// The simulator slices on the same interval as the profiler so
-			// the two per-kernel series line up column for column.
-			ts.mem, err = memsim.Attach(h, memsim.Options{
-				Config:        mc,
-				SliceInterval: cfg.SliceInterval,
-				ExcludeLibs:   cfg.ExcludeLibs,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("study: cache config: %w", err)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("study: unknown run kind %d", cfg.Kind)
-	}
-	return ts, nil
-}
-
-// collect extracts the configuration's reports into the result.
-func (ts *toolset) collect(cfg RunConfig, res *RunResult, ro *obs.Observer) {
-	switch cfg.Kind {
-	case RunFlat, RunInstrFlat:
-		res.Flat = ts.flat.Report()
-	case RunQUAD:
-		res.Quad = ts.quad.Report()
-	case RunTQUAD:
-		ts.core.PublishMetrics(ro.Registry())
-		snap := ro.Tracer().Start("snapshot")
-		res.Temporal = ts.core.Snapshot()
-		snap.SetInstr(res.Temporal.TotalInstr)
-		snap.SetBytes(profileBytes(res.Temporal))
-		snap.End()
-		res.Breakdown = ts.core.Breakdown()
-		if ts.mem != nil {
-			ts.mem.PublishMetrics(ro.Registry())
-			res.Mem = ts.mem.Snapshot()
 		}
 	}
 }

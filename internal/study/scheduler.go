@@ -17,8 +17,7 @@
 // Workload's linked program and synthesised input, both immutable after
 // construction (image.Image is never mutated post-link, wav.Encode is
 // pure), plus this scheduler's memo map and the per-run registries,
-// which are lock-protected.  The Study's serial methods and their
-// caches are NOT used by scheduler runs.
+// which are lock-protected.
 package study
 
 import (
@@ -87,7 +86,7 @@ type RunConfig struct {
 	Kind            RunKind
 	SliceInterval   uint64 // tQUAD only
 	IncludeStack    bool   // QUAD and tQUAD
-	ExcludeLibs     bool   // tQUAD only
+	ExcludeLibs     bool   // QUAD and tQUAD
 	TracePrefetches bool   // tQUAD only
 	// Cache, when non-empty, additionally attaches the memory-hierarchy
 	// simulator with this geometry (a memsim.ParseConfig string; use the
@@ -105,7 +104,13 @@ func (c RunConfig) Key() string {
 	case RunNative, RunFlat, RunInstrFlat:
 		return c.Kind.String()
 	case RunQUAD:
-		return fmt.Sprintf("quad/stack=%s", stackWord(c.IncludeStack))
+		// The libs component appears only when set, so all-routines QUAD
+		// keys — and the checkpoints that store them — keep their form.
+		key := fmt.Sprintf("quad/stack=%s", stackWord(c.IncludeStack))
+		if c.ExcludeLibs {
+			key += "/libs=main"
+		}
+		return key
 	default:
 		key := fmt.Sprintf("tquad/slice=%d/stack=%s/libs=%s/prefetch=%s",
 			c.SliceInterval, stackWord(c.IncludeStack),
@@ -741,9 +746,9 @@ func (sc *Scheduler) NativeICount() (uint64, error) {
 	return res.ICount, nil
 }
 
-// SliceForCount returns the slice interval dividing the run into roughly
-// the requested number of slices (scheduler analogue of
-// Study.SliceForCount).
+// SliceForCount returns the slice interval that divides the run into
+// roughly the requested number of slices (the paper picks 1e8 for 64
+// slices, 25e6 for 255), sized by a (memoised) native run.
 func (sc *Scheduler) SliceForCount(slices uint64) (uint64, error) {
 	ic, err := sc.NativeICount()
 	if err != nil {
@@ -821,7 +826,7 @@ func (sc *Scheduler) Flush() []error {
 // whole configuration grid (slice interval × stack mode, plus one QUAD
 // row per stack mode) is submitted up front and executes concurrently up
 // to the jobs bound; rows come back in sweep order regardless of run
-// completion order, byte-identical to the serial Study.Slowdown.
+// completion order, byte-identical at every jobs bound.
 func (sc *Scheduler) Slowdown(sliceIntervals []uint64) ([]SlowdownRow, error) {
 	native, err := sc.NativeICount()
 	if err != nil {
@@ -859,25 +864,17 @@ func (sc *Scheduler) Slowdown(sliceIntervals []uint64) ([]SlowdownRow, error) {
 	return rows, nil
 }
 
-// SlowdownParallel is Study.Slowdown executed on a fresh scheduler with
-// the given parallelism.  Output is byte-identical to the serial sweep.
-func (s *Study) SlowdownParallel(sliceIntervals []uint64, jobs int) ([]SlowdownRow, error) {
-	sch := NewScheduler(s, jobs)
-	defer sch.Close()
-	return sch.Slowdown(sliceIntervals)
-}
-
-// PhasesFromProfile runs Table IV phase detection over an
-// already-computed fine-sliced tQUAD profile (the scheduler path, where
-// the profile comes from a RunResult).
+// PhasesFromProfile runs Table IV phase detection over a fine-sliced
+// tQUAD profile (a RunTQUAD result's Temporal), considering only the
+// paper's kernels.
 func (s *Study) PhasesFromProfile(prof *core.Profile) []phase.Phase {
 	opts := phase.Options{IncludeStack: true, Kernels: wfs.KernelNames(), Tracer: s.Obs.Tracer()}
 	return phase.Detect(prof, opts)
 }
 
 // executeConfig performs one run on a fresh machine with per-run
-// observability sinks.  It never touches the Study's serial caches, so
-// any number of executeConfig calls may be in flight at once.
+// observability sinks, so any number of executeConfig calls may be in
+// flight at once.
 func (s *Study) executeConfig(cfg RunConfig, opt runOptions) (*RunResult, error) {
 	if opt.ctx == nil {
 		opt.ctx = context.Background()
@@ -889,7 +886,6 @@ func (s *Study) executeConfig(cfg RunConfig, opt runOptions) (*RunResult, error)
 	if s.Obs != nil {
 		ro = obs.NewObserver()
 	}
-	res := &RunResult{Config: cfg, Key: cfg.Key()}
 	run := ro.Tracer().Start("run")
 	m, _ := s.W.NewMachine()
 
@@ -902,7 +898,7 @@ func (s *Study) executeConfig(cfg RunConfig, opt runOptions) (*RunResult, error)
 	if e != nil {
 		host = e
 	}
-	ts, err := attachTools(host, cfg, ro.Tracer())
+	ts, err := Attach(host, cfg, ro.Tracer())
 	instrument.End()
 	if err != nil {
 		run.End()
@@ -928,15 +924,14 @@ func (s *Study) executeConfig(cfg RunConfig, opt runOptions) (*RunResult, error)
 	}
 	if err != nil {
 		run.End()
-		return nil, fmt.Errorf("study: run %s: %w", res.Key, err)
+		return nil, fmt.Errorf("study: run %s: %w", cfg.Key(), err)
 	}
 
-	res.ICount, res.Overhead, res.Time = m.ICount, m.Overhead, m.Time()
 	m.PublishMetrics(ro.Registry())
 	if e != nil {
 		e.PublishMetrics(ro.Registry())
 	}
-	ts.collect(cfg, res, ro)
+	res := ts.Collect(m.ICount, m.Overhead, ro)
 	run.End()
 	if ro != nil {
 		res.Registry = ro.Metrics

@@ -20,8 +20,9 @@ func newStudy(t *testing.T, o *obs.Observer) *study.Study {
 	return s
 }
 
-// TestSlowdownParallelMatchesSerial is the determinism gate: the serial
-// sweep and the scheduler sweep at every parallelism level must render
+// TestSlowdownParallelMatchesSerial is the determinism gate: the live
+// serial sweep (one worker, every configuration executed) and the
+// record/replay scheduler at every parallelism level must render
 // byte-identical slowdown tables.
 func TestSlowdownParallelMatchesSerial(t *testing.T) {
 	s := newStudy(t, nil)
@@ -31,18 +32,19 @@ func TestSlowdownParallelMatchesSerial(t *testing.T) {
 	}
 	ivs := []uint64{native / 64, native / 16}
 
-	serialRows, err := s.Slowdown(ivs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := study.RenderSlowdown(serialRows)
-
-	for _, jobs := range []int{1, 4} {
-		rows, err := s.SlowdownParallel(ivs, jobs)
+	sweep := func(jobs int, replay bool) string {
+		sch := study.NewScheduler(s, jobs)
+		defer sch.Close()
+		sch.SetReplay(replay)
+		rows, err := sch.Slowdown(ivs)
 		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
+			t.Fatalf("jobs=%d replay=%v: %v", jobs, replay, err)
 		}
-		if got := study.RenderSlowdown(rows); got != serial {
+		return study.RenderSlowdown(rows)
+	}
+	serial := sweep(1, false)
+	for _, jobs := range []int{1, 4} {
+		if got := sweep(jobs, true); got != serial {
 			t.Errorf("jobs=%d table differs from serial:\n%s\nvs\n%s", jobs, got, serial)
 		}
 	}
@@ -91,7 +93,9 @@ func TestSchedulerMergedRegistryDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.SlowdownParallel([]uint64{native / 64}, jobs); err != nil {
+		sch := study.NewScheduler(s, jobs)
+		defer sch.Close()
+		if _, err := sch.Slowdown([]uint64{native / 64}); err != nil {
 			t.Fatal(err)
 		}
 		var sb strings.Builder

@@ -1,6 +1,7 @@
 // Package study is the experiment harness for the paper's case study
-// (Section V): it runs the WFS workload under every profiler
-// configuration the paper evaluates and renders each table and figure.
+// (Section V): its Scheduler runs the WFS workload under every profiler
+// configuration the paper evaluates, and its renderers draw each table
+// and figure.
 // The benchmark harness (bench_test.go), the command-line tools and
 // EXPERIMENTS.md are all built on this package.
 package study
@@ -14,15 +15,13 @@ import (
 	"tquad/internal/memsim"
 	"tquad/internal/obs"
 	"tquad/internal/phase"
-	"tquad/internal/pin"
 	"tquad/internal/quad"
 	"tquad/internal/report"
-	"tquad/internal/vm"
 	"tquad/internal/wfs"
 )
 
-// Study wraps a workload with result caching, so one build of the guest
-// binary serves every experiment.
+// Study wraps a workload, so one build of the guest binary serves every
+// experiment its Schedulers run.
 type Study struct {
 	W *wfs.Workload
 
@@ -31,7 +30,6 @@ type Study struct {
 	// corresponding collection at effectively zero cost.
 	Obs *obs.Observer
 
-	flatBase *flatprof.Profile
 	nativeIC uint64
 }
 
@@ -51,21 +49,6 @@ func NewObserved(cfg wfs.Config, o *obs.Observer) (*Study, error) {
 	return &Study{W: w, Obs: o}, nil
 }
 
-func (s *Study) run(m *vm.Machine) error {
-	span := s.Obs.Tracer().Start("execute")
-	defer span.End()
-	if err := m.Run(wfs.MaxInstr); err != nil {
-		return err
-	}
-	span.SetInstr(m.ICount)
-	span.SetBytes(m.MemStats.ReadBytes() + m.MemStats.WriteBytes())
-	if m.ExitCode != 0 {
-		return fmt.Errorf("study: guest exit code %d", m.ExitCode)
-	}
-	m.PublishMetrics(s.Obs.Registry())
-	return nil
-}
-
 // NativeICount runs the workload uninstrumented once (cached) and returns
 // its instruction count — the denominator of every slowdown figure.
 func (s *Study) NativeICount() (uint64, error) {
@@ -80,157 +63,12 @@ func (s *Study) NativeICount() (uint64, error) {
 	return s.nativeIC, nil
 }
 
-// FlatProfile reproduces Table I: the gprof-style flat profile of the
-// uninstrumented application (cached for reuse as the Table III
-// baseline).
-func (s *Study) FlatProfile() (*flatprof.Profile, error) {
-	if s.flatBase != nil {
-		return s.flatBase, nil
-	}
-	m, _ := s.W.NewMachine()
-	e := pin.NewEngine(m)
-	p := flatprof.Attach(e, flatprof.Options{Tracer: s.Obs.Tracer()})
-	if err := s.run(m); err != nil {
-		return nil, err
-	}
-	e.PublishMetrics(s.Obs.Registry())
-	s.flatBase = p.Report()
-	return s.flatBase, nil
-}
-
-// QUAD reproduces one stack mode of Table II.
-func (s *Study) QUAD(includeStack bool) (*quad.Report, *vm.Machine, error) {
-	m, _ := s.W.NewMachine()
-	e := pin.NewEngine(m)
-	t := quad.Attach(e, quad.Options{IncludeStack: includeStack})
-	if err := s.run(m); err != nil {
-		return nil, nil, err
-	}
-	return t.Report(), m, nil
-}
-
-// InstrumentedFlat reproduces Table III: the flat profile of the
-// QUAD-instrumented binary, whose analysis overhead inflates the clock in
-// proportion to each kernel's non-local memory traffic.  It returns the
-// baseline and the instrumented profiles.
-func (s *Study) InstrumentedFlat() (baseline, instrumented *flatprof.Profile, err error) {
-	baseline, err = s.FlatProfile()
-	if err != nil {
-		return nil, nil, err
-	}
-	m, _ := s.W.NewMachine()
-	e := pin.NewEngine(m)
-	// QUAD instrumentation with the paper's configuration: stack-area
-	// accesses discarded early, so only costly global accesses pay the
-	// full tracing price.
-	quad.Attach(e, quad.Options{IncludeStack: false})
-	p := flatprof.Attach(e, flatprof.Options{Tracer: s.Obs.Tracer()})
-	if err := s.run(m); err != nil {
-		return nil, nil, err
-	}
-	e.PublishMetrics(s.Obs.Registry())
-	return baseline, p.Report(), nil
-}
-
-// TQUAD runs the temporal profiler with the given options and returns its
-// profile together with the machine (for overhead inspection).
-func (s *Study) TQUAD(opts core.Options) (*core.Profile, *vm.Machine, error) {
-	m, _ := s.W.NewMachine()
-	e := pin.NewEngine(m)
-	t := core.Attach(e, opts)
-	if err := s.run(m); err != nil {
-		return nil, nil, err
-	}
-	e.PublishMetrics(s.Obs.Registry())
-	t.PublishMetrics(s.Obs.Registry())
-	span := s.Obs.Tracer().Start("snapshot")
-	prof := t.Snapshot()
-	span.SetInstr(prof.TotalInstr)
-	span.SetBytes(profileBytes(prof))
-	span.End()
-	return prof, m, nil
-}
-
-// profileBytes sums a profile's total traffic (stack included).
-func profileBytes(p *core.Profile) uint64 {
-	var n uint64
-	for _, k := range p.Kernels {
-		n += k.TotalReadIncl + k.TotalWriteIncl
-	}
-	return n
-}
-
-// SliceForCount returns the slice interval that divides the run into
-// roughly the requested number of slices (the paper picks 1e8 for 64
-// slices, 25e6 for 255).
-func (s *Study) SliceForCount(slices uint64) (uint64, error) {
-	ic, err := s.NativeICount()
-	if err != nil {
-		return 0, err
-	}
-	iv := ic / slices
-	if iv == 0 {
-		iv = 1
-	}
-	return iv, nil
-}
-
-// Phases reproduces Table IV: a fine-sliced tQUAD run followed by phase
-// detection.
-func (s *Study) Phases(sliceInterval uint64) ([]phase.Phase, *core.Profile, error) {
-	prof, _, err := s.TQUAD(core.Options{SliceInterval: sliceInterval, IncludeStack: true})
-	if err != nil {
-		return nil, nil, err
-	}
-	// As in the paper, "we only consider the kernels previously
-	// selected and not all the functions".
-	opts := phase.Options{IncludeStack: true, Kernels: wfs.KernelNames(), Tracer: s.Obs.Tracer()}
-	return phase.Detect(prof, opts), prof, nil
-}
-
 // SlowdownRow is one cell of the Section V.A overhead study.
 type SlowdownRow struct {
 	Tool          string
 	SliceInterval uint64
 	IncludeStack  bool
 	Slowdown      float64 // simulated instrumented time / native time
-}
-
-// Slowdown sweeps the tQUAD configuration grid (slice interval × stack
-// mode) and reports the simulated slowdown of each run, plus one QUAD
-// row per stack mode.
-func (s *Study) Slowdown(sliceIntervals []uint64) ([]SlowdownRow, error) {
-	native, err := s.NativeICount()
-	if err != nil {
-		return nil, err
-	}
-	var rows []SlowdownRow
-	for _, iv := range sliceIntervals {
-		for _, incl := range []bool{true, false} {
-			_, m, err := s.TQUAD(core.Options{SliceInterval: iv, IncludeStack: incl})
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, SlowdownRow{
-				Tool:          "tQUAD",
-				SliceInterval: iv,
-				IncludeStack:  incl,
-				Slowdown:      float64(m.Time()) / float64(native),
-			})
-		}
-	}
-	for _, incl := range []bool{true, false} {
-		_, m, err := s.QUAD(incl)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, SlowdownRow{
-			Tool:         "QUAD",
-			IncludeStack: incl,
-			Slowdown:     float64(m.Time()) / float64(native),
-		})
-	}
-	return rows, nil
 }
 
 // --- renderers ---

@@ -4,14 +4,18 @@ import (
 	"strings"
 	"testing"
 
-	"tquad/internal/core"
 	"tquad/internal/study"
 	"tquad/internal/wfs"
 )
 
-var shared *study.Study
+var (
+	shared    *study.Study
+	sharedSch *study.Scheduler
+)
 
-func get(t *testing.T) *study.Study {
+// get returns the shared small-configuration study and a live scheduler
+// over it, which memoises runs across tests.
+func get(t *testing.T) (*study.Study, *study.Scheduler) {
 	t.Helper()
 	if shared == nil {
 		s, err := study.New(wfs.Small())
@@ -19,12 +23,25 @@ func get(t *testing.T) *study.Study {
 			t.Fatal(err)
 		}
 		shared = s
+		sharedSch = study.NewScheduler(s, 0)
+		sharedSch.SetReplay(false)
 	}
-	return shared
+	return shared, sharedSch
+}
+
+// run executes one configuration on the shared scheduler.
+func run(t *testing.T, cfg study.RunConfig) *study.RunResult {
+	t.Helper()
+	_, sch := get(t)
+	res, err := sch.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestNativeICountCached(t *testing.T) {
-	s := get(t)
+	s, _ := get(t)
 	a, err := s.NativeICount()
 	if err != nil {
 		t.Fatal(err)
@@ -39,8 +56,8 @@ func TestNativeICountCached(t *testing.T) {
 }
 
 func TestSliceForCount(t *testing.T) {
-	s := get(t)
-	iv, err := s.SliceForCount(64)
+	s, sch := get(t)
+	iv, err := sch.SliceForCount(64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +69,7 @@ func TestSliceForCount(t *testing.T) {
 }
 
 func TestRenderTableIContainsKernels(t *testing.T) {
-	s := get(t)
-	p, err := s.FlatProfile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := study.RenderTableI(p)
+	out := study.RenderTableI(run(t, study.RunConfig{Kind: study.RunFlat}).Flat)
 	for _, k := range []string{"wav_store", "fft1d", "bitrev", "calls"} {
 		if !strings.Contains(out, k) {
 			t.Errorf("Table I missing %q", k)
@@ -72,15 +84,8 @@ func TestRenderTableIContainsKernels(t *testing.T) {
 }
 
 func TestRenderTableII(t *testing.T) {
-	s := get(t)
-	excl, _, err := s.QUAD(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	incl, _, err := s.QUAD(true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	excl := run(t, study.RunConfig{Kind: study.RunQUAD, IncludeStack: false}).Quad
+	incl := run(t, study.RunConfig{Kind: study.RunQUAD, IncludeStack: true}).Quad
 	out := study.RenderTableII(excl, incl)
 	for _, col := range []string{"IN(ex)", "OUT UnMA(in)", "AudioIo_setFrames", "zeroRealVec"} {
 		if !strings.Contains(out, col) {
@@ -89,22 +94,30 @@ func TestRenderTableII(t *testing.T) {
 	}
 }
 
-func TestRenderTableIIIAndFigure(t *testing.T) {
-	s := get(t)
-	base, instr, err := s.InstrumentedFlat()
-	if err != nil {
-		t.Fatal(err)
+// TestQUADExcludeLibs: a library-excluding QUAD run attributes library
+// routines' traffic to their callers, so no library routine reports.
+func TestQUADExcludeLibs(t *testing.T) {
+	all := run(t, study.RunConfig{Kind: study.RunQUAD, IncludeStack: true}).Quad
+	mainOnly := run(t, study.RunConfig{Kind: study.RunQUAD, IncludeStack: true, ExcludeLibs: true}).Quad
+	if _, ok := all.Kernel("write_all"); !ok {
+		t.Fatal("write_all missing from the all-routines QUAD report")
 	}
+	if _, ok := mainOnly.Kernel("write_all"); ok {
+		t.Error("write_all reported by the library-excluding QUAD run")
+	}
+}
+
+func TestRenderTableIIIAndFigure(t *testing.T) {
+	_, sch := get(t)
+	base := run(t, study.RunConfig{Kind: study.RunFlat}).Flat
+	instr := run(t, study.RunConfig{Kind: study.RunInstrFlat}).Flat
 	out := study.RenderTableIII(base, instr)
 	if !strings.Contains(out, "trend") || !strings.Contains(out, "AudioIo_setFrames") {
 		t.Errorf("Table III malformed:\n%s", out)
 	}
 
-	iv, _ := s.SliceForCount(64)
-	prof, _, err := s.TQUAD(core.Options{SliceInterval: iv, IncludeStack: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	iv, _ := sch.SliceForCount(64)
+	prof := run(t, study.RunConfig{Kind: study.RunTQUAD, SliceInterval: iv, IncludeStack: true}).Temporal
 	fig := study.RenderFigure("fig", prof, wfs.TopTenKernels(), true, true, 64)
 	if !strings.Contains(fig, "wav_store") || !strings.Contains(fig, "peak=") {
 		t.Errorf("figure malformed:\n%s", fig)
@@ -112,11 +125,9 @@ func TestRenderTableIIIAndFigure(t *testing.T) {
 }
 
 func TestRenderTableIVAndSlowdown(t *testing.T) {
-	s := get(t)
-	phases, prof, err := s.Phases(5000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, sch := get(t)
+	prof := run(t, study.RunConfig{Kind: study.RunTQUAD, SliceInterval: 5000, IncludeStack: true}).Temporal
+	phases := s.PhasesFromProfile(prof)
 	out := study.RenderTableIV(phases, prof.NumSlices)
 	if !strings.Contains(out, "phase 1") || !strings.Contains(out, "aggregate MBW") {
 		t.Errorf("Table IV malformed:\n%s", out)
@@ -131,7 +142,7 @@ func TestRenderTableIVAndSlowdown(t *testing.T) {
 	}
 
 	ic, _ := s.NativeICount()
-	rows, err := s.Slowdown([]uint64{ic / 16})
+	rows, err := sch.Slowdown([]uint64{ic / 16})
 	if err != nil {
 		t.Fatal(err)
 	}

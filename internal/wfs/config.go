@@ -68,6 +68,18 @@ func Study() Config {
 	}
 }
 
+// ConfigByName resolves a configuration name, as the command-line
+// tools and job specs spell it: "small" or "study".
+func ConfigByName(name string) (Config, error) {
+	switch name {
+	case "small":
+		return Small(), nil
+	case "study":
+		return Study(), nil
+	}
+	return Config{}, fmt.Errorf("unknown config %q (want small or study)", name)
+}
+
 // Validate checks structural invariants the generated code relies on.
 func (c Config) Validate() error {
 	switch {

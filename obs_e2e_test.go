@@ -10,24 +10,31 @@ import (
 	"encoding/json"
 	"testing"
 
-	"tquad/internal/core"
 	"tquad/internal/obs"
 	"tquad/internal/study"
 	"tquad/internal/wfs"
 )
 
-// TestObservabilityReconciliation runs the small workload under a live
-// observer and cross-checks every layer's numbers against each other.
+// TestObservabilityReconciliation runs the small workload once, live,
+// under an observer and cross-checks every layer's numbers against each
+// other.
 func TestObservabilityReconciliation(t *testing.T) {
 	o := obs.NewObserver()
 	s, err := study.NewObserved(wfs.Small(), o)
 	if err != nil {
 		t.Fatalf("study: %v", err)
 	}
-	prof, m, err := s.TQUAD(core.Options{SliceInterval: 100_000, IncludeStack: true})
+	sch := study.NewScheduler(s, 1)
+	defer sch.Close()
+	sch.SetReplay(false)
+	res, err := sch.Run(study.RunConfig{Kind: study.RunTQUAD, SliceInterval: 100_000, IncludeStack: true})
 	if err != nil {
 		t.Fatalf("tquad: %v", err)
 	}
+	if errs := sch.Flush(); len(errs) != 0 {
+		t.Fatalf("flush: %v", errs)
+	}
+	prof := res.Temporal
 
 	// The journal round-trips and its execute span reconciles with the
 	// final profile.
@@ -79,11 +86,11 @@ func TestObservabilityReconciliation(t *testing.T) {
 		coreOverhead += o.Metrics.Counter(
 			obs.Label("tquad_core_overhead_instr_total", "component", comp)).Value()
 	}
-	if coreOverhead != m.Overhead {
-		t.Errorf("core overhead components sum to %d, machine charged %d", coreOverhead, m.Overhead)
+	if coreOverhead != res.Overhead {
+		t.Errorf("core overhead components sum to %d, machine charged %d", coreOverhead, res.Overhead)
 	}
-	if got := o.Metrics.Counter("tquad_vm_overhead_instr_total").Value(); got != m.Overhead {
-		t.Errorf("vm overhead counter = %d, machine charged %d", got, m.Overhead)
+	if got := o.Metrics.Counter("tquad_vm_overhead_instr_total").Value(); got != res.Overhead {
+		t.Errorf("vm overhead counter = %d, machine charged %d", got, res.Overhead)
 	}
 
 	// The per-size memory-op counters sum to the byte totals.
@@ -141,23 +148,14 @@ func vmSizeClasses() []string { return []string{"1", "2", "4", "8", "16"} }
 // TestRenderDeterminism renders every major textual output twice from the
 // same profile; any map-iteration dependence would flip the bytes.
 func TestRenderDeterminism(t *testing.T) {
-	s := getStudy(t)
-	prof, _, err := s.TQUAD(core.Options{SliceInterval: 100_000, IncludeStack: true})
-	if err != nil {
-		t.Fatalf("tquad: %v", err)
-	}
-	flat, err := s.FlatProfile()
-	if err != nil {
-		t.Fatalf("flat: %v", err)
-	}
-	phases, pprof, err := s.Phases(100_000)
-	if err != nil {
-		t.Fatalf("phases: %v", err)
-	}
+	s, _ := getStudy(t)
+	prof := runShared(t, study.RunConfig{Kind: study.RunTQUAD, SliceInterval: 100_000, IncludeStack: true}).Temporal
+	flat := runShared(t, study.RunConfig{Kind: study.RunFlat}).Flat
+	phases := s.PhasesFromProfile(prof)
 	render := func() string {
 		return study.RenderTableI(flat) +
 			study.RenderFigure("fig", prof, wfs.TopTenKernels(), true, true, 64) +
-			study.RenderTableIV(phases, pprof.NumSlices)
+			study.RenderTableIV(phases, prof.NumSlices)
 	}
 	first := render()
 	for i := 0; i < 5; i++ {

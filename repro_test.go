@@ -9,18 +9,21 @@ package repro_test
 import (
 	"testing"
 
-	"tquad/internal/core"
 	"tquad/internal/flatprof"
 	"tquad/internal/quad"
 	"tquad/internal/study"
 	"tquad/internal/wfs"
 )
 
-// sharedStudy caches one Study across tests (profile runs are seconds
-// each).
-var sharedStudy *study.Study
+// sharedStudy caches one Study across tests, and sharedSched a live
+// scheduler over it that memoises runs across tests (profile runs are
+// seconds each).
+var (
+	sharedStudy *study.Study
+	sharedSched *study.Scheduler
+)
 
-func getStudy(t *testing.T) *study.Study {
+func getStudy(t *testing.T) (*study.Study, *study.Scheduler) {
 	t.Helper()
 	if sharedStudy == nil {
 		s, err := study.New(wfs.Small())
@@ -28,8 +31,21 @@ func getStudy(t *testing.T) *study.Study {
 			t.Fatalf("study: %v", err)
 		}
 		sharedStudy = s
+		sharedSched = study.NewScheduler(s, 0)
+		sharedSched.SetReplay(false)
 	}
-	return sharedStudy
+	return sharedStudy, sharedSched
+}
+
+// runShared executes one configuration on the shared scheduler.
+func runShared(t *testing.T, cfg study.RunConfig) *study.RunResult {
+	t.Helper()
+	_, sch := getStudy(t)
+	res, err := sch.Run(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", cfg.Key(), err)
+	}
+	return res
 }
 
 func mustRow(t *testing.T, p *flatprof.Profile, name string) flatprof.Row {
@@ -45,11 +61,8 @@ func mustRow(t *testing.T, p *flatprof.Profile, name string) flatprof.Row {
 // wav_store and fft1d lead, call counts follow the program structure, and
 // highly-called kernels have tiny per-call times.
 func TestPaperObservations_TableI(t *testing.T) {
-	s := getStudy(t)
-	p, err := s.FlatProfile()
-	if err != nil {
-		t.Fatalf("flat profile: %v", err)
-	}
+	s, _ := getStudy(t)
+	p := runShared(t, study.RunConfig{Kind: study.RunFlat}).Flat
 	cfg := s.W.Cfg
 
 	if got := p.Rank("wav_store"); got != 1 {
@@ -119,15 +132,9 @@ func kstats(t *testing.T, r *quad.Report, name string) quad.KernelStats {
 // extreme stack ratios, fft1d's identical UnMA across modes, and
 // wav_store's small-output-buffer funnel.
 func TestPaperObservations_TableII(t *testing.T) {
-	s := getStudy(t)
-	excl, _, err := s.QUAD(false)
-	if err != nil {
-		t.Fatalf("QUAD excl: %v", err)
-	}
-	incl, _, err := s.QUAD(true)
-	if err != nil {
-		t.Fatalf("QUAD incl: %v", err)
-	}
+	s, _ := getStudy(t)
+	excl := runShared(t, study.RunConfig{Kind: study.RunQUAD, IncludeStack: false}).Quad
+	incl := runShared(t, study.RunConfig{Kind: study.RunQUAD, IncludeStack: true}).Quad
 	cfg := s.W.Cfg
 
 	// AudioIo_setFrames: "the data transfer is carried out via separate
@@ -226,11 +233,8 @@ func TestPaperObservations_TableII(t *testing.T) {
 // kernels dominated by non-local traffic gain share, stack-bound kernels
 // collapse.
 func TestPaperObservations_TableIII(t *testing.T) {
-	s := getStudy(t)
-	base, instr, err := s.InstrumentedFlat()
-	if err != nil {
-		t.Fatalf("instrumented flat: %v", err)
-	}
+	base := runShared(t, study.RunConfig{Kind: study.RunFlat}).Flat
+	instr := runShared(t, study.RunConfig{Kind: study.RunInstrFlat}).Flat
 	rows := flatprof.Compare(base, instr, wfs.TopTenKernels())
 	byName := make(map[string]flatprof.CompareRow, len(rows))
 	for _, r := range rows {
@@ -269,15 +273,12 @@ func TestPaperObservations_TableIII(t *testing.T) {
 // than read traffic, and AudioIo_setFrames peaking far above everyone
 // else.
 func TestPaperObservations_Figures(t *testing.T) {
-	s := getStudy(t)
-	iv, err := s.SliceForCount(64)
+	_, sch := getStudy(t)
+	iv, err := sch.SliceForCount(64)
 	if err != nil {
 		t.Fatalf("slice: %v", err)
 	}
-	prof, _, err := s.TQUAD(core.Options{SliceInterval: iv, IncludeStack: true})
-	if err != nil {
-		t.Fatalf("tQUAD: %v", err)
-	}
+	prof := runShared(t, study.RunConfig{Kind: study.RunTQUAD, SliceInterval: iv, IncludeStack: true}).Temporal
 
 	ws, ok := prof.Kernel("wav_store")
 	if !ok {
@@ -343,11 +344,9 @@ func TestPaperObservations_Figures(t *testing.T) {
 // TestPaperObservations_TableIV checks phase identification: five phases
 // in the paper's order with the right occupants.
 func TestPaperObservations_TableIV(t *testing.T) {
-	s := getStudy(t)
-	phases, prof, err := s.Phases(5000)
-	if err != nil {
-		t.Fatalf("phases: %v", err)
-	}
+	s, _ := getStudy(t)
+	prof := runShared(t, study.RunConfig{Kind: study.RunTQUAD, SliceInterval: 5000, IncludeStack: true}).Temporal
+	phases := s.PhasesFromProfile(prof)
 	if len(phases) != 5 {
 		for i, ph := range phases {
 			t.Logf("phase %d [%d,%d): %v", i+1, ph.Start, ph.End, ph.KernelNames())
@@ -419,13 +418,13 @@ func TestPaperObservations_TableIV(t *testing.T) {
 // instrumentation costs tens of x, more with stack inclusion and finer
 // slices.
 func TestPaperObservations_Slowdown(t *testing.T) {
-	s := getStudy(t)
-	native, err := s.NativeICount()
+	_, sch := getStudy(t)
+	native, err := sch.NativeICount()
 	if err != nil {
 		t.Fatalf("native: %v", err)
 	}
 	fine, coarse := native/1000, native/16
-	rows, err := s.Slowdown([]uint64{fine, coarse})
+	rows, err := sch.Slowdown([]uint64{fine, coarse})
 	if err != nil {
 		t.Fatalf("slowdown: %v", err)
 	}
@@ -458,15 +457,8 @@ func TestPaperObservations_Slowdown(t *testing.T) {
 // observe the same dynamic instruction stream, so they must agree
 // exactly.
 func TestCrossToolConsistency(t *testing.T) {
-	s := getStudy(t)
-	incl, _, err := s.QUAD(true)
-	if err != nil {
-		t.Fatalf("QUAD: %v", err)
-	}
-	prof, _, err := s.TQUAD(core.Options{SliceInterval: 50_000, IncludeStack: true})
-	if err != nil {
-		t.Fatalf("tQUAD: %v", err)
-	}
+	incl := runShared(t, study.RunConfig{Kind: study.RunQUAD, IncludeStack: true}).Quad
+	prof := runShared(t, study.RunConfig{Kind: study.RunTQUAD, SliceInterval: 50_000, IncludeStack: true}).Temporal
 	for _, name := range wfs.KernelNames() {
 		q, okQ := incl.Kernel(name)
 		k, okT := prof.Kernel(name)
