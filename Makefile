@@ -6,7 +6,7 @@ GO ?= go
 # the run loudly, not stall CI at the default 10 minutes per package.
 TEST_TIMEOUT ?= 300s
 
-.PHONY: build test vet race chaos corrupt fuzz bench bench-test jobd-smoke verify
+.PHONY: build test vet fmt race chaos corrupt fuzz bench bench-test jobd-smoke verify
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Fails, naming the files, when any Go file is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: not formatted:"; echo "$$out"; exit 1; fi
 
 # Race-hammers the observability layer (shared metrics registry + tracer),
 # the parallel experiment scheduler (a full concurrent study sweep, cache
@@ -50,19 +54,24 @@ corrupt:
 # event-trace replay with inline decode, salvage replay, the indexed
 # replay pipeline with a decode worker pool (checked against Stat's
 # index-free frame walk), the JSON profile envelope and the
-# cache-geometry grammar.  None may panic on any input.
+# cache-geometry grammar.  None may panic on any input.  Last, QUAD's
+# page-span shadow walk against its per-byte map oracle: any access
+# stream must give both identical reports.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReplay -fuzztime 10s ./internal/etrace
 	$(GO) test -run xxx -fuzz FuzzSalvage -fuzztime 10s ./internal/etrace
 	$(GO) test -run xxx -fuzz FuzzIndex -fuzztime 10s ./internal/etrace
 	$(GO) test -run xxx -fuzz FuzzLoad -fuzztime 10s ./internal/trace
 	$(GO) test -run xxx -fuzz FuzzCacheConfig -fuzztime 10s ./internal/memsim
+	$(GO) test -run xxx -fuzz FuzzQUADMatchesMapRef -fuzztime 10s ./internal/quad
 
 # One pass over every table/figure benchmark, the obs on/off pair, the
-# cache-geometry sweep and the simulator hot path.
+# cache-geometry sweep, the simulator hot path and the paged-vs-map
+# shadow-memory ablation.
 bench:
 	$(GO) test -bench . -benchtime 1x
 	$(GO) test -bench BenchmarkMemSim -benchtime 1x ./internal/memsim
+	$(GO) test -bench . -benchtime 1x ./internal/shadow
 
 # The benchmark program (bench/, its own module, so the root ./...
 # patterns never compile it): vet it and run its tests against this
@@ -78,7 +87,7 @@ jobd-smoke:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestDaemonServiceSmoke|TestChaosDaemonKillResume' -v .
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/jobd/...
 
-# One-shot pre-merge gate: build, vet, the full test suite, the
-# race-detector pass over the concurrency-heavy packages, and the
-# trace-integrity gate.
-verify: build vet test race corrupt
+# One-shot pre-merge gate: build, vet, the gofmt check, the full test
+# suite, the race-detector pass over the concurrency-heavy packages, and
+# the trace-integrity gate.
+verify: build vet fmt test race corrupt

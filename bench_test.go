@@ -22,7 +22,6 @@ import (
 	"tquad/internal/obs"
 	"tquad/internal/obs/live"
 	"tquad/internal/pin"
-	"tquad/internal/shadow"
 	"tquad/internal/study"
 	"tquad/internal/wfs"
 )
@@ -396,39 +395,6 @@ func BenchmarkImgprocPipeline(b *testing.B) {
 }
 
 // --- ablation benchmarks (design choices called out in DESIGN.md) ---
-
-// BenchmarkAblation_ShadowPagedVsMap compares the paged shadow memory
-// against the naive map-per-address representation on a realistic access
-// pattern.
-func BenchmarkAblation_ShadowPagedVsMap(b *testing.B) {
-	const span = 1 << 20
-	b.Run("paged", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			o := shadow.NewOwners()
-			for a := uint64(0); a < span; a += 8 {
-				o.SetRange(a, 8, uint16(a%7+1))
-			}
-			var sum uint64
-			for a := uint64(0); a < span; a += 8 {
-				sum += uint64(o.Owner(a))
-			}
-			_ = sum
-		}
-	})
-	b.Run("map", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			o := shadow.NewMapOwners()
-			for a := uint64(0); a < span; a += 8 {
-				o.SetRange(a, 8, uint16(a%7+1))
-			}
-			var sum uint64
-			for a := uint64(0); a < span; a += 8 {
-				sum += uint64(o.Owner(a))
-			}
-			_ = sum
-		}
-	})
-}
 
 // BenchmarkAblation_CodeCache compares the Pin-style code cache
 // (decode+instrument once) against decoding on every step.

@@ -55,10 +55,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := trace.SavePhases(fh, phases); err != nil {
-			log.Fatal(err)
+		err = trace.SavePhases(fh, phases)
+		if cerr := fh.Close(); err == nil {
+			err = cerr
 		}
-		fh.Close()
+		if err != nil {
+			log.Fatalf("-json %s: %v", *jsonFile, err)
+		}
 	}
 	fmt.Printf("%d phases over %d slices of %d instructions\n\n",
 		len(phases), prof.NumSlices, prof.SliceInterval)

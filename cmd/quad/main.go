@@ -64,10 +64,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := trace.SaveQUAD(fh, rep); err != nil {
-			log.Fatal(err)
+		err = trace.SaveQUAD(fh, rep)
+		if cerr := fh.Close(); err == nil {
+			err = cerr
 		}
-		fh.Close()
+		if err != nil {
+			log.Fatalf("-json %s: %v", *jsonFile, err)
+		}
 	}
 
 	switch *stack {

@@ -36,7 +36,7 @@ func BenchmarkSeriesAt(b *testing.B) {
 	b.Run("dense", func(b *testing.B) {
 		ks := &kernelSeries{name: "k"}
 		for i := 0; i < b.N; i++ {
-			ks.at(uint64(i) >> 10).Instr++
+			ks.at(uint64(i)>>10).Instr++
 		}
 	})
 	b.Run("map", func(b *testing.B) {

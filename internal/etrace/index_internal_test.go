@@ -203,8 +203,8 @@ func TestStatHostileSkipFlag(t *testing.T) {
 		var b []byte
 		b = append(b, magic...)
 		b = append(b, Version)
-		b = binary.AppendUvarint(b, 0x40000)                 // stack base
-		b = binary.AppendUvarint(b, uint64(len("hostile")))  // workload
+		b = binary.AppendUvarint(b, 0x40000)                // stack base
+		b = binary.AppendUvarint(b, uint64(len("hostile"))) // workload
 		b = append(b, "hostile"...)
 		b = binary.AppendUvarint(b, 0) // no routines
 		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))

@@ -49,21 +49,21 @@ func TestParseConfigRejects(t *testing.T) {
 		{"l1", "want name=size/ways/line"},
 		{"l1=32k/8", "want name=size/ways/line"},
 		{"l1=32k/8/64/2", "want name=size/ways/line"},
-		{"l2=32k/8/64", "want \"l1\""},                       // wrong first level
-		{"l1=32k/8/64,llc=8m/16/64", "want \"l2\""},          // gap in hierarchy
+		{"l2=32k/8/64", "want \"l1\""},              // wrong first level
+		{"l1=32k/8/64,llc=8m/16/64", "want \"l2\""}, // gap in hierarchy
 		{"l1=32k/8/64,l2=256k/8/64,llc=8m/16/64,l4=1g/16/64", "exceeds max"},
-		{"l1=0/8/64", "not a multiple"},                      // zero size
-		{"l1=32k/0/64", "associativity"},                     // zero ways
-		{"l1=32k/8/0", "line size"},                          // zero line
-		{"l1=32k/8/48", "power of two"},                      // non-pow2 line
-		{"l1=48k/8/64", "sets"},                              // 96 sets, non-pow2
-		{"l1=32k/8/64,l2=256k/8/128", "line size"},           // mismatched lines
-		{"l1=256k/8/64,l2=32k/8/64", "smaller"},              // shrinking outward
-		{"l1=999999999g/8/64", "overflow"},                   // size overflow
-		{"l1=1g/1/8", "exceeding the cap"},                   // too many lines
-		{"l1=32q/8/64", "size"},                              // bad suffix
-		{"l1=-32k/8/64", "size"},                             // negative
-		{"l1=32k/abc/64", "ways"},                            // non-numeric ways
+		{"l1=0/8/64", "not a multiple"},            // zero size
+		{"l1=32k/0/64", "associativity"},           // zero ways
+		{"l1=32k/8/0", "line size"},                // zero line
+		{"l1=32k/8/48", "power of two"},            // non-pow2 line
+		{"l1=48k/8/64", "sets"},                    // 96 sets, non-pow2
+		{"l1=32k/8/64,l2=256k/8/128", "line size"}, // mismatched lines
+		{"l1=256k/8/64,l2=32k/8/64", "smaller"},    // shrinking outward
+		{"l1=999999999g/8/64", "overflow"},         // size overflow
+		{"l1=1g/1/8", "exceeding the cap"},         // too many lines
+		{"l1=32q/8/64", "size"},                    // bad suffix
+		{"l1=-32k/8/64", "size"},                   // negative
+		{"l1=32k/abc/64", "ways"},                  // non-numeric ways
 	}
 	for _, c := range cases {
 		_, err := memsim.ParseConfig(c.in)

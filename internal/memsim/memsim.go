@@ -67,12 +67,12 @@ const Outside = "(outside)"
 // SlicePoint is one kernel's memory-hierarchy activity within one time
 // slice — the memsim analogue of core.SlicePoint.
 type SlicePoint struct {
-	Slice     uint64             // slice index
-	Accesses  uint64             // line-granular cache accesses
-	Hits      [MaxLevels]uint64  // demand hits per level
-	Misses    [MaxLevels]uint64  // demand misses per level
-	FillBytes uint64             // bytes filled from DRAM
-	WBBytes   uint64             // dirty bytes written back to DRAM
+	Slice     uint64            // slice index
+	Accesses  uint64            // line-granular cache accesses
+	Hits      [MaxLevels]uint64 // demand hits per level
+	Misses    [MaxLevels]uint64 // demand misses per level
+	FillBytes uint64            // bytes filled from DRAM
+	WBBytes   uint64            // dirty bytes written back to DRAM
 }
 
 // OffChip returns the slice's effective off-chip traffic in bytes.

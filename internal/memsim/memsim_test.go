@@ -21,14 +21,14 @@ type fakeHost struct {
 	instr    []pin.InstrumentFunc
 }
 
-func (h *fakeHost) InitSymbols()                                     {}
-func (h *fakeHost) INSAddInstrumentFunction(fn pin.InstrumentFunc)   { h.instr = append(h.instr, fn) }
-func (h *fakeHost) RTNFindByAddress(pc uint64) (*pin.RTN, bool)      { return nil, false }
-func (h *fakeHost) ICount() uint64                                   { return h.ic }
-func (h *fakeHost) Time() uint64                                     { return h.ic + h.overhead }
-func (h *fakeHost) CurrentPC() uint64                                { return 0 }
-func (h *fakeHost) ChargeOverhead(n uint64)                          { h.overhead += n }
-func (h *fakeHost) IsStackAddr(addr, sp uint64) bool                 { return false }
+func (h *fakeHost) InitSymbols()                                   {}
+func (h *fakeHost) INSAddInstrumentFunction(fn pin.InstrumentFunc) { h.instr = append(h.instr, fn) }
+func (h *fakeHost) RTNFindByAddress(pc uint64) (*pin.RTN, bool)    { return nil, false }
+func (h *fakeHost) ICount() uint64                                 { return h.ic }
+func (h *fakeHost) Time() uint64                                   { return h.ic + h.overhead }
+func (h *fakeHost) CurrentPC() uint64                              { return 0 }
+func (h *fakeHost) ChargeOverhead(n uint64)                        { h.overhead += n }
+func (h *fakeHost) IsStackAddr(addr, sp uint64) bool               { return false }
 
 // tiny returns a 2-set, 2-way, 64B-line single-level hierarchy.
 func tiny(t testing.TB) (*Tool, *fakeHost) {
@@ -51,7 +51,7 @@ func mctx(addr uint64, size int) *pin.Context {
 
 func TestLevelLRUEviction(t *testing.T) {
 	tool, _ := tiny(t)
-	rd := func(la uint64) { tool.access(mctx(la << 6, 8), false) }
+	rd := func(la uint64) { tool.access(mctx(la<<6, 8), false) }
 
 	// Lines 0, 2, 4 map to set 0 (even line addresses, setMask=1).
 	rd(0) // miss, fill
@@ -75,13 +75,13 @@ func TestLevelLRUEviction(t *testing.T) {
 
 func TestWritebackOnDirtyEviction(t *testing.T) {
 	tool, _ := tiny(t)
-	wr := func(la uint64) { tool.access(mctx(la << 6, 8), true) }
-	rd := func(la uint64) { tool.access(mctx(la << 6, 8), false) }
+	wr := func(la uint64) { tool.access(mctx(la<<6, 8), true) }
+	rd := func(la uint64) { tool.access(mctx(la<<6, 8), false) }
 
-	wr(0)       // fill + dirty
-	rd(2)       // fill clean — set 0 {2, 0}
-	rd(4)       // evicts dirty line 0 -> DRAM write-back
-	rd(6)       // evicts clean line 2 -> no write-back
+	wr(0) // fill + dirty
+	rd(2) // fill clean — set 0 {2, 0}
+	rd(4) // evicts dirty line 0 -> DRAM write-back
+	rd(6) // evicts clean line 2 -> no write-back
 	if tool.dram.Writebacks != 1 {
 		t.Errorf("dram writebacks=%d, want 1 (only the dirty victim)", tool.dram.Writebacks)
 	}
@@ -107,7 +107,7 @@ func TestWritebackAbsorbedByOuterLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr := func(la uint64) { tool.access(mctx(la << 6, 8), true) }
+	wr := func(la uint64) { tool.access(mctx(la<<6, 8), true) }
 	wr(0) // L1+L2 fill, L1 dirty
 	wr(1) // evicts dirty line 0 from L1; L2 holds it -> absorbed
 	if tool.dram.Writebacks != 0 {
@@ -128,7 +128,7 @@ func TestWritebackAbsorbedByOuterLevel(t *testing.T) {
 func TestStraddlingAccessTouchesTwoLines(t *testing.T) {
 	tool, _ := tiny(t)
 	// 8 bytes starting 4 bytes before a line boundary.
-	tool.access(mctx(64 - 4, 8), false)
+	tool.access(mctx(64-4, 8), false)
 	lv := &tool.levels[0]
 	if lv.Hits+lv.Misses != 2 {
 		t.Errorf("line accesses=%d, want 2 for a straddling access", lv.Hits+lv.Misses)
@@ -173,7 +173,7 @@ func TestRowBufferHits(t *testing.T) {
 	if tool.dram.RowHits != 1 {
 		t.Errorf("row hits=%d, want 1", tool.dram.RowHits)
 	}
-	tool.access(mctx(64 * 2048, 8), false)
+	tool.access(mctx(64*2048, 8), false)
 	if tool.dram.RowMisses != 2 {
 		t.Errorf("row misses=%d, want 2 (first touch + far row)", tool.dram.RowMisses)
 	}
@@ -183,7 +183,7 @@ func TestSliceRotation(t *testing.T) {
 	h := &fakeHost{}
 	tool, err := Attach(h, Options{
 		SliceInterval: 100,
-		Config: Config{Levels: []LevelConfig{{Name: "l1", Size: 4 * 2 * 64, Ways: 2, LineSize: 64}}},
+		Config:        Config{Levels: []LevelConfig{{Name: "l1", Size: 4 * 2 * 64, Ways: 2, LineSize: 64}}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -41,9 +41,11 @@ type Options struct {
 	CostPrefetch uint64 // immediate return on prefetch detection
 }
 
-// Default analysis costs (instruction-equivalents per access).  The trace
-// path walks shadow memory per byte and updates three structures; the
-// skip path is a bounds check.
+// Default analysis costs (instruction-equivalents per access).  They
+// model the paper's Pin tool, whose trace path walks shadow memory per
+// byte and updates three structures, and whose skip path is a bounds
+// check; they are not a measurement of this implementation, which walks
+// shadow memory a page span at a time.
 const (
 	DefaultCostTrace    = 30
 	DefaultCostSkip     = 3
@@ -79,11 +81,26 @@ type Tool struct {
 	owners  *shadow.Owners
 	kernels []*kernelData // index = kernel id (0 unused)
 	ids     map[string]uint16
+	// lastName/lastID memoise kernelID's most recent lookup, turning the
+	// per-access string-map lookup into a compare.  lastName is "" until
+	// the first lookup; "" is never a kernel name (anonymous routines get
+	// sub_%x names).
+	lastName string
+	lastID   uint16
 
-	// bindings[producer][consumer] = bytes, producer 0 meaning the byte
-	// had no tracked producer (e.g. data placed by the simulated OS).
-	bindings map[uint16]map[uint16]uint64
+	// bindings[{producer, consumer}] = bytes, producer 0 meaning the
+	// byte had no tracked producer (e.g. data placed by the simulated
+	// OS).  It holds only the pairs that bind: a guest may have
+	// thousands of routines.  lastPair/lastBytes memoise the most recent
+	// pair's counter; the zero lastPair matches no real pair, because
+	// consumer ids start at 1.
+	bindings  map[pair]*uint64
+	lastPair  pair
+	lastBytes *uint64
 }
+
+// pair is one producer→consumer edge of the QDU graph, by kernel id.
+type pair struct{ producer, consumer uint16 }
 
 // Attach wires a QUAD tool onto the host — a live pin.Engine or a trace
 // replayer.  Call before running the machine (or the replay).
@@ -95,7 +112,7 @@ func Attach(h pin.Host, opts Options) *Tool {
 		owners:   shadow.NewOwners(),
 		kernels:  []*kernelData{nil}, // id 0 reserved
 		ids:      make(map[string]uint16),
-		bindings: make(map[uint16]map[uint16]uint64),
+		bindings: make(map[pair]*uint64),
 	}
 	h.InitSymbols()
 	t.stack = callstack.New(func(target uint64) (string, bool, bool) {
@@ -112,16 +129,20 @@ func Attach(h pin.Host, opts Options) *Tool {
 
 // kernelID interns a kernel name.
 func (t *Tool) kernelID(name string) uint16 {
-	if id, ok := t.ids[name]; ok {
-		return id
+	if name == t.lastName && name != "" {
+		return t.lastID
 	}
-	id := uint16(len(t.kernels))
-	t.ids[name] = id
-	t.kernels = append(t.kernels, &kernelData{
-		name:     name,
-		readSet:  shadow.NewAddrSet(),
-		writeSet: shadow.NewAddrSet(),
-	})
+	id, ok := t.ids[name]
+	if !ok {
+		id = uint16(len(t.kernels))
+		t.ids[name] = id
+		t.kernels = append(t.kernels, &kernelData{
+			name:     name,
+			readSet:  shadow.NewAddrSet(),
+			writeSet: shadow.NewAddrSet(),
+		})
+	}
+	t.lastName, t.lastID = name, id
 	return id
 }
 
@@ -198,17 +219,40 @@ func (t *Tool) read(ctx *pin.Context, isStack bool) {
 	h.ChargeOverhead(t.opts.CostTrace)
 	k := t.kernels[me]
 	k.inBytes += uint64(ctx.Size)
-	for i := 0; i < ctx.Size; i++ {
-		a := ctx.Addr + uint64(i)
-		k.readSet.Add(a)
-		prod := t.owners.Owner(a)
-		bm := t.bindings[prod]
-		if bm == nil {
-			bm = make(map[uint16]uint64)
-			t.bindings[prod] = bm
+	k.readSet.AddRange(ctx.Addr, ctx.Size)
+	// Walk the producers page span by page span, charging each run of
+	// equally-owned bytes to its binding once.
+	for addr, size := ctx.Addr, ctx.Size; size > 0; {
+		owners, n := t.owners.Span(addr, size)
+		if owners == nil {
+			t.bind(shadow.NoOwner, me, uint64(n))
+		} else {
+			run := 0
+			for i := 1; i < n; i++ {
+				if owners[i] != owners[run] {
+					t.bind(owners[run], me, uint64(i-run))
+					run = i
+				}
+			}
+			t.bind(owners[run], me, uint64(n-run))
 		}
-		bm[me]++
+		addr += uint64(n)
+		size -= n
 	}
+}
+
+// bind charges bytes consumed by consumer to the producer→consumer edge.
+func (t *Tool) bind(producer, consumer uint16, bytes uint64) {
+	p := pair{producer, consumer}
+	if p != t.lastPair {
+		c := t.bindings[p]
+		if c == nil {
+			c = new(uint64)
+			t.bindings[p] = c
+		}
+		t.lastPair, t.lastBytes = p, c
+	}
+	*t.lastBytes += bytes
 }
 
 func (t *Tool) write(ctx *pin.Context, isStack bool) {
@@ -254,21 +298,17 @@ type Report struct {
 func (t *Tool) Report() *Report {
 	out := make(map[uint16]uint64) // producer -> total bytes consumed by anyone
 	var bindings []Binding
-	for prod, consumers := range t.bindings {
-		for cons, bytes := range consumers {
-			if prod != shadow.NoOwner {
-				out[prod] += bytes
-			}
-			pname := ""
-			if prod != shadow.NoOwner {
-				pname = t.kernels[prod].name
-			}
-			bindings = append(bindings, Binding{
-				Producer: pname,
-				Consumer: t.kernels[cons].name,
-				Bytes:    bytes,
-			})
+	for p, bytes := range t.bindings {
+		pname := ""
+		if p.producer != shadow.NoOwner {
+			out[p.producer] += *bytes
+			pname = t.kernels[p.producer].name
 		}
+		bindings = append(bindings, Binding{
+			Producer: pname,
+			Consumer: t.kernels[p.consumer].name,
+			Bytes:    *bytes,
+		})
 	}
 	var rows []KernelStats
 	for id := 1; id < len(t.kernels); id++ {

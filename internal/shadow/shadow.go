@@ -5,9 +5,12 @@
 //
 // Both structures are sparse and paged (4 KiB granules mirroring the guest
 // memory layout), so the cost is proportional to the bytes the workload
-// actually touches.  An alternative map-per-address representation is kept
-// in this package for the ablation benchmark.
+// actually touches.  Both remember the last page they looked up, and
+// their range operations work a page span at a time, so an access that
+// stays on the page before it costs no map lookup at all.
 package shadow
+
+import "math/bits"
 
 // PageBits / PageSize match the guest memory page geometry.
 const (
@@ -16,111 +19,130 @@ const (
 	offMask  = PageSize - 1
 )
 
+// noPage is a page index no address maps to (addr>>PageBits < 1<<52):
+// the empty value of the last-page memos.
+const noPage = ^uint64(0)
+
 // NoOwner marks a byte that no tracked kernel has written yet.
 const NoOwner uint16 = 0
+
+// pageSpan splits [addr, addr+size) at addr's page boundary: it returns
+// addr's page index, addr's offset in that page and the number of the
+// range's bytes that lie in it.
+func pageSpan(addr uint64, size int) (idx uint64, off, n int) {
+	off = int(addr & offMask)
+	return addr >> PageBits, off, min(size, PageSize-off)
+}
 
 // Owners maps every guest byte to the id of the kernel that last wrote
 // it.  Ids are small integers assigned by the tool (0 is reserved for
 // "unknown").
 type Owners struct {
 	pages map[uint64]*[PageSize]uint16
+	// lastIdx/lastPage memoise the most recent page lookup, a nil
+	// lastPage included: materialise keeps them current when it creates
+	// a page.
+	lastIdx  uint64
+	lastPage *[PageSize]uint16
 }
 
 // NewOwners returns an empty last-writer map.
 func NewOwners() *Owners {
-	return &Owners{pages: make(map[uint64]*[PageSize]uint16)}
+	return &Owners{pages: make(map[uint64]*[PageSize]uint16), lastIdx: noPage}
+}
+
+// lookup returns page idx, or nil when it is not materialised.
+func (o *Owners) lookup(idx uint64) *[PageSize]uint16 {
+	if idx != o.lastIdx {
+		o.lastIdx, o.lastPage = idx, o.pages[idx]
+	}
+	return o.lastPage
+}
+
+// materialise returns page idx, creating it if needed.
+func (o *Owners) materialise(idx uint64) *[PageSize]uint16 {
+	p := o.lookup(idx)
+	if p == nil {
+		p = new([PageSize]uint16)
+		o.pages[idx] = p
+		o.lastPage = p
+	}
+	return p
 }
 
 // SetRange records owner as the producer of [addr, addr+size).
 func (o *Owners) SetRange(addr uint64, size int, owner uint16) {
-	for i := 0; i < size; i++ {
-		a := addr + uint64(i)
-		idx := a >> PageBits
-		p := o.pages[idx]
-		if p == nil {
-			p = new([PageSize]uint16)
-			o.pages[idx] = p
+	for size > 0 {
+		idx, off, n := pageSpan(addr, size)
+		span := o.materialise(idx)[off : off+n]
+		for i := range span {
+			span[i] = owner
 		}
-		p[a&offMask] = owner
+		addr += uint64(n)
+		size -= n
 	}
 }
 
-// Owner returns the producer of the byte at addr.
-func (o *Owners) Owner(addr uint64) uint16 {
-	if p := o.pages[addr>>PageBits]; p != nil {
-		return p[addr&offMask]
+// Span returns the producers of the leading bytes of [addr, addr+size)
+// that share addr's page, and how many bytes that is (n, at least 1 for
+// a positive size).  owners is nil when no byte of that page was ever
+// written: all n bytes are NoOwner.  Callers walk a range page by page,
+// advancing addr by n.
+func (o *Owners) Span(addr uint64, size int) (owners []uint16, n int) {
+	idx, off, n := pageSpan(addr, size)
+	if p := o.lookup(idx); p != nil {
+		return p[off : off+n], n
 	}
-	return NoOwner
+	return nil, n
 }
 
-// PageCount returns the number of shadow pages materialised.
-func (o *Owners) PageCount() int { return len(o.pages) }
-
-// AddrSet is a sparse set of guest addresses with O(1) membership and an
-// incrementally maintained cardinality: the UnMA counters of the paper.
+// AddrSet is a sparse set of guest addresses with an incrementally
+// maintained cardinality: the UnMA counters of the paper.
 type AddrSet struct {
 	pages map[uint64]*[PageSize / 8]byte
 	count uint64
+	// lastIdx/lastPage memoise the most recent page lookup.
+	lastIdx  uint64
+	lastPage *[PageSize / 8]byte
 }
 
 // NewAddrSet returns an empty set.
 func NewAddrSet() *AddrSet {
-	return &AddrSet{pages: make(map[uint64]*[PageSize / 8]byte)}
+	return &AddrSet{pages: make(map[uint64]*[PageSize / 8]byte), lastIdx: noPage}
 }
 
-// Add inserts addr, reporting whether it was newly added.
-func (s *AddrSet) Add(addr uint64) bool {
-	idx := addr >> PageBits
-	p := s.pages[idx]
-	if p == nil {
-		p = new([PageSize / 8]byte)
-		s.pages[idx] = p
+// materialise returns the bitmap of page idx, creating it if needed.
+func (s *AddrSet) materialise(idx uint64) *[PageSize / 8]byte {
+	if idx != s.lastIdx {
+		p := s.pages[idx]
+		if p == nil {
+			p = new([PageSize / 8]byte)
+			s.pages[idx] = p
+		}
+		s.lastIdx, s.lastPage = idx, p
 	}
-	off := addr & offMask
-	mask := byte(1) << (off & 7)
-	if p[off>>3]&mask != 0 {
-		return false
-	}
-	p[off>>3] |= mask
-	s.count++
-	return true
+	return s.lastPage
 }
 
-// AddRange inserts [addr, addr+size).
+// AddRange inserts [addr, addr+size).  It sets the page bitmap a byte
+// (eight addresses) at a time and counts only the bits that were clear.
 func (s *AddrSet) AddRange(addr uint64, size int) {
-	for i := 0; i < size; i++ {
-		s.Add(addr + uint64(i))
+	for size > 0 {
+		idx, off, n := pageSpan(addr, size)
+		p := s.materialise(idx)
+		for end := off + n; off < end; {
+			bit := off & 7
+			k := min(8-bit, end-off)
+			mask := byte((1<<k - 1) << bit)
+			b := &p[off>>3]
+			s.count += uint64(bits.OnesCount8(mask &^ *b))
+			*b |= mask
+			off += k
+		}
+		addr += uint64(n)
+		size -= n
 	}
-}
-
-// Contains reports set membership.
-func (s *AddrSet) Contains(addr uint64) bool {
-	p := s.pages[addr>>PageBits]
-	if p == nil {
-		return false
-	}
-	off := addr & offMask
-	return p[off>>3]&(byte(1)<<(off&7)) != 0
 }
 
 // Count returns the set cardinality (the UnMA figure).
 func (s *AddrSet) Count() uint64 { return s.count }
-
-// MapOwners is the naive map[addr]owner representation, retained for the
-// paged-vs-map ablation benchmark (BenchmarkAblation_ShadowPagedVsMap).
-type MapOwners struct {
-	m map[uint64]uint16
-}
-
-// NewMapOwners returns an empty map-based last-writer table.
-func NewMapOwners() *MapOwners { return &MapOwners{m: make(map[uint64]uint16)} }
-
-// SetRange records owner as the producer of [addr, addr+size).
-func (o *MapOwners) SetRange(addr uint64, size int, owner uint16) {
-	for i := 0; i < size; i++ {
-		o.m[addr+uint64(i)] = owner
-	}
-}
-
-// Owner returns the producer of the byte at addr.
-func (o *MapOwners) Owner(addr uint64) uint16 { return o.m[addr] }

@@ -14,7 +14,7 @@ import (
 func TestOwnersAgainstReferenceMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	paged := shadow.NewOwners()
-	ref := shadow.NewMapOwners()
+	ref := newMapOwners()
 	base := uint64(0x10000) - 64 // straddle a page boundary
 	for i := 0; i < 30000; i++ {
 		addr := base + uint64(rng.Intn(3*shadow.PageSize))

@@ -32,11 +32,11 @@ const maxBlockLen = 256
 // BlockStats counts the block engine's activity: compile work, cache
 // effectiveness and how much execution took the sealed fast path.
 type BlockStats struct {
-	Compiled  uint64 // blocks decoded into the block cache
-	Sealed    uint64 // blocks promoted to the pre-decoded fast path
-	Entries   uint64 // block executions started (cache hits = Entries - Compiled)
-	FastRuns  uint64 // executions through the sealed fast path
-	StepRuns  uint64 // executions through the Step-based warming path
+	Compiled      uint64 // blocks decoded into the block cache
+	Sealed        uint64 // blocks promoted to the pre-decoded fast path
+	Entries       uint64 // block executions started (cache hits = Entries - Compiled)
+	FastRuns      uint64 // executions through the sealed fast path
+	StepRuns      uint64 // executions through the Step-based warming path
 	Invalidations uint64 // whole-cache flushes (LoadImage/Reset/SetProbe)
 }
 

@@ -127,8 +127,8 @@ func TestBlockStatsCounters(t *testing.T) {
 	// A loop: 10 iterations of (addi, bne), then halt.
 	prog := asm([]isa.Instr{
 		{Op: isa.OpLdi, Rd: 2, Imm: 10},
-		{Op: isa.OpAddi, Rd: 1, Rs1: 1, Imm: 1},             // loop head
-		{Op: isa.OpBne, Rs1: 1, Rs2: 2, Imm: -2},            // back to addi
+		{Op: isa.OpAddi, Rd: 1, Rs1: 1, Imm: 1},  // loop head
+		{Op: isa.OpBne, Rs1: 1, Rs2: 2, Imm: -2}, // back to addi
 		{Op: isa.OpHalt, Rs1: 1},
 	})
 	m := vm.New()
