@@ -82,9 +82,12 @@ bench-test:
 # The analysis-daemon gate: end-to-end HTTP submit → succeeded → artifact
 # byte-identity against cmd/tquad's golden sweep, plus the kill/resume
 # durability contract (SIGKILL-equivalent teardown, restart, zero guest
-# re-execution, identical artifacts).
+# re-execution, identical artifacts), and the `tquad daemon` process
+# itself (its printed URL, /metrics, /debug/pprof/, a job to success,
+# SIGTERM drain and exit 0).
 jobd-smoke:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestDaemonServiceSmoke|TestChaosDaemonKillResume' -v .
+	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestDaemonCommand' -v ./cmd/tquad
 	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/jobd/...
 
 # One-shot pre-merge gate: build, vet, the gofmt check, the full test

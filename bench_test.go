@@ -3,7 +3,7 @@
 // called out in DESIGN.md.  Each benchmark runs the full case-study
 // configuration (wfs.Study: one primary source, thirty-two speakers) and
 // reports the headline quantities as custom metrics; run with -v to see
-// the rendered tables, and see cmd/wfsstudy + EXPERIMENTS.md for the
+// the rendered tables, and see `tquad study` + EXPERIMENTS.md for the
 // complete output.
 package repro_test
 
@@ -327,7 +327,11 @@ func benchServeRun(b *testing.B, serveOn bool) {
 				Registry:    o.Registry(),
 				StallWindow: time.Second,
 			})
-			srv, err := live.Serve("127.0.0.1:0", live.Options{Registry: o.Registry(), Tracker: tracker})
+			progress, err := live.Progress(live.Options{Tracker: tracker})
+			if err != nil {
+				b.Fatalf("progress: %v", err)
+			}
+			srv, err := live.Serve("127.0.0.1:0", o.Registry(), progress)
 			if err != nil {
 				b.Fatalf("serve: %v", err)
 			}

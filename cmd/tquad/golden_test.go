@@ -5,7 +5,7 @@ package main
 // testdata/, and a cache sweep must render identically at any -jobs.
 // The tests re-exec the test binary with TQUAD_BE_TOOL set, which makes
 // TestMain dispatch straight into main() — a real process-level run,
-// flag parsing and exit codes included, with no flag-redefinition games.
+// flag parsing, subcommand dispatch and exit codes included.
 
 import (
 	"bytes"
@@ -23,22 +23,36 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// runSelf re-executes this test binary as the tquad command and returns
-// its stdout.
-func runSelf(t *testing.T, args ...string) string {
-	t.Helper()
+// selfCommand re-executes this test binary as the tquad command with
+// args — a subcommand's name first, for a subcommand.
+func selfCommand(args ...string) *exec.Cmd {
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "TQUAD_BE_TOOL=1")
-	var out, errb bytes.Buffer
-	cmd.Stdout = &out
+	return cmd
+}
+
+// tool runs the tquad command with args and returns its stdout, its
+// stderr and the error from the wait.
+func tool(args ...string) (stdout, stderr []byte, err error) {
+	cmd := selfCommand(args...)
+	var errb bytes.Buffer
 	cmd.Stderr = &errb
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("tquad %v: %v\nstderr:\n%s", args, err, errb.String())
+	stdout, err = cmd.Output()
+	return stdout, errb.Bytes(), err
+}
+
+// runSelf runs the tquad command with args and returns its stdout; a
+// failure or any stderr output fails the test.
+func runSelf(t *testing.T, args ...string) string {
+	t.Helper()
+	out, stderr, err := tool(args...)
+	if err != nil {
+		t.Fatalf("tquad %v: %v\nstderr:\n%s", args, err, stderr)
 	}
-	if errb.Len() != 0 {
-		t.Fatalf("tquad %v wrote to stderr:\n%s", args, errb.String())
+	if len(stderr) != 0 {
+		t.Fatalf("tquad %v wrote to stderr:\n%s", args, stderr)
 	}
-	return out.String()
+	return string(out)
 }
 
 func golden(t *testing.T, name string) string {
@@ -140,14 +154,11 @@ func TestGoldenSweepReplayJobs(t *testing.T) {
 // fails there, naming the sizing run, instead of sizing with the full
 // default budget first.
 func TestSliceSizingHonoursBudget(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-config", "small", "-max-icount", "100000")
-	cmd.Env = append(os.Environ(), "TQUAD_BE_TOOL=1")
-	var errb bytes.Buffer
-	cmd.Stderr = &errb
-	if err := cmd.Run(); err == nil {
+	_, stderr, err := tool("-config", "small", "-max-icount", "100000")
+	if err == nil {
 		t.Fatal("a 100000-instruction budget did not fail the run")
 	}
-	if !strings.Contains(errb.String(), "sizing run") {
-		t.Errorf("error does not name the sizing run:\n%s", errb.String())
+	if !strings.Contains(string(stderr), "sizing run") {
+		t.Errorf("error does not name the sizing run:\n%s", stderr)
 	}
 }

@@ -1,8 +1,17 @@
 // Command tquad runs the tQUAD temporal memory-bandwidth profiler on the
 // WFS case-study workload and prints per-kernel bandwidth series and
 // statistics — the data behind the paper's Figures 6/7 and Table IV.
+// Its subcommands run the rest of the paper's workflow from the same
+// binary, each documented in its own file and under -h:
 //
-// Usage:
+//	tquad study   the whole evaluation: Tables I-IV, Figures 6-7, slowdown
+//	tquad quad    QUAD producer/consumer analysis (Table II)
+//	tquad gprof   gprof-style flat profile (Tables I and III)
+//	tquad phases  execution-phase detection (Table IV)
+//	tquad run     native run verified against the host DSP (-overhead)
+//	tquad daemon  the analysis daemon: sweeps as durable HTTP jobs
+//
+// Usage of the profiler:
 //
 //	tquad [-config small|study] [-slice N[,N...]] [-cache SPEC[;SPEC...]]
 //	      [-jobs N]
@@ -69,23 +78,17 @@ package main
 import (
 	"bufio"
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"os/signal"
 	"strconv"
-	"syscall"
-	"time"
 
 	"tquad/internal/cliutil"
 	"tquad/internal/core"
 	"tquad/internal/etrace"
-	"tquad/internal/memsim"
 	"tquad/internal/obs"
-	"tquad/internal/obs/live"
 	"tquad/internal/pin"
-	"tquad/internal/plot"
 	"tquad/internal/report"
 	"tquad/internal/study"
 	"tquad/internal/trace"
@@ -93,75 +96,73 @@ import (
 	"tquad/internal/wfs"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("tquad: ")
-	var (
-		config     = flag.String("config", "small", "workload configuration: small or study")
-		slice      = flag.String("slice", "0", "time slice interval(s) in instructions, comma-separated (0 = ~64 slices); more than one runs a parallel sweep")
-		cache      = flag.String("cache", "", "simulate a cache hierarchy, e.g. l1=32k/8/64,l2=256k/8/64,llc=8m/16/64; semicolon-separated list sweeps hierarchies off one recorded execution")
-		jobs       = flag.Int("jobs", 0, "maximum concurrently executing runs in a -slice sweep (0 = GOMAXPROCS)")
-		stack      = flag.String("stack", "include", "stack-area accesses: include or exclude")
-		ignoreLibs = flag.Bool("ignore-libs", false, "exclude OS/library routine bandwidth")
-		metric     = flag.String("metric", "reads", "plotted metric: reads, writes or both")
-		kernels    = flag.String("kernels", "top", "kernel set: top (ten), last (ten) or all")
-		width      = flag.Int("width", 64, "chart width in characters")
-		csv        = flag.Bool("csv", false, "emit raw per-slice CSV instead of charts")
-		jsonFile   = flag.String("json", "", "also write the full profile as JSON to this file")
-		svgFile    = flag.String("svg", "", "render the bandwidth heatmap (the paper's figure) as SVG to this file")
-		metricsOut = flag.String("metrics", "", "write a Prometheus text-format metrics snapshot to this file")
-		traceOut   = flag.String("trace", "", "write a chrome://tracing JSON trace of the pipeline stages to this file")
-		journalOut = flag.String("journal", "", "write a JSONL event journal (spans + metrics) to this file")
-		recordOut  = flag.String("record", "", "record the guest event stream to this file (single-interval live run)")
-		replayIn   = flag.String("replay", "", "replay a recorded event stream instead of executing the guest")
-		salvage    = flag.Bool("salvage", false, "with -replay: replay around damaged chunks and report the gap")
-		replayJobs = flag.Int("replay-jobs", 1, "trace-decode workers for -replay and sweep replays: 1 = inline decode, 0 = GOMAXPROCS")
-		timeout    = flag.Duration("timeout", 0, "wall-clock deadline for the whole invocation (0 = none)")
-		maxICount  = flag.Uint64("max-icount", 0, "guest instruction budget per run (0 = default)")
-		retries    = flag.Int("retries", 0, "sweep only: retries per run after transient failures")
-		resume     = flag.String("resume", "", "sweep only: checkpoint journal directory for resumable sweeps")
-		engine     = flag.String("engine", "block", "execution engine: block (pre-decoded basic blocks) or step (reference interpreter)")
-		serveAddr  = flag.String("serve", "", "serve live telemetry (progress page, /metrics, /events, pprof) on this address, e.g. :8080")
-		stallWin   = flag.Duration("stall-window", 10*time.Second, "with -serve: flag a run as stalled after this long without a heartbeat (0 = never)")
-	)
-	flag.Parse()
+// subcommands maps each subcommand's name to its entry point, which
+// parses the arguments that follow the name.
+var subcommands = map[string]func(args []string){
+	"study":  studyMain,
+	"quad":   quadMain,
+	"gprof":  gprofMain,
+	"phases": phasesMain,
+	"run":    runMain,
+	"daemon": daemonMain,
+}
 
-	cfg, err := wfs.ConfigByName(*config)
-	if err != nil {
-		log.Fatal(err)
+func main() {
+	if len(os.Args) > 1 {
+		if sub, ok := subcommands[os.Args[1]]; ok {
+			sub(os.Args[2:])
+			return
+		}
 	}
+	profileMain(os.Args[1:])
+}
+
+// profileMain is bare `tquad`: the profiler.
+func profileMain(args []string) {
+	fs := command("tquad")
+	var rf runFlags
+	rf.register(fs)
+	var (
+		config     = fs.String("config", "small", "workload configuration: small or study")
+		slice      = fs.String("slice", "0", "time slice interval(s) in instructions, comma-separated (0 = ~64 slices); more than one runs a parallel sweep")
+		cache      = fs.String("cache", "", "simulate a cache hierarchy, e.g. l1=32k/8/64,l2=256k/8/64,llc=8m/16/64; semicolon-separated list sweeps hierarchies off one recorded execution")
+		stack      = fs.String("stack", "include", "stack-area accesses: include or exclude")
+		ignoreLibs = fs.Bool("ignore-libs", false, "exclude OS/library routine bandwidth")
+		metric     = fs.String("metric", "reads", "plotted metric: reads, writes or both")
+		kernels    = fs.String("kernels", "top", "kernel set: top (ten), last (ten) or all")
+		width      = fs.Int("width", 64, "chart width in characters")
+		csv        = fs.Bool("csv", false, "emit raw per-slice CSV instead of charts")
+		jsonFile   = fs.String("json", "", "also write the full profile as JSON to this file")
+		svgFile    = fs.String("svg", "", "render the bandwidth heatmap (the paper's figure) as SVG to this file")
+		recordOut  = fs.String("record", "", "record the guest event stream to this file (single-interval live run)")
+		replayIn   = fs.String("replay", "", "replay a recorded event stream instead of executing the guest")
+		salvage    = fs.Bool("salvage", false, "with -replay: replay around damaged chunks and report the gap")
+		replayJobs = fs.Int("replay-jobs", 1, "trace-decode workers for -replay and sweep replays: 1 = inline decode, 0 = GOMAXPROCS")
+	)
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "Usage: tquad [flags]\n       tquad study|quad|gprof|phases|run|daemon [flags]\n\nProfiler flags:\n")
+		fs.PrintDefaults()
+	}
+	fs.Parse(args)
+
+	cfg := lookupConfig(*config)
 	includeStack := *stack == "include"
 	if *stack != "include" && *stack != "exclude" {
 		log.Fatalf("bad -stack %q", *stack)
 	}
-	if *jobs < 0 {
-		log.Fatalf("bad -jobs %d: must be >= 0", *jobs)
-	}
 	if *replayJobs < 0 {
 		log.Fatalf("bad -replay-jobs %d: must be >= 0", *replayJobs)
 	}
-	if *retries < 0 {
-		log.Fatalf("bad -retries %d: must be >= 0", *retries)
-	}
-	if *engine != "block" && *engine != "step" {
-		log.Fatalf("bad -engine %q: must be block or step", *engine)
-	}
-	interpret := *engine == "step"
 	if *recordOut != "" && *replayIn != "" {
 		log.Fatal("-record and -replay are mutually exclusive")
 	}
 	if *salvage && *replayIn == "" {
 		log.Fatal("-salvage applies to -replay only")
 	}
-	if *serveAddr != "" && *replayIn != "" {
+	if rf.serveAddr != "" && *replayIn != "" {
 		log.Fatal("-serve applies to live runs and sweeps only, not -replay")
 	}
-	// Every output path is probed before any guest work: a typo'd export
-	// flag fails in milliseconds, not after the run.
-	if err := cliutil.EnsureWritableAll(
-		"-json", *jsonFile, "-svg", *svgFile, "-metrics", *metricsOut,
-		"-trace", *traceOut, "-journal", *journalOut, "-record", *recordOut,
-	); err != nil {
+	if err := rf.check("-json", *jsonFile, "-svg", *svgFile, "-record", *recordOut); err != nil {
 		log.Fatal(err)
 	}
 	intervals, err := parseSlices(*slice)
@@ -177,71 +178,35 @@ func main() {
 	// intervals, several cache hierarchies, or both (the cross product).
 	sweep := len(intervals) > 1 || len(caches) > 1
 	if sweep {
-		if *csv || *jsonFile != "" || *svgFile != "" || *metricsOut != "" || *traceOut != "" || *journalOut != "" {
+		if *csv || *jsonFile != "" || *svgFile != "" || rf.exports() {
 			log.Fatal("-csv, -json, -svg, -metrics, -trace and -journal apply to single runs only")
 		}
 		if *recordOut != "" {
 			log.Fatal("-record applies to single runs only")
 		}
-	} else if *retries != 0 || *resume != "" {
+	} else if rf.retries != 0 || rf.resume != "" {
 		log.Fatal("-retries and -resume apply to sweeps only")
 	}
 
-	// SIGINT/SIGTERM (and -timeout) cancel the run context: the guest
-	// stops at its next basic block, partial outputs are removed, and
-	// the process exits non-zero instead of dying mid-write.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	budget := *maxICount
+	ctx, cancel := signalContext(rf.timeout)
+	defer cancel()
+	budget := rf.maxICount
 	if budget == 0 {
 		budget = wfs.MaxInstr
 	}
-
-	// The live telemetry server, its run tracker and the shared metrics
-	// registry exist only under -serve; everywhere else the sink stays
-	// nil and the hot path runs exactly as before.
-	var (
-		liveObs *obs.Observer
-		tracker *live.Tracker
-		chart   *live.ChartData
-	)
-	if *serveAddr != "" {
-		liveObs = obs.NewObserver()
-		chart = live.NewChartData("effective bandwidth of completed runs", "B/instr")
-		tracker = live.NewTracker(live.TrackerOptions{Registry: liveObs.Registry(), StallWindow: *stallWin})
-		defer tracker.Close()
-		srv, err := live.Serve(*serveAddr, live.Options{
-			Registry: liveObs.Registry(),
-			Tracker:  tracker,
-			Chart:    chart.SVG,
-			Title:    "tquad " + *config,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		// The bound address goes to stdout: with -serve :0 the kernel picks
-		// the port, and scripts (and the daemon's tests) read it from here.
-		fmt.Printf("live telemetry at %s\n", srv.URL())
-	}
+	o := rf.observer()
+	tel := rf.serve(o, "tquad "+*config)
+	defer tel.close()
 
 	out := &output{
 		RenderOptions: study.RenderOptions{Metric: *metric, Kernels: *kernels, Width: *width, IncludeStack: includeStack},
-		stack:         *stack,
 		csv:           *csv,
 		jsonFile:      *jsonFile,
 		svgFile:       *svgFile,
-		metricsOut:    *metricsOut,
-		traceOut:      *traceOut,
-		journalOut:    *journalOut,
+		rf:            &rf,
 	}
 	if *replayIn != "" {
-		err := runReplay(ctx, *replayIn, &replayOpts{
+		err := runReplay(ctx, *replayIn, o, &replayOpts{
 			output:     out,
 			intervals:  intervals,
 			caches:     caches,
@@ -256,36 +221,23 @@ func main() {
 	}
 
 	if sweep {
-		sup := supervision{
-			ctx: ctx, retries: *retries, resume: *resume, budget: budget,
-			interpret: interpret, replayJobs: *replayJobs,
-			obs: liveObs, events: tracker, chart: chart,
-		}
-		if err := runSweep(cfg, intervals, caches, includeStack, *ignoreLibs, *jobs, *metric, *kernels, *width, sup); err != nil {
+		if err := runSweep(ctx, cfg, &rf, o, tel, intervals, caches, *ignoreLibs, *replayJobs, out.RenderOptions); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
-	// The observer stays nil (zero-cost) unless an export was requested
-	// or the telemetry server needs a registry to publish into.
-	o := liveObs
-	if o == nil && out.exports() {
-		o = obs.NewObserver()
-	}
 	run := o.Tracer().Start("run")
-
 	w, err := wfs.NewWorkloadObserved(cfg, o.Tracer())
 	if err != nil {
 		log.Fatal(err)
 	}
-	w.Interpret = interpret
+	w.Interpret = rf.engine == "step"
 	rc := study.RunConfig{Kind: study.RunTQUAD, SliceInterval: intervals[0], IncludeStack: includeStack, ExcludeLibs: *ignoreLibs}
 	if rc.SliceInterval == 0 {
 		// Dry-sizing: aim for ~64 slices like the paper's Figure 6, with a
 		// native run under the invocation's deadline and budget.
-		sch := study.NewScheduler(&study.Study{W: w}, 1)
-		sch.SetReplay(false)
+		sch := replayOff(&study.Study{W: w}, 1)
 		sch.SetContext(ctx)
 		sch.SetMaxInstr(budget)
 		rc.SliceInterval, err = sch.SliceForCount(64)
@@ -295,7 +247,7 @@ func main() {
 		}
 	}
 	if len(caches) == 1 {
-		rc.Cache = caches[0].Key()
+		rc.Cache = caches[0]
 	}
 	instrument := o.Tracer().Start("instrument")
 	m, _ := w.NewMachine()
@@ -326,6 +278,7 @@ func main() {
 	// scheduler would: queued/started up front, block-boundary heartbeats
 	// while the guest executes, succeeded/failed at the end.
 	const runKey = "run"
+	tracker := tel.tracker
 	if tracker != nil {
 		tracker.Publish(obs.Event{Type: obs.EventQueued, Key: runKey})
 		tracker.Publish(obs.Event{Type: obs.EventStarted, Key: runKey, Attempt: 1})
@@ -383,7 +336,7 @@ func main() {
 	res := tools.Collect(m.ICount, m.Overhead, o)
 	if tracker != nil {
 		tracker.Publish(obs.Event{Type: obs.EventSucceeded, Key: runKey, ICount: m.ICount})
-		chart.Add(runKey, study.EffectiveBandwidth(res.Temporal))
+		tel.chart.Add(runKey, study.EffectiveBandwidth(res.Temporal))
 	}
 	m.PublishMetrics(o.Registry())
 	e.PublishMetrics(o.Registry())
@@ -404,18 +357,10 @@ func main() {
 // which export files are written.
 type output struct {
 	study.RenderOptions
-	stack      string // the -stack word, for the heatmap title
-	csv        bool
-	jsonFile   string
-	svgFile    string
-	metricsOut string
-	traceOut   string
-	journalOut string
-}
-
-// exports reports whether an observability export was requested.
-func (out *output) exports() bool {
-	return out.metricsOut != "" || out.traceOut != "" || out.journalOut != ""
+	csv      bool
+	jsonFile string
+	svgFile  string
+	rf       *runFlags // the -metrics, -trace and -journal paths
 }
 
 // write prints a single run's report — or its CSV — and writes the
@@ -425,26 +370,12 @@ func (out *output) write(res *study.RunResult, o *obs.Observer, run *obs.Span) e
 	prof := res.Temporal
 	reportSpan := o.Tracer().Start("report")
 	if out.jsonFile != "" {
-		fh, err := os.Create(out.jsonFile)
-		if err != nil {
-			return err
-		}
-		err = trace.SaveTemporal(fh, prof)
-		if cerr := fh.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := writeFile(out.jsonFile, func(w io.Writer) error { return trace.SaveTemporal(w, prof) }); err != nil {
 			return err
 		}
 	}
-	names := study.KernelSet(out.Kernels, prof)
 	if out.svgFile != "" {
-		svg := plot.Heatmap(prof, plot.SortLanesByFirstActivity(prof, names), plot.Options{
-			Title:        fmt.Sprintf("tQUAD %s bandwidth (%s)", out.Metric, out.stack+" stack"),
-			Reads:        out.Metric != "writes",
-			IncludeStack: out.IncludeStack,
-		})
-		if err := os.WriteFile(out.svgFile, []byte(svg), 0o644); err != nil {
+		if err := os.WriteFile(out.svgFile, []byte(study.Heatmap(prof, out.RenderOptions)), 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("heatmap written to %s\n", out.svgFile)
@@ -452,7 +383,7 @@ func (out *output) write(res *study.RunResult, o *obs.Observer, run *obs.Span) e
 	if out.csv {
 		fmt.Printf("tQUAD: %d instructions, %d slices of %d instructions, slowdown %.1fx\n\n",
 			prof.TotalInstr, prof.NumSlices, prof.SliceInterval, float64(res.Time)/float64(prof.TotalInstr))
-		emitCSV(prof, names, out.Metric, out.IncludeStack)
+		emitCSV(prof, study.KernelSet(out.Kernels, prof), out.Metric, out.IncludeStack)
 	} else {
 		study.WriteRunReport(os.Stdout, res, out.RenderOptions)
 	}
@@ -464,30 +395,28 @@ func (out *output) write(res *study.RunResult, o *obs.Observer, run *obs.Span) e
 	if prof.TotalInstr > 0 {
 		o.Metrics.Gauge("tquad_run_slowdown").Set(float64(res.Time) / float64(prof.TotalInstr))
 	}
-	return o.WriteFiles(out.metricsOut, out.traceOut, out.journalOut)
+	return o.WriteFiles(out.rf.metricsOut, out.rf.traceOut, out.rf.journalOut)
 }
 
 // replayOpts carries a -replay invocation's settings.
 type replayOpts struct {
 	*output
 	intervals  []uint64
-	caches     []memsim.Config
-	jobs       int  // decode workers; 1 decodes inline, 0 = GOMAXPROCS
-	salvage    bool // replay around damaged chunks instead of failing
+	caches     []string // canonical hierarchy keys
+	jobs       int      // decode workers; 1 decodes inline, 0 = GOMAXPROCS
+	salvage    bool     // replay around damaged chunks instead of failing
 	ignoreLibs bool
 }
 
 // runReplay profiles a recorded event trace at each requested interval
 // (crossed with each requested cache hierarchy), sequentially — replays
 // are cheap enough that a scheduler would be overkill, and they share no
-// state.
-func runReplay(ctx context.Context, path string, o *replayOpts) error {
-	caches := []string{""}
-	if len(o.caches) > 0 {
-		caches = caches[:0]
-		for _, c := range o.caches {
-			caches = append(caches, c.Key())
-		}
+// state.  ob observes the replay; exports exclude a multi-replay
+// invocation, so it never serves more than one.
+func runReplay(ctx context.Context, path string, ob *obs.Observer, o *replayOpts) error {
+	caches := o.caches
+	if len(caches) == 0 {
+		caches = []string{""}
 	}
 	first := true
 	for _, iv := range o.intervals {
@@ -496,7 +425,7 @@ func runReplay(ctx context.Context, path string, o *replayOpts) error {
 				fmt.Println()
 			}
 			first = false
-			if err := replayOne(ctx, path, iv, cache, o); err != nil {
+			if err := replayOne(ctx, path, iv, cache, ob, o); err != nil {
 				return err
 			}
 		}
@@ -506,11 +435,7 @@ func runReplay(ctx context.Context, path string, o *replayOpts) error {
 
 // replayOne replays the trace once through the tQUAD tool and reports
 // it exactly as the live single run does.
-func replayOne(ctx context.Context, path string, interval uint64, cache string, o *replayOpts) error {
-	var ob *obs.Observer
-	if o.exports() {
-		ob = obs.NewObserver()
-	}
+func replayOne(ctx context.Context, path string, interval uint64, cache string, ob *obs.Observer, o *replayOpts) error {
 	run := ob.Tracer().Start("run")
 	f, err := os.Open(path)
 	if err != nil {
@@ -576,80 +501,21 @@ func replayOne(ctx context.Context, path string, interval uint64, cache string, 
 	return o.write(res, ob, run)
 }
 
-// supervision bundles the sweep's resilience and telemetry settings.
-type supervision struct {
-	ctx        context.Context
-	retries    int
-	resume     string
-	budget     uint64
-	interpret  bool // run guests on the reference interpreter (-engine=step)
-	replayJobs int  // decode workers for batched sweep replays
-
-	// Live telemetry (all nil unless -serve): the observer whose registry
-	// the server exposes, the tracker receiving lifecycle events, and the
-	// chart accumulating completed-run bandwidth.
-	obs    *obs.Observer
-	events *live.Tracker
-	chart  *live.ChartData
-}
-
 // runSweep executes one tQUAD run per interval×hierarchy combination
-// through the parallel scheduler and prints each run's output in sweep
-// order.  In replay mode (the scheduler default) the whole sweep shares
-// one recorded guest execution, however many hierarchies it compares.
-func runSweep(cfg wfs.Config, intervals []uint64, caches []memsim.Config, includeStack, ignoreLibs bool, jobs int, metric, kernels string, width int, sup supervision) error {
-	s, err := study.NewObserved(cfg, sup.obs)
+// through the supervised scheduler and prints each run's output in
+// sweep order.  In replay mode (the scheduler default) the whole sweep
+// shares one recorded guest execution, however many hierarchies it
+// compares.
+func runSweep(ctx context.Context, cfg wfs.Config, rf *runFlags, o *obs.Observer, tel *telemetry, intervals []uint64, caches []string, ignoreLibs bool, replayJobs int, opt study.RenderOptions) error {
+	sch, _, closeSch, err := rf.supervised(ctx, cfg, o, tel, "run")
 	if err != nil {
 		return err
 	}
-	s.W.Interpret = sup.interpret
-	sch := study.NewScheduler(s, jobs)
-	defer sch.Close()
-	sch.SetContext(sup.ctx)
-	sch.SetRetries(sup.retries)
-	sch.SetMaxInstr(sup.budget)
-	sch.SetReplayJobs(sup.replayJobs)
-	if sup.events != nil {
-		sch.SetEvents(sup.events)
-	}
-	if sup.resume != "" {
-		ck, err := study.OpenCheckpoint(sup.resume)
-		if err != nil {
-			return err
-		}
-		defer ck.Close()
-		sch.SetCheckpoint(ck)
-		if done := len(ck.Completed()); done > 0 {
-			log.Printf("resuming: %d run(s) already completed in %s", done, sup.resume)
-		}
-	}
-	resolved := make([]uint64, len(intervals))
-	for i, iv := range intervals {
-		if iv == 0 {
-			if iv, err = sch.SliceForCount(64); err != nil {
-				return err
-			}
-		}
-		resolved[i] = iv
-	}
-	cacheKeys := []string{""}
-	if len(caches) > 0 {
-		cacheKeys = cacheKeys[:0]
-		for _, c := range caches {
-			cacheKeys = append(cacheKeys, c.Key())
-		}
-	}
-	pend := make([]*study.Pending, 0, len(resolved)*len(cacheKeys))
-	for _, iv := range resolved {
-		for _, ck := range cacheKeys {
-			pend = append(pend, sch.Submit(study.RunConfig{
-				Kind:          study.RunTQUAD,
-				SliceInterval: iv,
-				IncludeStack:  includeStack,
-				ExcludeLibs:   ignoreLibs,
-				Cache:         ck,
-			}))
-		}
+	defer closeSch()
+	sch.SetReplayJobs(replayJobs)
+	resolved, pend, err := sch.SubmitSweep(intervals, caches, opt.IncludeStack, ignoreLibs)
+	if err != nil {
+		return err
 	}
 	// Drain the sweep before printing: any failure means a non-zero exit
 	// with no partial output.
@@ -659,18 +525,14 @@ func runSweep(cfg wfs.Config, intervals []uint64, caches []memsim.Config, includ
 		}
 		return fmt.Errorf("%d of %d runs failed", len(errs), len(pend))
 	}
-	results := make([]*study.RunResult, 0, len(pend))
-	for _, p := range pend {
-		res, err := p.Wait()
-		if err != nil {
-			return err
-		}
-		sup.chart.Add(res.Key, study.EffectiveBandwidth(res.Temporal))
-		results = append(results, res)
+	results, err := study.WaitAll(pend...)
+	if err != nil {
+		return err
 	}
-	study.WriteSweepReport(os.Stdout, results, resolved, len(caches) > 1, study.RenderOptions{
-		Metric: metric, Kernels: kernels, Width: width, IncludeStack: includeStack,
-	})
+	for _, res := range results {
+		tel.chart.Add(res.Key, study.EffectiveBandwidth(res.Temporal))
+	}
+	study.WriteSweepReport(os.Stdout, results, resolved, len(caches) > 1, opt)
 	return nil
 }
 
@@ -689,18 +551,6 @@ func parseSlices(s string) ([]uint64, error) {
 			return iv, nil
 		},
 		func(iv uint64) string { return strconv.FormatUint(iv, 10) })
-}
-
-// parseCaches parses the -cache flag: a semicolon-separated list of
-// hierarchy descriptions (levels within one hierarchy are
-// comma-separated, so the list separator must differ).  Hierarchies that
-// canonicalise to the same geometry collapse to one run.  An empty flag
-// leaves the simulator detached.
-func parseCaches(s string) ([]memsim.Config, error) {
-	if s == "" {
-		return nil, nil
-	}
-	return cliutil.ParseList("-cache", s, ";", memsim.ParseConfig, memsim.Config.Key)
 }
 
 func emitCSV(prof *core.Profile, names []string, metric string, includeStack bool) {

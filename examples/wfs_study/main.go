@@ -1,6 +1,6 @@
 // WFS study: drive the library's case-study API end to end on the fast
 // configuration — the programme of the paper's Section V in ~20 lines of
-// client code.  (cmd/wfsstudy renders the full evaluation; this example
+// client code.  (`tquad study` renders the full evaluation; this example
 // shows the API surface an adopter would use.)
 //
 //	go run ./examples/wfs_study

@@ -331,14 +331,20 @@ func (d *Daemon) runJob(id string, rj *runningJob) {
 	if !ok {
 		return
 	}
-	arts, guest, err := d.executeJob(ctx, job, rj.tracker)
+	o := obs.NewObserver()
+	arts, guest, err := d.executeJob(ctx, job, rj.tracker, o)
 	d.guestExecs.Add(guest)
 	d.reg.Counter(MetricGuestExecs).Add(guest)
-
-	switch {
-	case d.killed.Load():
+	if d.killed.Load() {
 		// Crash semantics: this transition dies with the process.
 		return
+	}
+	// The job's scheduler counters (retries, rerecords, failed runs,
+	// trace CRC checks) and run metrics outlive it in the daemon
+	// registry; their label values are bounded, so /metrics cannot grow.
+	d.reg.Merge(o.Registry())
+
+	switch {
 	case err == nil:
 		d.store.markSucceeded(id, arts, guest)
 		d.reg.Counter(MetricJobsSucceeded).Inc()
@@ -369,17 +375,18 @@ func (d *Daemon) publishGauges() {
 	d.reg.Gauge(MetricJobsRunning).Set(float64(r))
 }
 
-// executeJob runs one job's whole sweep through a fresh scheduler with
-// the job's checkpoint journal attached, then renders and stores its
-// artifacts.  Returns the artifact list and how many guest executions
-// the sweep performed (0 when fully resumed from checkpoint).
-func (d *Daemon) executeJob(ctx context.Context, job Job, tracker *live.Tracker) ([]Artifact, uint64, error) {
+// executeJob runs one job's whole sweep through a fresh scheduler,
+// observed by o, with the job's checkpoint journal attached, then
+// renders and stores its artifacts.  Returns the artifact list and how
+// many guest executions the sweep performed (0 when fully resumed from
+// checkpoint).
+func (d *Daemon) executeJob(ctx context.Context, job Job, tracker *live.Tracker, o *obs.Observer) ([]Artifact, uint64, error) {
 	spec := job.Spec
 	cfg, err := wfs.ConfigByName(spec.Config)
 	if err != nil {
 		return nil, 0, err
 	}
-	s, err := study.NewObserved(cfg, obs.NewObserver())
+	s, err := study.NewObserved(cfg, o)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -398,42 +405,23 @@ func (d *Daemon) executeJob(ctx context.Context, job Job, tracker *live.Tracker)
 	defer ck.Close()
 	sch.SetCheckpoint(ck)
 
-	// Resolve the interval grid exactly like cmd/tquad (-slice 0 sizes
-	// for ~64 slices off the native count, itself replayed cheaply).
-	resolved := make([]uint64, len(spec.Slices))
-	for i, iv := range spec.Slices {
-		if iv == 0 {
-			if iv, err = sch.SliceForCount(64); err != nil {
-				return nil, sch.GuestExecutions(), err
-			}
-		}
-		resolved[i] = iv
-	}
-	cacheKeys := []string{""}
-	if len(spec.Caches) > 0 {
-		cacheKeys = spec.Caches
-	}
-	pend := make([]*study.Pending, 0, len(resolved)*len(cacheKeys))
-	for _, iv := range resolved {
-		for _, cacheKey := range cacheKeys {
-			pend = append(pend, sch.Submit(study.RunConfig{
-				Kind:          study.RunTQUAD,
-				SliceInterval: iv,
-				IncludeStack:  spec.includeStack(),
-				ExcludeLibs:   spec.IgnoreLibs,
-				Cache:         cacheKey,
-			}))
-		}
+	// The same sweep grid as cmd/tquad's (-slice 0 sizes for ~64 slices
+	// off the native count, itself replayed cheaply).
+	resolved, pend, err := sch.SubmitSweep(spec.Slices, spec.Caches, spec.includeStack(), spec.IgnoreLibs)
+	if err != nil {
+		return nil, sch.GuestExecutions(), err
 	}
 	// The Table I–IV report rides the same recorded execution: four more
 	// replays plus one fine-sliced profile, no extra guest work.
-	var pFlat, pQuadEx, pQuadIn, pInstr, pPhases *study.Pending
+	var tables []*study.Pending
 	if !spec.SkipTables {
-		pFlat = sch.Submit(study.RunConfig{Kind: study.RunFlat})
-		pQuadEx = sch.Submit(study.RunConfig{Kind: study.RunQUAD, IncludeStack: false})
-		pQuadIn = sch.Submit(study.RunConfig{Kind: study.RunQUAD, IncludeStack: true})
-		pInstr = sch.Submit(study.RunConfig{Kind: study.RunInstrFlat})
-		pPhases = sch.Submit(study.RunConfig{Kind: study.RunTQUAD, SliceInterval: 5000, IncludeStack: true})
+		tables = []*study.Pending{
+			sch.Submit(study.RunConfig{Kind: study.RunFlat}),
+			sch.Submit(study.RunConfig{Kind: study.RunQUAD, IncludeStack: false}),
+			sch.Submit(study.RunConfig{Kind: study.RunQUAD, IncludeStack: true}),
+			sch.Submit(study.RunConfig{Kind: study.RunInstrFlat}),
+			sch.Submit(study.RunConfig{Kind: study.RunTQUAD, SliceInterval: 5000, IncludeStack: true}),
+		}
 	}
 
 	if errs := sch.Flush(); len(errs) > 0 {
@@ -445,13 +433,9 @@ func (d *Daemon) executeJob(ctx context.Context, job Job, tracker *live.Tracker)
 			job.ID, len(errs), len(pend), errors.Join(errs...))
 	}
 
-	results := make([]*study.RunResult, 0, len(pend))
-	for _, p := range pend {
-		res, err := p.Wait()
-		if err != nil {
-			return nil, sch.GuestExecutions(), err
-		}
-		results = append(results, res)
+	results, err := study.WaitAll(pend...)
+	if err != nil {
+		return nil, sch.GuestExecutions(), err
 	}
 
 	var arts []Artifact
@@ -481,12 +465,7 @@ func (d *Daemon) executeJob(ctx context.Context, job Job, tracker *live.Tracker)
 	for _, res := range results {
 		bars = append(bars, plot.Bar{Label: res.Key, Value: study.EffectiveBandwidth(res.Temporal)})
 		frag := safeName(res.Key)
-		names := study.KernelSet(spec.Kernels, res.Temporal)
-		svg := plot.Heatmap(res.Temporal, plot.SortLanesByFirstActivity(res.Temporal, names), plot.Options{
-			Title:        fmt.Sprintf("tQUAD %s bandwidth (%s stack)", spec.Metric, spec.Stack),
-			Reads:        spec.Metric != "writes",
-			IncludeStack: spec.includeStack(),
-		})
+		svg := study.Heatmap(res.Temporal, opt)
 		if err := add(d.art.PutBytes("heatmap-"+frag+".svg", []byte(svg))); err != nil {
 			return nil, sch.GuestExecutions(), err
 		}
@@ -504,7 +483,7 @@ func (d *Daemon) executeJob(ctx context.Context, job Job, tracker *live.Tracker)
 	}
 
 	if !spec.SkipTables {
-		tbl, err := renderTables(s, pFlat, pQuadEx, pQuadIn, pInstr, pPhases)
+		tbl, err := renderTables(s, tables)
 		if err != nil {
 			return nil, sch.GuestExecutions(), err
 		}
@@ -523,33 +502,19 @@ func (d *Daemon) executeJob(ctx context.Context, job Job, tracker *live.Tracker)
 	return arts, sch.GuestExecutions(), nil
 }
 
-// renderTables renders the Table I–IV report artifact (the wfsstudy
-// table set) from the already-completed runs.
-func renderTables(s *study.Study, pFlat, pQuadEx, pQuadIn, pInstr, pPhases *study.Pending) ([]byte, error) {
-	flatRes, err := pFlat.Wait()
+// renderTables renders the Table I–IV report artifact (the study
+// subcommand's table set) from the already-completed flat, QUAD
+// exclusive and inclusive, instrumented-flat and phase runs.
+func renderTables(s *study.Study, tables []*study.Pending) ([]byte, error) {
+	res, err := study.WaitAll(tables...)
 	if err != nil {
 		return nil, err
 	}
-	quadExRes, err := pQuadEx.Wait()
-	if err != nil {
-		return nil, err
-	}
-	quadInRes, err := pQuadIn.Wait()
-	if err != nil {
-		return nil, err
-	}
-	instrRes, err := pInstr.Wait()
-	if err != nil {
-		return nil, err
-	}
-	phasesRes, err := pPhases.Wait()
-	if err != nil {
-		return nil, err
-	}
+	flat, quadEx, quadIn, instr, phasesRes := res[0], res[1], res[2], res[3], res[4]
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "### Table I — flat profile (gprof analogue)\n\n%s\n", study.RenderTableI(flatRes.Flat))
-	fmt.Fprintf(&b, "### Table II — QUAD producer/consumer summary\n\n%s\n", study.RenderTableII(quadExRes.Quad, quadInRes.Quad))
-	fmt.Fprintf(&b, "### Table III — flat profile of the QUAD-instrumented run\n\n%s\n", study.RenderTableIII(flatRes.Flat, instrRes.Flat))
+	fmt.Fprintf(&b, "### Table I — flat profile (gprof analogue)\n\n%s\n", study.RenderTableI(flat.Flat))
+	fmt.Fprintf(&b, "### Table II — QUAD producer/consumer summary\n\n%s\n", study.RenderTableII(quadEx.Quad, quadIn.Quad))
+	fmt.Fprintf(&b, "### Table III — flat profile of the QUAD-instrumented run\n\n%s\n", study.RenderTableIII(flat.Flat, instr.Flat))
 	phases := s.PhasesFromProfile(phasesRes.Temporal)
 	fmt.Fprintf(&b, "### Table IV — %d phases over %d slices of 5000 instructions\n\n%s",
 		len(phases), phasesRes.Temporal.NumSlices, study.RenderTableIV(phases, phasesRes.Temporal.NumSlices))

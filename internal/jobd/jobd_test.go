@@ -3,13 +3,16 @@ package jobd
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"tquad/internal/obs"
 	"tquad/internal/study"
 )
 
@@ -241,4 +244,100 @@ func waitState(t *testing.T, d *Daemon, id, state string) {
 	}
 	j, _ := d.Job(id)
 	t.Fatalf("job %s never reached %s (state %s, err %q)", id, state, j.State, j.Error)
+}
+
+// TestDaemonMergesJobCounters: a job's scheduler counters reach the
+// daemon's /metrics once the job ends.  The job's only run fails its
+// first attempt transiently and succeeds on the retry, so the daemon
+// must report exactly one retry.
+func TestDaemonMergesJobCounters(t *testing.T) {
+	d, err := New(Options{
+		DataDir: t.TempDir(),
+		Workers: 1,
+		Hooks: study.Hooks{
+			BeforeRun: func(ctx context.Context, cfg study.RunConfig, attempt int) error {
+				if attempt == 0 {
+					return study.MarkTransient(errors.New("injected transient failure"))
+				}
+				return nil
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	srv, err := Serve(d, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	j, err := d.Submit(JobSpec{Config: "small", Slices: []uint64{200000}, Retries: 1, SkipTables: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, d, j.ID, StateSucceeded)
+	code, body := httpDo(t, "GET", srv.URL()+"/metrics", "")
+	if want := obs.MetricSchedRetries + " 1\n"; code != http.StatusOK || !strings.Contains(body, want) {
+		t.Errorf("/metrics: status %d, missing %q:\n%s", code, want, body)
+	}
+}
+
+// TestSubmitBodyLimit: a submission body over 1 MiB is refused with 413
+// on both submit routes, and the daemon keeps serving.
+func TestSubmitBodyLimit(t *testing.T) {
+	d, err := New(Options{DataDir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	srv, err := Serve(d, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	// Both bodies are valid submissions padded past the limit.
+	pad := strings.Repeat(" ", 2<<20)
+	huge := `{"config":"small",` + pad + `"slices":[200000],"skip_tables":true}`
+	if code, body := httpDo(t, "POST", srv.URL()+"/api/jobs", huge); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST /api/jobs with a 2 MiB body: status %d, want 413: %.200s", code, body)
+	}
+	form := "config=small&pad=" + strings.Repeat("x", 2<<20) + "&slices=200000&tables=skip"
+	if code, _ := httpDo(t, "POST", srv.URL()+"/submit", form); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST /submit with a 2 MiB form: status %d, want 413", code)
+	}
+	if code, _ := httpDo(t, "GET", srv.URL()+"/api/jobs", ""); code != http.StatusOK {
+		t.Errorf("GET /api/jobs after the oversized submits: status %d", code)
+	}
+	if n := len(d.Jobs()); n != 0 {
+		t.Errorf("oversized submits created %d jobs", n)
+	}
+}
+
+// httpDo sends one request (a POST body is sent as JSON, or as a form
+// when it does not start with '{') and returns the status and body.
+func httpDo(t *testing.T, method, url, body string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if method == "POST" {
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		if strings.HasPrefix(body, "{") {
+			req.Header.Set("Content-Type", "application/json")
+		}
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(b)
 }

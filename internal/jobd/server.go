@@ -11,14 +11,15 @@
 //	GET  /                               dashboard: submit form + job table
 //	GET  /jobs/{id}                      job detail page
 //	GET  /metrics                        daemon metrics (Prometheus text)
+//	GET  /debug/pprof/                   the Go profiler (from live.Serve)
 package jobd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"html"
 	"io"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -27,35 +28,22 @@ import (
 	"tquad/internal/obs/live"
 )
 
+// maxSubmitBytes bounds a submission body; a spec is a few hundred
+// bytes, so anything near this is not one.  Larger bodies get 413.
+const maxSubmitBytes = 1 << 20
+
 // Server serves one Daemon over HTTP.
 type Server struct {
-	d  *Daemon
-	ln net.Listener
-	h  *http.Server
+	d *Daemon
+	*live.Server
 }
 
 // Serve binds addr (e.g. ":8077", ":0") and starts serving in a
-// background goroutine.
+// background goroutine.  URL reports the actually-bound port (so ":0"
+// reports something dialable); Close stops accepting and drops open
+// connections — the daemon itself is shut down separately.
 func Serve(d *Daemon, addr string) (*Server, error) {
-	ln, err := live.Bind(addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{d: d, ln: ln}
-	s.h = &http.Server{Handler: s.mux()}
-	go s.h.Serve(ln)
-	return s, nil
-}
-
-// URL returns the server's base URL with the actually-bound port (so
-// ":0" reports something dialable).
-func (s *Server) URL() string { return live.ListenURL(s.ln) }
-
-// Close stops accepting and drops open connections.  The daemon itself
-// is shut down separately.
-func (s *Server) Close() error { return s.h.Close() }
-
-func (s *Server) mux() *http.ServeMux {
+	s := &Server{d: d}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/jobs", s.apiSubmit)
 	mux.HandleFunc("GET /api/jobs", s.apiList)
@@ -66,9 +54,13 @@ func (s *Server) mux() *http.ServeMux {
 	mux.HandleFunc("GET /jobs/{id}/events", s.events)
 	mux.HandleFunc("GET /jobs/{id}", s.jobPage)
 	mux.HandleFunc("POST /submit", s.formSubmit)
-	mux.HandleFunc("GET /metrics", s.metrics)
 	mux.HandleFunc("GET /{$}", s.dashboard)
-	return mux
+	srv, err := live.Serve(addr, d.Registry(), mux)
+	if err != nil {
+		return nil, err
+	}
+	s.Server = srv
+	return s, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -92,12 +84,22 @@ func statusFor(err error) int {
 	return http.StatusConflict
 }
 
+// badBody answers a submission whose body could not be read: 413 when
+// it exceeded maxSubmitBytes, 400 otherwise.
+func badBody(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, fmt.Errorf("jobd: bad spec: %w", err))
+}
+
 func (s *Server) apiSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil && err != io.EOF {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("jobd: bad spec: %w", err))
+		badBody(w, err)
 		return
 	}
 	job, err := s.d.Submit(spec)
@@ -182,15 +184,11 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	live.StreamEvents(w, r, t)
 }
 
-func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.d.Registry().WritePrometheus(w)
-}
-
 // formSubmit backs the dashboard's submit form.
 func (s *Server) formSubmit(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBytes)
 	if err := r.ParseForm(); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		badBody(w, err)
 		return
 	}
 	spec := JobSpec{
@@ -235,6 +233,7 @@ form.inline{display:inline}
 input,select{margin:.15rem 0}
 code{background:#f6f6f6;padding:.1rem .3rem}
 img.chart{max-width:100%%;border:1px solid #eee;margin:.5rem 0}
+` + live.RunsTableStyle + `
 </style></head><body>
 `
 
@@ -312,16 +311,9 @@ func (s *Server) jobPage(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if t := s.d.Tracker(id); t != nil {
-		fmt.Fprintf(w, "<h2>runs</h2>\n<table><tr><th>run</th><th>state</th><th>progress</th><th>icount</th><th>rate</th></tr>\n")
-		for _, rs := range t.Snapshot() {
-			prog := "—"
-			if p := rs.Progress(); p >= 0 {
-				prog = fmt.Sprintf("%.0f%%", p*100)
-			}
-			fmt.Fprintf(w, "<tr><td>%s</td><td class=\"state-%s\">%s</td><td>%s</td><td>%d</td><td>%.0f/s</td></tr>\n",
-				html.EscapeString(rs.Key), rs.State, rs.State, prog, rs.ICount, rs.Rate)
-		}
-		fmt.Fprintf(w, "</table>\n<p>live: <a href=\"/jobs/%s/events\">SSE stream</a></p>\n", j.ID)
+		fmt.Fprintf(w, "<h2>runs</h2>\n")
+		live.RunsTable(w, t.Snapshot())
+		fmt.Fprintf(w, "\n<p>live: <a href=\"/jobs/%s/events\">SSE stream</a></p>\n", j.ID)
 	}
 
 	if len(j.Artifacts) > 0 {

@@ -149,14 +149,19 @@ func TestTrackerStallIgnoresFinishedRuns(t *testing.T) {
 	}
 }
 
-// startServer brings up a telemetry server on an ephemeral port.
-func startServer(t *testing.T, o Options) *Server {
+// startServer brings up a progress server on an ephemeral port, with
+// reg at /metrics.
+func startServer(t *testing.T, reg *obs.Registry, o Options) *Server {
 	t.Helper()
 	if o.Tracker == nil {
 		o.Tracker = NewTracker(TrackerOptions{})
 		t.Cleanup(o.Tracker.Close)
 	}
-	s, err := Serve("127.0.0.1:0", o)
+	h, err := Progress(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Serve("127.0.0.1:0", reg, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +186,7 @@ func get(t *testing.T, url string) (int, string) {
 func TestServerMetricsEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("tquad_test_total").Add(7)
-	s := startServer(t, Options{Registry: reg})
+	s := startServer(t, reg, Options{})
 
 	code, body := get(t, s.URL()+"/metrics")
 	if code != http.StatusOK {
@@ -194,7 +199,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 
 func TestServerMetricsConcurrentWithWrites(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := startServer(t, Options{Registry: reg})
+	s := startServer(t, reg, Options{})
 	stop := make(chan struct{})
 	go func() {
 		c := reg.Counter("tquad_busy_total")
@@ -221,7 +226,7 @@ func TestServerIndexPage(t *testing.T) {
 	defer tr.Close()
 	chart := NewChartData("bandwidth", "bytes/kinstr")
 	chart.Add("tquad/slice=1000", 42.5)
-	s := startServer(t, Options{
+	s := startServer(t, nil, Options{
 		Tracker: tr, Title: "tquad <sweep>",
 		Chart: chart.SVG,
 	})
@@ -250,7 +255,7 @@ func TestServerIndexPage(t *testing.T) {
 }
 
 func TestServerPprofEndpoint(t *testing.T) {
-	s := startServer(t, Options{})
+	s := startServer(t, nil, Options{})
 	code, body := get(t, s.URL()+"/debug/pprof/")
 	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Fatalf("pprof index: status %d body %.80q", code, body)
@@ -293,7 +298,7 @@ func readEvents(t *testing.T, ctx context.Context, url string, want int) []obs.E
 func TestServerEventStreamSSE(t *testing.T) {
 	tr := NewTracker(TrackerOptions{})
 	defer tr.Close()
-	s := startServer(t, Options{Tracker: tr})
+	s := startServer(t, nil, Options{Tracker: tr})
 
 	// One pre-connection event (arrives as the snapshot replay) and one
 	// live event after the consumer connects.
@@ -320,7 +325,7 @@ func TestServerEventStreamSSE(t *testing.T) {
 func TestServerEventStreamJSONL(t *testing.T) {
 	tr := NewTracker(TrackerOptions{})
 	defer tr.Close()
-	s := startServer(t, Options{Tracker: tr})
+	s := startServer(t, nil, Options{Tracker: tr})
 	tr.Publish(obs.Event{Type: obs.EventSucceeded, Key: "k", ICount: 9})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -331,9 +336,11 @@ func TestServerEventStreamJSONL(t *testing.T) {
 	}
 }
 
+// TestServeRequiresTracker: the progress page cannot be served without
+// a tracker to read.
 func TestServeRequiresTracker(t *testing.T) {
-	if _, err := Serve("127.0.0.1:0", Options{}); err == nil {
-		t.Fatal("Serve accepted a nil tracker")
+	if _, err := Progress(Options{}); err == nil {
+		t.Fatal("Progress accepted a nil tracker")
 	}
 }
 
@@ -342,9 +349,7 @@ func TestServeRequiresTracker(t *testing.T) {
 // (loopback, not wildcard) host, and the reported URL must actually
 // serve.
 func TestBindEphemeralReportsUsableURL(t *testing.T) {
-	tr := NewTracker(TrackerOptions{})
-	defer tr.Close()
-	s, err := Serve(":0", Options{Tracker: tr})
+	s, err := Serve(":0", nil, http.NotFoundHandler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,13 +372,45 @@ func TestBindEphemeralReportsUsableURL(t *testing.T) {
 }
 
 func TestListenURLKeepsExplicitHost(t *testing.T) {
-	ln, err := Bind("127.0.0.1:0")
+	s, err := Serve("127.0.0.1:0", nil, http.NotFoundHandler())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	url := ListenURL(ln)
-	if !strings.HasPrefix(url, "http://127.0.0.1:") {
-		t.Fatalf("ListenURL = %q", url)
+	defer s.Close()
+	if url := s.URL(); !strings.HasPrefix(url, "http://127.0.0.1:") {
+		t.Fatalf("URL = %q", url)
+	}
+}
+
+// TestServeRoutesAndHardening: the caller's handler receives every path
+// the server does not own, and the server bounds header reads without
+// bounding writes (the event streams are long-lived).
+func TestServeRoutesAndHardening(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("tquad_test_total").Inc()
+	s, err := Serve("127.0.0.1:0", reg, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "caller "+r.URL.Path)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for path, want := range map[string]string{
+		"/":                    "caller /",
+		"/api/x":               "caller /api/x",
+		"/metrics":             "tquad_test_total 1",
+		"/debug/pprof/":        "goroutine",
+		"/debug/pprof/cmdline": "",
+	} {
+		code, body := get(t, s.URL()+path)
+		if code != http.StatusOK || !strings.Contains(body, want) {
+			t.Errorf("GET %s: status %d, body %.80q, want %q", path, code, body, want)
+		}
+	}
+	if s.srv.ReadHeaderTimeout <= 0 {
+		t.Error("no ReadHeaderTimeout: slow clients can hold connections open")
+	}
+	if s.srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout %v would cut off event streams", s.srv.WriteTimeout)
 	}
 }

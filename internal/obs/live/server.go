@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"html"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -12,47 +13,52 @@ import (
 	"tquad/internal/obs"
 )
 
-// Options configures the telemetry server.
-type Options struct {
-	// Registry backs GET /metrics (scraped live, mid-run).  Nil serves an
-	// empty exposition.
-	Registry *obs.Registry
-	// Tracker backs GET /events (its bus) and GET / (its snapshot).
-	// Required.
-	Tracker *Tracker
-	// Chart, when non-nil, supplies the progress page's SVG bandwidth
-	// chart of completed runs, re-rendered per request.
-	Chart func() string
-	// Title heads the progress page (defaults to "tquad").
-	Title string
-}
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers.  There is deliberately no write timeout: /events
+// streams stay open for a whole sweep.
+const readHeaderTimeout = 10 * time.Second
 
-// Server is a running telemetry server.  Close stops it.
+// Server is a running HTTP server — the one every tQUAD front end
+// serves from: the -serve progress page and the job daemon alike.
+// Close stops it.
 type Server struct {
-	ln   net.Listener
-	srv  *http.Server
-	opts Options
+	ln  net.Listener
+	srv *http.Server
 }
 
-// Bind binds a telemetry listen address ("host:port"; ":0" asks the
-// kernel for an ephemeral port).  Factored out of Serve so other
-// servers (the jobd daemon) and tests share the same bind semantics
-// and error wrapping.
-func Bind(addr string) (net.Listener, error) {
+// Serve binds addr ("host:port"; ":0" asks the kernel for an ephemeral
+// port) and serves, in a background goroutine, reg at /metrics (nil
+// serves an empty exposition), the Go profiler under /debug/pprof/, and
+// h at every other path.
+func Serve(addr string, reg *obs.Registry, h http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("live: listen %s: %w", addr, err)
 	}
-	return ln, nil
+	mux := http.NewServeMux()
+	// Registry reads are snapshot-based and lock-protected, so scraping
+	// mid-run is safe by construction.
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		reg.WritePrometheus(w)
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/", h)
+	s := &Server{ln: ln, srv: &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}}
+	go s.srv.Serve(ln)
+	return s, nil
 }
 
-// ListenURL renders the listener's actually-bound address as a
-// browsable base URL.  Wildcard binds (":0", "0.0.0.0:8080", "[::]")
-// report an unspecified host, which no browser or client can dial; the
-// loopback address is substituted so the printed URL is directly
-// usable.
-func ListenURL(ln net.Listener) string {
-	addr := ln.Addr().String()
+// URL returns the server's base URL with the actually-bound port.
+// Wildcard binds (":0", "0.0.0.0:8080", "[::]") report an unspecified
+// host, which no browser or client can dial; the loopback address is
+// substituted so the URL is directly usable.
+func (s *Server) URL() string {
+	addr := s.ln.Addr().String()
 	host, port, err := net.SplitHostPort(addr)
 	if err != nil {
 		return "http://" + addr
@@ -63,67 +69,45 @@ func ListenURL(ln net.Listener) string {
 	return "http://" + net.JoinHostPort(host, port)
 }
 
-// Serve binds addr (e.g. "localhost:8080", ":0") and starts serving the
-// telemetry endpoints in a background goroutine.
-func Serve(addr string, o Options) (*Server, error) {
+// Close stops the server, severing open streams.
+func (s *Server) Close() error { return s.srv.Close() }
+
+// Options configures the progress page.
+type Options struct {
+	// Tracker backs GET /events (its bus) and GET / (its snapshot).
+	// Required.
+	Tracker *Tracker
+	// Chart, when non-nil, supplies the progress page's SVG bandwidth
+	// chart of completed runs, re-rendered per request.
+	Chart func() string
+	// Title heads the progress page (defaults to "tquad").
+	Title string
+}
+
+// Progress returns the -serve handler to pass to Serve: the live
+// progress page at / and the tracker's lifecycle event stream at
+// /events.
+func Progress(o Options) (http.Handler, error) {
 	if o.Tracker == nil {
-		return nil, fmt.Errorf("live: Serve requires a Tracker")
+		return nil, fmt.Errorf("live: the progress page requires a Tracker")
 	}
 	if o.Title == "" {
 		o.Title = "tquad"
 	}
-	ln, err := Bind(addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{ln: ln, opts: o}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/", s.handleIndex)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/events", s.handleEvents)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.srv = &http.Server{Handler: mux}
-	go s.srv.Serve(ln)
-	return s, nil
+	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) { StreamEvents(w, r, o.Tracker) })
+	mux.HandleFunc("/{$}", func(w http.ResponseWriter, r *http.Request) { writeProgressPage(w, o) })
+	return mux, nil
 }
 
-// Addr returns the bound address (useful with ":0").
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// URL returns the server's base URL, with wildcard-bound hosts
-// rewritten to loopback (see ListenURL).
-func (s *Server) URL() string { return ListenURL(s.ln) }
-
-// Close stops the server, severing open streams.
-func (s *Server) Close() error { return s.srv.Close() }
-
-// handleMetrics serves the registry in Prometheus text exposition
-// format.  Registry reads are snapshot-based and lock-protected, so
-// scraping mid-run is safe by construction.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.opts.Registry.WritePrometheus(w)
-}
-
-// handleEvents streams lifecycle events as SSE (default) or JSONL
-// (?format=jsonl).  A new consumer first receives one synthetic event
-// per tracked run — the current model state, so late joiners need no
-// separate snapshot call — then the live feed until it disconnects or
-// the server closes.  The feed is this subscriber's bounded bus
-// subscription: a consumer that stops reading drops events rather than
-// slowing the sweep.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	StreamEvents(w, r, s.opts.Tracker)
-}
-
-// StreamEvents serves one tracker's enriched lifecycle stream on an
-// arbitrary handler's response — the multi-job analogue of /events, so
-// the jobd daemon's per-job pages stream through exactly this code.
-// It blocks until the client disconnects or the tracker's bus closes.
+// StreamEvents streams a tracker's lifecycle events as SSE (default) or
+// JSONL (?format=jsonl) — the -serve /events endpoint and the daemon's
+// per-job stream alike.  A new consumer first receives one synthetic
+// event per tracked run — the current model state, so late joiners need
+// no separate snapshot call — then the live feed until it disconnects
+// or the tracker's bus closes.  The feed is this subscriber's bounded
+// bus subscription: a consumer that stops reading drops events rather
+// than slowing the sweep.
 func StreamEvents(w http.ResponseWriter, r *http.Request, t *Tracker) {
 	jsonl := r.URL.Query().Get("format") == "jsonl"
 	if jsonl {
@@ -189,16 +173,12 @@ func StreamEvents(w http.ResponseWriter, r *http.Request, t *Tracker) {
 	}
 }
 
-// handleIndex renders the progress page: sweep totals, the per-run
-// table (state, progress, rate, ETA, stall flag) and the completed-runs
-// bandwidth chart.  Pure server-side rendering with a meta refresh — no
-// scripts, so it works from curl and any browser.
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	runs := s.opts.Tracker.Snapshot()
+// writeProgressPage renders the progress page: sweep totals, the runs
+// table and the completed-runs bandwidth chart.  Pure server-side
+// rendering with a meta refresh — no scripts, so it works from curl and
+// any browser.
+func writeProgressPage(w http.ResponseWriter, o Options) {
+	runs := o.Tracker.Snapshot()
 	counts := map[string]int{}
 	for _, rs := range runs {
 		counts[rs.State]++
@@ -210,24 +190,38 @@ body{font-family:monospace;margin:1.5em;background:#fafafa}
 table{border-collapse:collapse}
 td,th{border:1px solid #ccc;padding:3px 8px;text-align:left}
 th{background:#eee}
-.bar{background:#ddd;width:120px;height:10px;display:inline-block}
-.fill{background:#3a6ea5;height:10px;display:block}
-.stalled{color:#b00;font-weight:bold}
-.failed{color:#b00}.succeeded{color:#080}.running{color:#06c}
-</style></head><body>`, html.EscapeString(s.opts.Title))
-	fmt.Fprintf(w, `<h1>%s — live sweep progress</h1>`, html.EscapeString(s.opts.Title))
+%s
+</style></head><body>`, html.EscapeString(o.Title), RunsTableStyle)
+	fmt.Fprintf(w, `<h1>%s — live sweep progress</h1>`, html.EscapeString(o.Title))
 	fmt.Fprintf(w, `<p>%d runs: %d running, %d queued, %d retrying, %d succeeded, %d failed`,
 		len(runs), counts[StateRunning], counts[StateQueued], counts[StateRetrying],
 		counts[StateSucceeded], counts[StateFailed])
-	if win := s.opts.Tracker.StallWindow(); win > 0 {
+	if win := o.Tracker.StallWindow(); win > 0 {
 		fmt.Fprintf(w, ` — stall window %s`, win)
 	}
-	if d := s.opts.Tracker.Bus().Dropped(); d > 0 {
+	if d := o.Tracker.Bus().Dropped(); d > 0 {
 		fmt.Fprintf(w, ` — %d events dropped by slow consumers`, d)
 	}
 	fmt.Fprintf(w, `</p><p><a href="/metrics">/metrics</a> · <a href="/events">/events</a> · `+
 		`<a href="/events?format=jsonl">/events?format=jsonl</a> · <a href="/debug/pprof/">/debug/pprof/</a></p>`)
+	RunsTable(w, runs)
+	if o.Chart != nil {
+		fmt.Fprintf(w, `<h2>Completed runs</h2><div>%s</div>`, o.Chart())
+	}
+	fmt.Fprintf(w, `</body></html>`)
+}
 
+// RunsTableStyle is the CSS for RunsTable's progress bars and state
+// classes; a page embedding the table includes it in its <style>.
+const RunsTableStyle = `.bar{background:#ddd;width:120px;height:10px;display:inline-block}
+.fill{background:#3a6ea5;height:10px;display:block}
+.stalled{color:#b00;font-weight:bold}
+.failed{color:#b00}.succeeded{color:#080}.running{color:#06c}`
+
+// RunsTable writes the per-run HTML table — state, attempt, progress
+// bar, icount, rate, ETA, stall flag and note — of the -serve progress
+// page and the daemon's job page.
+func RunsTable(w io.Writer, runs []RunState) {
 	fmt.Fprintf(w, `<table><tr><th>run</th><th>state</th><th>attempt</th><th>progress</th><th>icount</th><th>rate</th><th>eta</th><th>note</th></tr>`)
 	for _, rs := range runs {
 		stateClass := rs.State
@@ -257,11 +251,6 @@ th{background:#eee}
 			rate, eta, html.EscapeString(note))
 	}
 	fmt.Fprintf(w, `</table>`)
-
-	if s.opts.Chart != nil {
-		fmt.Fprintf(w, `<h2>Completed runs</h2><div>%s</div>`, s.opts.Chart())
-	}
-	fmt.Fprintf(w, `</body></html>`)
 }
 
 func attemptText(rs RunState) string {

@@ -13,6 +13,7 @@ import (
 
 	"tquad/internal/core"
 	"tquad/internal/memsim"
+	"tquad/internal/plot"
 	"tquad/internal/report"
 	"tquad/internal/wfs"
 )
@@ -43,6 +44,17 @@ func KernelSet(sel string, prof *core.Profile) []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// Heatmap renders a run's bandwidth heatmap SVG (the paper's figure):
+// one lane per kernel of the selected set, ordered by first activity.
+func Heatmap(prof *core.Profile, opt RenderOptions) string {
+	names := KernelSet(opt.Kernels, prof)
+	return plot.Heatmap(prof, plot.SortLanesByFirstActivity(prof, names), plot.Options{
+		Title:        fmt.Sprintf("tQUAD %s bandwidth (%s stack)", opt.Metric, stackWord(opt.IncludeStack)),
+		Reads:        opt.Metric != "writes",
+		IncludeStack: opt.IncludeStack,
+	})
 }
 
 // WriteCharts writes the per-kernel bandwidth chart(s) selected by the

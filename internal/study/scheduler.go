@@ -761,6 +761,50 @@ func (sc *Scheduler) SliceForCount(slices uint64) (uint64, error) {
 	return iv, nil
 }
 
+// SubmitSweep submits the tQUAD sweep grid of the profiler and of a
+// daemon job: each 0 interval resolves to ~64 slices, then one run per
+// interval × cache key (none: one cache-less run), interval-major.  It
+// returns the resolved intervals (WriteSweepReport's) and the runs in
+// submission order.
+func (sc *Scheduler) SubmitSweep(intervals []uint64, caches []string, includeStack, excludeLibs bool) ([]uint64, []*Pending, error) {
+	resolved := make([]uint64, len(intervals))
+	for i, iv := range intervals {
+		if iv == 0 {
+			var err error
+			if iv, err = sc.SliceForCount(64); err != nil {
+				return nil, nil, err
+			}
+		}
+		resolved[i] = iv
+	}
+	if len(caches) == 0 {
+		caches = []string{""}
+	}
+	pend := make([]*Pending, 0, len(resolved)*len(caches))
+	for _, iv := range resolved {
+		for _, c := range caches {
+			pend = append(pend, sc.Submit(RunConfig{
+				Kind: RunTQUAD, SliceInterval: iv, IncludeStack: includeStack, ExcludeLibs: excludeLibs, Cache: c,
+			}))
+		}
+	}
+	return resolved, pend, nil
+}
+
+// WaitAll waits for every run and returns their results in order, or
+// the first error.
+func WaitAll(pend ...*Pending) ([]*RunResult, error) {
+	results := make([]*RunResult, len(pend))
+	for i, p := range pend {
+		res, err := p.Wait()
+		if err != nil {
+			return nil, err
+		}
+		results[i] = res
+	}
+	return results, nil
+}
+
 // Flush waits for every submitted run and folds each run's private
 // observability into the study's observer, in config-key order, exactly
 // once per run.  It returns the failed runs' errors, also in config-key

@@ -1,6 +1,6 @@
-// End-to-end tests of the analysis daemon (internal/jobd, cmd/tquadd's
-// engine): a sweep submitted over HTTP must produce a report artifact
-// byte-identical to cmd/tquad's stdout for the same flags, and a daemon
+// End-to-end tests of the analysis daemon (internal/jobd, the engine of
+// `tquad daemon`): a sweep submitted over HTTP must produce a report
+// artifact byte-identical to cmd/tquad's stdout for the same flags, and a daemon
 // SIGKILLed mid-sweep must — on restart over the same data directory —
 // resume the interrupted job from its checkpoints with zero guest
 // re-execution and finish with artifacts identical to an uninterrupted

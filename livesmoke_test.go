@@ -46,12 +46,15 @@ func TestLiveMonitoringSmoke(t *testing.T) {
 	})
 	defer tracker.Close()
 	chart := live.NewChartData("effective bandwidth of completed runs", "B/instr")
-	srv, err := live.Serve("127.0.0.1:0", live.Options{
-		Registry: o.Registry(),
-		Tracker:  tracker,
-		Chart:    chart.SVG,
-		Title:    "smoke",
+	progress, err := live.Progress(live.Options{
+		Tracker: tracker,
+		Chart:   chart.SVG,
+		Title:   "smoke",
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := live.Serve("127.0.0.1:0", o.Registry(), progress)
 	if err != nil {
 		t.Fatal(err)
 	}
