@@ -44,11 +44,15 @@ chaos:
 # The trace-integrity gate: the etrace corruption matrix (every fault
 # class × inline and worker-pool decode × strict and salvage — detected
 # or byte-identical, never silent divergence), the format-generation
-# compat suite, and the end-to-end rerecord-on-corrupt scheduler
-# scenarios.
+# compat suite, the end-to-end rerecord-on-corrupt scheduler scenarios,
+# the scheduler's adopted-trace rules, and the profiler's -record and
+# -replay contract (a damaged -replay trace fails strict, salvages to its
+# golden and is never modified; a failed -record leaves no file).
 corrupt:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestCorruptionMatrix|TestSalvageAccounting|TestFormatGenerations|TestStatReportsGenerations' -v ./internal/etrace
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestChaosCorrupt|TestChaosENOSPC|TestChaosTornTail' -v .
+	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestSchedulerTraceSource' -v ./internal/study
+	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestReplayContract|TestRecordContract' -v ./cmd/tquad
 
 # Short fuzzing budgets for the text/binary-format parsers: the
 # event-trace replay with inline decode, salvage replay, the indexed

@@ -33,7 +33,7 @@ func daemonMain(args []string) {
 	workers := fs.Int("workers", 1, "jobs to execute concurrently")
 	schedJobs := fs.Int("sched-jobs", runtime.GOMAXPROCS(0), "per-job scheduler worker count")
 	stall := fs.Duration("stall", 10*time.Second, "per-run stall detector window (0 disables)")
-	fs.Parse(args)
+	parse(fs, args)
 
 	if *data == "" {
 		log.Print("-data is required")

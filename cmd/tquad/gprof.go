@@ -23,7 +23,7 @@ func gprofMain(args []string) {
 		instrumented = fs.Bool("instrumented", false, "profile the QUAD-instrumented binary (Table III)")
 		all          = fs.Bool("all", false, "include every routine, not just the paper's kernels")
 	)
-	fs.Parse(args)
+	parse(fs, args)
 
 	sch := replayOff(newStudy(*config), 0)
 	defer sch.Close()

@@ -24,12 +24,16 @@
 //	      [-serve ADDR] [-stall-window D]
 //
 // -slice accepts a comma-separated list of intervals (duplicates are
-// collapsed); more than one interval runs the whole sweep through the
-// parallel experiment scheduler (bounded by -jobs, default GOMAXPROCS)
-// and prints each run's charts and statistics in interval order.  If
-// any run fails the command reports every failure and exits non-zero.
-// The export flags (-csv, -json, -svg, -metrics, -trace, -journal)
-// apply to single runs only.
+// collapsed); more than one interval is a sweep, run in parallel (bounded
+// by -jobs, default GOMAXPROCS), whose charts and statistics print in
+// interval order.  Every invocation, a single run included, goes through
+// the one supervised experiment scheduler.  A plain single run — one
+// interval, at most one cache, no -record, -replay or -resume — executes
+// the guest live; every other invocation records it once (or adopts the
+// -replay trace) and replays the recording for all its runs in one
+// decode pass.  If any run fails the command reports every failure and
+// exits non-zero without a report.  The export flags (-csv, -json, -svg,
+// -metrics, -trace, -journal) apply to single runs only.
 //
 // -cache additionally simulates a memory hierarchy (set-associative LRU
 // caches with write-back/write-allocate plus a DRAM open-row model) over
@@ -43,20 +47,23 @@
 //
 // Execution is supervised: SIGINT/SIGTERM (and the -timeout deadline)
 // stop the guest at its next basic block and exit cleanly, removing any
-// partially written -record file or sweep temp traces.  -max-icount
+// partially written -record file or temp traces.  -max-icount
 // overrides the guest instruction budget.  -retries re-runs transiently
-// failed sweep runs with deterministic backoff and -resume DIR journals
-// completed sweep runs (and the recorded trace) into DIR so a rerun
-// skips completed guest work; both apply to multi-interval sweeps only.
+// failed runs with deterministic backoff and -resume DIR journals
+// completed runs (and the recorded trace) into DIR so a rerun skips
+// completed guest work; -resume keeps its own recording, so it excludes
+// -record and -replay.
 //
-// -record additionally captures the guest's dynamic event stream into a
-// compact binary trace during a single-interval live run (flushed and
-// fsynced before the success message prints); -replay then profiles
-// that trace — at any slice interval, any number of times — without
-// executing the guest again.  Replays verify the trace's checksums and
-// fail on damage; -salvage instead replays around damaged chunks and
-// reports exactly what was lost.  Inspect recorded traces with tqdump
-// -etrace.
+// -record keeps the scheduler's recording of the guest's dynamic event
+// stream as a compact binary trace: it appears at FILE only once
+// complete and fsynced, before the `event trace written to` line
+// prints, and a failed recording leaves no FILE.  -replay profiles such
+// a trace — at any slice intervals and cache hierarchies, any number of
+// times — without executing the guest.  Replays verify the trace's
+// checksums and fail on damage; a -replay trace is read-only input,
+// never re-recorded or rewritten.  -salvage instead replays around
+// damaged chunks and reports exactly what was lost.  Inspect recorded
+// traces with tqdump -etrace.
 //
 // -metrics writes a Prometheus text-format snapshot, -trace a
 // chrome://tracing-compatible JSON trace of the pipeline stages (open it
@@ -64,11 +71,11 @@
 // event journal of spans and metrics.
 //
 // -serve starts an embedded telemetry server for the duration of the
-// invocation (live runs and sweeps; not -replay): GET / is a live
-// progress page with per-run progress bars and a bandwidth chart of
-// completed runs, /metrics the Prometheus registry, /events a
-// Server-Sent Events stream of run lifecycle events (append
-// ?format=jsonl for plain JSONL), and /debug/pprof/ the Go profiler.
+// invocation: GET / is a live progress page with per-run progress bars
+// and a bandwidth chart of completed runs, /metrics the Prometheus
+// registry, /events a Server-Sent Events stream of run lifecycle events
+// (append ?format=jsonl for plain JSONL), and /debug/pprof/ the Go
+// profiler.
 // -stall-window flags a run as stalled — a `stalled` event plus the
 // tquad_sched_stalled_total counter — after that long without a
 // heartbeat.  With -serve unset none of this machinery is built and the
@@ -76,7 +83,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -86,13 +92,10 @@ import (
 
 	"tquad/internal/cliutil"
 	"tquad/internal/core"
-	"tquad/internal/etrace"
 	"tquad/internal/obs"
-	"tquad/internal/pin"
 	"tquad/internal/report"
 	"tquad/internal/study"
 	"tquad/internal/trace"
-	"tquad/internal/vm"
 	"tquad/internal/wfs"
 )
 
@@ -117,403 +120,116 @@ func main() {
 	profileMain(os.Args[1:])
 }
 
+// profiler is one invocation of bare `tquad`, the profiler.
+type profiler struct {
+	rf         runFlags
+	opt        study.RenderOptions
+	intervals  []uint64
+	caches     []string // canonical hierarchy keys
+	ignoreLibs bool
+	csv        bool
+	jsonFile   string
+	svgFile    string
+	record     string
+	replay     string
+	salvage    bool
+	replayJobs int
+}
+
 // profileMain is bare `tquad`: the profiler.
 func profileMain(args []string) {
 	fs := command("tquad")
-	var rf runFlags
-	rf.register(fs)
-	var (
-		config     = fs.String("config", "small", "workload configuration: small or study")
-		slice      = fs.String("slice", "0", "time slice interval(s) in instructions, comma-separated (0 = ~64 slices); more than one runs a parallel sweep")
-		cache      = fs.String("cache", "", "simulate a cache hierarchy, e.g. l1=32k/8/64,l2=256k/8/64,llc=8m/16/64; semicolon-separated list sweeps hierarchies off one recorded execution")
-		stack      = fs.String("stack", "include", "stack-area accesses: include or exclude")
-		ignoreLibs = fs.Bool("ignore-libs", false, "exclude OS/library routine bandwidth")
-		metric     = fs.String("metric", "reads", "plotted metric: reads, writes or both")
-		kernels    = fs.String("kernels", "top", "kernel set: top (ten), last (ten) or all")
-		width      = fs.Int("width", 64, "chart width in characters")
-		csv        = fs.Bool("csv", false, "emit raw per-slice CSV instead of charts")
-		jsonFile   = fs.String("json", "", "also write the full profile as JSON to this file")
-		svgFile    = fs.String("svg", "", "render the bandwidth heatmap (the paper's figure) as SVG to this file")
-		recordOut  = fs.String("record", "", "record the guest event stream to this file (single-interval live run)")
-		replayIn   = fs.String("replay", "", "replay a recorded event stream instead of executing the guest")
-		salvage    = fs.Bool("salvage", false, "with -replay: replay around damaged chunks and report the gap")
-		replayJobs = fs.Int("replay-jobs", 1, "trace-decode workers for -replay and sweep replays: 1 = inline decode, 0 = GOMAXPROCS")
-	)
+	var p profiler
+	p.rf.register(fs)
+	config := fs.String("config", "small", "workload configuration: small or study")
+	slice := fs.String("slice", "0", "time slice interval(s) in instructions, comma-separated (0 = ~64 slices); more than one runs a parallel sweep")
+	cache := fs.String("cache", "", "simulate a cache hierarchy, e.g. l1=32k/8/64,l2=256k/8/64,llc=8m/16/64; semicolon-separated list sweeps hierarchies off one recorded execution")
+	stack := fs.String("stack", "include", "stack-area accesses: include or exclude")
+	fs.BoolVar(&p.ignoreLibs, "ignore-libs", false, "exclude OS/library routine bandwidth")
+	fs.StringVar(&p.opt.Metric, "metric", "reads", "plotted metric: reads, writes or both")
+	fs.StringVar(&p.opt.Kernels, "kernels", "top", "kernel set: top (ten), last (ten) or all")
+	fs.IntVar(&p.opt.Width, "width", 64, "chart width in characters")
+	fs.BoolVar(&p.csv, "csv", false, "emit raw per-slice CSV instead of charts")
+	fs.StringVar(&p.jsonFile, "json", "", "also write the full profile as JSON to this file")
+	fs.StringVar(&p.svgFile, "svg", "", "render the bandwidth heatmap (the paper's figure) as SVG to this file")
+	fs.StringVar(&p.record, "record", "", "record the guest event stream to this file")
+	fs.StringVar(&p.replay, "replay", "", "replay a recorded event stream instead of executing the guest")
+	fs.BoolVar(&p.salvage, "salvage", false, "with -replay: replay around damaged chunks and report the gap")
+	fs.IntVar(&p.replayJobs, "replay-jobs", 1, "trace-decode workers for replays: 1 = inline decode, 0 = GOMAXPROCS")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "Usage: tquad [flags]\n       tquad study|quad|gprof|phases|run|daemon [flags]\n\nProfiler flags:\n")
 		fs.PrintDefaults()
 	}
-	fs.Parse(args)
+	parse(fs, args)
 
 	cfg := lookupConfig(*config)
-	includeStack := *stack == "include"
+	p.opt.IncludeStack = *stack == "include"
 	if *stack != "include" && *stack != "exclude" {
 		log.Fatalf("bad -stack %q", *stack)
 	}
-	if *replayJobs < 0 {
-		log.Fatalf("bad -replay-jobs %d: must be >= 0", *replayJobs)
+	if p.replayJobs < 0 {
+		log.Fatalf("bad -replay-jobs %d: must be >= 0", p.replayJobs)
 	}
-	if *recordOut != "" && *replayIn != "" {
+	if p.record != "" && p.replay != "" {
 		log.Fatal("-record and -replay are mutually exclusive")
 	}
-	if *salvage && *replayIn == "" {
+	if p.salvage && p.replay == "" {
 		log.Fatal("-salvage applies to -replay only")
 	}
-	if rf.serveAddr != "" && *replayIn != "" {
-		log.Fatal("-serve applies to live runs and sweeps only, not -replay")
+	if p.rf.resume != "" && (p.record != "" || p.replay != "") {
+		log.Fatal("-resume excludes -record and -replay: the checkpoint journal holds its own recording")
 	}
-	if err := rf.check("-json", *jsonFile, "-svg", *svgFile, "-record", *recordOut); err != nil {
+	if err := p.rf.check("-json", p.jsonFile, "-svg", p.svgFile, "-record", p.record); err != nil {
 		log.Fatal(err)
 	}
-	intervals, err := parseSlices(*slice)
-	if err != nil {
+	var err error
+	if p.intervals, err = parseSlices(*slice); err != nil {
 		log.Fatal(err)
 	}
-	caches, err := parseCaches(*cache)
-	if err != nil {
+	if p.caches, err = parseCaches(*cache); err != nil {
 		log.Fatal(err)
+	}
+	if !p.single() && (p.csv || p.jsonFile != "" || p.svgFile != "" || p.rf.exports()) {
+		log.Fatal("-csv, -json, -svg, -metrics, -trace and -journal apply to single runs only")
 	}
 
-	// A sweep is any invocation with more than one run: several slice
-	// intervals, several cache hierarchies, or both (the cross product).
-	sweep := len(intervals) > 1 || len(caches) > 1
-	if sweep {
-		if *csv || *jsonFile != "" || *svgFile != "" || rf.exports() {
-			log.Fatal("-csv, -json, -svg, -metrics, -trace and -journal apply to single runs only")
-		}
-		if *recordOut != "" {
-			log.Fatal("-record applies to single runs only")
-		}
-	} else if rf.retries != 0 || rf.resume != "" {
-		log.Fatal("-retries and -resume apply to sweeps only")
-	}
-
-	ctx, cancel := signalContext(rf.timeout)
+	ctx, cancel := signalContext(p.rf.timeout)
 	defer cancel()
-	budget := rf.maxICount
-	if budget == 0 {
-		budget = wfs.MaxInstr
-	}
-	o := rf.observer()
-	tel := rf.serve(o, "tquad "+*config)
-	defer tel.close()
-
-	out := &output{
-		RenderOptions: study.RenderOptions{Metric: *metric, Kernels: *kernels, Width: *width, IncludeStack: includeStack},
-		csv:           *csv,
-		jsonFile:      *jsonFile,
-		svgFile:       *svgFile,
-		rf:            &rf,
-	}
-	if *replayIn != "" {
-		err := runReplay(ctx, *replayIn, o, &replayOpts{
-			output:     out,
-			intervals:  intervals,
-			caches:     caches,
-			jobs:       *replayJobs,
-			salvage:    *salvage,
-			ignoreLibs: *ignoreLibs,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if sweep {
-		if err := runSweep(ctx, cfg, &rf, o, tel, intervals, caches, *ignoreLibs, *replayJobs, out.RenderOptions); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	run := o.Tracer().Start("run")
-	w, err := wfs.NewWorkloadObserved(cfg, o.Tracer())
-	if err != nil {
+	if err := p.runSweep(ctx, cfg, "tquad "+*config); err != nil {
 		log.Fatal(err)
 	}
-	w.Interpret = rf.engine == "step"
-	rc := study.RunConfig{Kind: study.RunTQUAD, SliceInterval: intervals[0], IncludeStack: includeStack, ExcludeLibs: *ignoreLibs}
-	if rc.SliceInterval == 0 {
-		// Dry-sizing: aim for ~64 slices like the paper's Figure 6, with a
-		// native run under the invocation's deadline and budget.
-		sch := replayOff(&study.Study{W: w}, 1)
-		sch.SetContext(ctx)
-		sch.SetMaxInstr(budget)
-		rc.SliceInterval, err = sch.SliceForCount(64)
-		sch.Close()
-		if err != nil {
-			log.Fatalf("sizing run for -slice 0: %v", err)
-		}
-	}
-	if len(caches) == 1 {
-		rc.Cache = caches[0]
-	}
-	instrument := o.Tracer().Start("instrument")
-	m, _ := w.NewMachine()
-	e := pin.NewEngine(m)
-	tools, err := study.Attach(e, rc, o.Tracer())
-	if err != nil {
-		log.Fatal(err)
-	}
-	var (
-		recFile *os.File
-		recBuf  *bufio.Writer
-		rec     *etrace.Recorder
-	)
-	if *recordOut != "" {
-		recFile, err = os.Create(*recordOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		recBuf = bufio.NewWriterSize(recFile, 1<<16)
-		rec, err = etrace.Record(e, recBuf, etrace.RecordOptions{Workload: "wfs/" + *config})
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	instrument.End()
-
-	// Under -serve the single run reports the same lifecycle the sweep
-	// scheduler would: queued/started up front, block-boundary heartbeats
-	// while the guest executes, succeeded/failed at the end.
-	const runKey = "run"
-	tracker := tel.tracker
-	if tracker != nil {
-		tracker.Publish(obs.Event{Type: obs.EventQueued, Key: runKey})
-		tracker.Publish(obs.Event{Type: obs.EventStarted, Key: runKey, Attempt: 1})
-		var lastBeat uint64
-		m.PushWatchdog(func(m *vm.Machine) error {
-			if m.ICount-lastBeat >= study.DefaultHeartbeatStride {
-				lastBeat = m.ICount
-				tracker.Publish(obs.Event{Type: obs.EventHeartbeat, Key: runKey, ICount: m.ICount, Budget: budget})
-			}
-			return nil
-		})
-	}
-
-	execute := o.Tracer().Start("execute")
-	err = m.RunContext(ctx, budget)
-	if err == nil && m.ExitCode != 0 {
-		err = fmt.Errorf("guest exit code %d", m.ExitCode)
-	}
-	if err != nil {
-		// A cancelled or failed run must not leave a partial trace file
-		// behind masquerading as a recording.
-		if recFile != nil {
-			recFile.Close()
-			os.Remove(*recordOut)
-		}
-		if tracker != nil {
-			tracker.Publish(obs.Event{Type: obs.EventFailed, Key: runKey, Attempt: 1, Err: err.Error()})
-		}
-		log.Fatalf("run: %v", err)
-	}
-	execute.SetInstr(m.ICount)
-	execute.SetBytes(m.MemStats.ReadBytes() + m.MemStats.WriteBytes())
-	execute.End()
-	if rec != nil {
-		// Finish, flush, fsync, close — every error surfaced.  The fsync
-		// means the success message below is a durability statement: once
-		// printed, the trace survives a host crash.
-		err := rec.Finish()
-		if err == nil {
-			err = recBuf.Flush()
-		}
-		if err == nil {
-			err = recFile.Sync()
-		}
-		if cerr := recFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			os.Remove(*recordOut)
-			log.Fatalf("record: %v", err)
-		}
-		fmt.Printf("event trace written to %s\n", *recordOut)
-	}
-
-	res := tools.Collect(m.ICount, m.Overhead, o)
-	if tracker != nil {
-		tracker.Publish(obs.Event{Type: obs.EventSucceeded, Key: runKey, ICount: m.ICount})
-		tel.chart.Add(runKey, study.EffectiveBandwidth(res.Temporal))
-	}
-	m.PublishMetrics(o.Registry())
-	e.PublishMetrics(o.Registry())
-	if err := out.write(res, o, run); err != nil {
-		log.Fatal(err)
-	}
-	if o != nil && !out.csv {
-		fmt.Println()
-		fmt.Print("pipeline stages:\n" + study.RenderSpans(o.Spans))
-		if blocks := study.RenderBlockEngine(o.Metrics); blocks != "" {
-			fmt.Println()
-			fmt.Print("block execution engine:\n" + blocks)
-		}
-	}
 }
 
-// output is a single run's report configuration: what is printed and
-// which export files are written.
-type output struct {
-	study.RenderOptions
-	csv      bool
-	jsonFile string
-	svgFile  string
-	rf       *runFlags // the -metrics, -trace and -journal paths
-}
-
-// write prints a single run's report — or its CSV — and writes the
-// requested export files.  run is the run's open span: it ends before
-// the exports are written, so the trace and journal cover the whole run.
-func (out *output) write(res *study.RunResult, o *obs.Observer, run *obs.Span) error {
-	prof := res.Temporal
-	reportSpan := o.Tracer().Start("report")
-	if out.jsonFile != "" {
-		if err := writeFile(out.jsonFile, func(w io.Writer) error { return trace.SaveTemporal(w, prof) }); err != nil {
-			return err
-		}
-	}
-	if out.svgFile != "" {
-		if err := os.WriteFile(out.svgFile, []byte(study.Heatmap(prof, out.RenderOptions)), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("heatmap written to %s\n", out.svgFile)
-	}
-	if out.csv {
-		fmt.Printf("tQUAD: %d instructions, %d slices of %d instructions, slowdown %.1fx\n\n",
-			prof.TotalInstr, prof.NumSlices, prof.SliceInterval, float64(res.Time)/float64(prof.TotalInstr))
-		emitCSV(prof, study.KernelSet(out.Kernels, prof), out.Metric, out.IncludeStack)
-	} else {
-		study.WriteRunReport(os.Stdout, res, out.RenderOptions)
-	}
-	reportSpan.End()
-	run.End()
-	if o == nil {
-		return nil
-	}
-	if prof.TotalInstr > 0 {
-		o.Metrics.Gauge("tquad_run_slowdown").Set(float64(res.Time) / float64(prof.TotalInstr))
-	}
-	return o.WriteFiles(out.rf.metricsOut, out.rf.traceOut, out.rf.journalOut)
-}
-
-// replayOpts carries a -replay invocation's settings.
-type replayOpts struct {
-	*output
-	intervals  []uint64
-	caches     []string // canonical hierarchy keys
-	jobs       int      // decode workers; 1 decodes inline, 0 = GOMAXPROCS
-	salvage    bool     // replay around damaged chunks instead of failing
-	ignoreLibs bool
-}
-
-// runReplay profiles a recorded event trace at each requested interval
-// (crossed with each requested cache hierarchy), sequentially — replays
-// are cheap enough that a scheduler would be overkill, and they share no
-// state.  ob observes the replay; exports exclude a multi-replay
-// invocation, so it never serves more than one.
-func runReplay(ctx context.Context, path string, ob *obs.Observer, o *replayOpts) error {
-	caches := o.caches
-	if len(caches) == 0 {
-		caches = []string{""}
-	}
-	first := true
-	for _, iv := range o.intervals {
-		for _, cache := range caches {
-			if !first {
-				fmt.Println()
-			}
-			first = false
-			if err := replayOne(ctx, path, iv, cache, ob, o); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// replayOne replays the trace once through the tQUAD tool and reports
-// it exactly as the live single run does.
-func replayOne(ctx context.Context, path string, interval uint64, cache string, ob *obs.Observer, o *replayOpts) error {
-	run := ob.Tracer().Start("run")
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if interval == 0 {
-		// Dry-sizing from the recording itself: no guest run needed, the
-		// trailer already has the total instruction count.
-		info, err := etrace.Stat(f)
-		if err != nil || !info.Complete {
-			// Dry-sizing needs the trailer's instruction total, which a
-			// damaged trace may not have even in salvage mode.
-			if o.salvage {
-				return fmt.Errorf("%s: cannot size slices from a damaged trace; pass an explicit -slice", path)
-			}
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			return fmt.Errorf("%s: incomplete trace (no end record)", path)
-		}
-		if interval = info.FinalICount / 64; interval == 0 {
-			interval = 1
-		}
-	}
-
-	instrument := ob.Tracer().Start("instrument")
-	fi, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	pr, err := etrace.NewParallelReplayer(f, fi.Size(), etrace.ParallelOptions{Jobs: o.jobs, Salvage: o.salvage})
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	host := pr.NewConsumer()
-	tools, err := study.Attach(host, study.RunConfig{
-		Kind: study.RunTQUAD, SliceInterval: interval, IncludeStack: o.IncludeStack,
-		ExcludeLibs: o.ignoreLibs, Cache: cache,
-	}, ob.Tracer())
-	if err != nil {
-		return err
-	}
-	instrument.End()
-
-	replay := ob.Tracer().Start("replay")
-	if err := pr.ReplayContext(ctx); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	replay.SetInstr(host.ICount())
-	rb, wb := host.Traffic()
-	replay.SetBytes(rb + wb)
-	replay.End()
-	if rep := host.SalvageReport(); rep != nil && rep.Damaged() {
-		fmt.Printf("salvage: %s\n", rep)
-	}
-	if host.ExitCode() != 0 {
-		return fmt.Errorf("%s: recorded guest exit code %d", path, host.ExitCode())
-	}
-
-	res := tools.Collect(host.ICount(), host.Overhead(), ob)
-	host.PublishMetrics(ob.Registry())
-	return o.write(res, ob, run)
-}
+// single reports whether the invocation is one run: one slice interval
+// and at most one cache hierarchy.
+func (p *profiler) single() bool { return len(p.intervals) == 1 && len(p.caches) <= 1 }
 
 // runSweep executes one tQUAD run per interval×hierarchy combination
-// through the supervised scheduler and prints each run's output in
-// sweep order.  In replay mode (the scheduler default) the whole sweep
-// shares one recorded guest execution, however many hierarchies it
-// compares.
-func runSweep(ctx context.Context, cfg wfs.Config, rf *runFlags, o *obs.Observer, tel *telemetry, intervals []uint64, caches []string, ignoreLibs bool, replayJobs int, opt study.RenderOptions) error {
-	sch, _, closeSch, err := rf.supervised(ctx, cfg, o, tel, "run")
+// through the supervised scheduler, titled title under -serve, and
+// prints the report.  A plain single run — no -record, -replay or
+// -resume — executes the guest live, since recording and then replaying
+// would cost more.  Every other invocation records the guest once, or
+// adopts the -replay trace, and replays that recording for all its runs
+// in one decode pass.  Returning (rather than exiting) on failure lets
+// the deferred shutdown remove temp traces and flush the journal first.
+func (p *profiler) runSweep(ctx context.Context, cfg wfs.Config, title string) error {
+	o := p.rf.observer()
+	tel := p.rf.serve(o, title)
+	defer tel.close()
+	sch, _, closeSch, err := p.rf.supervised(ctx, cfg, o, tel, "run")
 	if err != nil {
 		return err
 	}
 	defer closeSch()
-	sch.SetReplayJobs(replayJobs)
-	resolved, pend, err := sch.SubmitSweep(intervals, caches, opt.IncludeStack, ignoreLibs)
+	sch.SetReplay(!p.single() || p.record != "" || p.replay != "" || p.rf.resume != "")
+	sch.SetReplayJobs(p.replayJobs)
+	if p.replay != "" {
+		sch.SetTraceSource(p.replay, p.salvage)
+	}
+	if p.record != "" {
+		sch.SetTraceSink(p.record)
+	}
+	resolved, pend, err := sch.SubmitSweep(p.intervals, p.caches, p.opt.IncludeStack, p.ignoreLibs)
 	if err != nil {
 		return err
 	}
@@ -532,7 +248,57 @@ func runSweep(ctx context.Context, cfg wfs.Config, rf *runFlags, o *obs.Observer
 	for _, res := range results {
 		tel.chart.Add(res.Key, study.EffectiveBandwidth(res.Temporal))
 	}
-	study.WriteSweepReport(os.Stdout, results, resolved, len(caches) > 1, opt)
+	return p.write(results, resolved, o)
+}
+
+// write prints the -record and -salvage notes, then the report — or a
+// single run's CSV — and writes the requested export files.
+func (p *profiler) write(results []*study.RunResult, intervals []uint64, o *obs.Observer) error {
+	reportSpan := o.Tracer().Start("report")
+	if p.record != "" {
+		fmt.Printf("event trace written to %s\n", p.record)
+	}
+	// Every run replays the one adopted trace, so one line speaks for all.
+	if rep := results[0].Salvage; rep != nil && rep.Damaged() {
+		fmt.Printf("salvage: %s\n", rep)
+	}
+	res, prof := results[0], results[0].Temporal
+	if p.jsonFile != "" {
+		if err := writeFile(p.jsonFile, func(w io.Writer) error { return trace.SaveTemporal(w, prof) }); err != nil {
+			return err
+		}
+	}
+	if p.svgFile != "" {
+		if err := os.WriteFile(p.svgFile, []byte(study.Heatmap(prof, p.opt)), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("heatmap written to %s\n", p.svgFile)
+	}
+	if p.csv {
+		fmt.Printf("tQUAD: %d instructions, %d slices of %d instructions, slowdown %.1fx\n\n",
+			prof.TotalInstr, prof.NumSlices, prof.SliceInterval, float64(res.Time)/float64(prof.TotalInstr))
+		emitCSV(prof, study.KernelSet(p.opt.Kernels, prof), p.opt.Metric, p.opt.IncludeStack)
+	} else {
+		study.WriteSweepReport(os.Stdout, results, intervals, len(p.caches) > 1, p.opt)
+	}
+	reportSpan.End()
+	// A sweep's observer only feeds -serve: the exports and the pipeline
+	// tables belong to single runs.
+	if o == nil || !p.single() {
+		return nil
+	}
+	if prof.TotalInstr > 0 {
+		o.Metrics.Gauge("tquad_run_slowdown").Set(float64(res.Time) / float64(prof.TotalInstr))
+	}
+	if err := o.WriteFiles(p.rf.metricsOut, p.rf.traceOut, p.rf.journalOut); err != nil {
+		return err
+	}
+	if !p.csv {
+		fmt.Print("\npipeline stages:\n" + study.RenderSpans(o.Spans))
+		if blocks := study.RenderBlockEngine(o.Metrics); blocks != "" {
+			fmt.Print("\nblock execution engine:\n" + blocks)
+		}
+	}
 	return nil
 }
 

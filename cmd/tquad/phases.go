@@ -26,7 +26,7 @@ func phasesMain(args []string) {
 		allFns   = fs.Bool("all-functions", false, "consider every routine, not just the paper's kernels")
 		jsonFile = fs.String("json", "", "also write the phase table as JSON to this file")
 	)
-	fs.Parse(args)
+	parse(fs, args)
 
 	sch := replayOff(newStudy(*config), 1)
 	defer sch.Close()

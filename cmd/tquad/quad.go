@@ -31,7 +31,7 @@ func quadMain(args []string) {
 		minBytes   = fs.Uint64("min-bytes", 1, "omit QDU edges thinner than this")
 		jsonFile   = fs.String("json", "", "also write the stack-inclusive report as JSON to this file")
 	)
-	fs.Parse(args)
+	parse(fs, args)
 
 	sch := replayOff(newStudy(*config), 0)
 	defer sch.Close()

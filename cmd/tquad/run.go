@@ -26,7 +26,7 @@ func runMain(args []string) {
 		overhead = fs.Bool("overhead", false, "also measure the instrumentation slowdown grid")
 		verify   = fs.Bool("verify", true, "verify guest output against the host reference")
 	)
-	fs.Parse(args)
+	parse(fs, args)
 
 	cfg := lookupConfig(*config)
 	w, err := wfs.NewWorkload(cfg)

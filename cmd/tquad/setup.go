@@ -28,6 +28,19 @@ func command(name string) *flag.FlagSet {
 	return flag.NewFlagSet(name, flag.ExitOnError)
 }
 
+// parse parses a (sub)command's arguments.  No command takes positional
+// arguments, so a leftover one — a mistyped subcommand, say — is a usage
+// error like a bad flag: it is named, the usage follows, and the exit
+// status is 2.
+func parse(fs *flag.FlagSet, args []string) {
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(fs.Output(), "%s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
+		fs.Usage()
+		os.Exit(2)
+	}
+}
+
 // lookupConfig resolves a -config name, exiting on an unknown one.
 func lookupConfig(name string) wfs.Config {
 	cfg, err := wfs.ConfigByName(name)
@@ -69,8 +82,8 @@ func (f *runFlags) register(fs *flag.FlagSet) {
 	fs.IntVar(&f.jobs, "jobs", 0, "maximum concurrently executing runs (0 = GOMAXPROCS)")
 	fs.DurationVar(&f.timeout, "timeout", 0, "wall-clock deadline for the whole invocation (0 = none)")
 	fs.Uint64Var(&f.maxICount, "max-icount", 0, "guest instruction budget per run (0 = default)")
-	fs.IntVar(&f.retries, "retries", 0, "retries per run after transient failures (profiler: sweeps only)")
-	fs.StringVar(&f.resume, "resume", "", "checkpoint journal directory: journal completed runs and resume from them on rerun (profiler: sweeps only)")
+	fs.IntVar(&f.retries, "retries", 0, "retries per run (and per recording) after transient failures")
+	fs.StringVar(&f.resume, "resume", "", "checkpoint journal directory: journal completed runs and the recording, and resume from them on rerun (profiler: excludes -record and -replay)")
 	fs.StringVar(&f.engine, "engine", "block", "execution engine: block (pre-decoded basic blocks) or step (reference interpreter)")
 	fs.StringVar(&f.metricsOut, "metrics", "", "write a Prometheus text-format metrics snapshot to this file")
 	fs.StringVar(&f.traceOut, "trace", "", "write a chrome://tracing JSON trace of the pipeline stages to this file")
@@ -150,10 +163,10 @@ func (t *telemetry) close() {
 	}
 }
 
-// supervised builds the scheduler the profiler's sweeps and `tquad
-// study` run on: a study of cfg observed by o, on the -engine, under
-// ctx, with -jobs, -retries, -max-icount, the telemetry's lifecycle
-// events and the -resume checkpoint journal.  Resuming logs how many
+// supervised builds the scheduler the profiler and `tquad study` run
+// on: a study of cfg observed by o, on the -engine, under ctx, with
+// -jobs, -retries, -max-icount, the telemetry's lifecycle events and the
+// -resume checkpoint journal.  Resuming logs how many
 // completed runs — called noun in the message — the journal holds.
 // The returned close drains the scheduler, then closes the journal.
 func (f *runFlags) supervised(ctx context.Context, cfg wfs.Config, o *obs.Observer, tel *telemetry, noun string) (*study.Scheduler, *study.Study, func(), error) {

@@ -68,7 +68,7 @@ func studyMain(args []string) {
 	config := fs.String("config", "study", "workload configuration: small or study")
 	cache := fs.String("cache", "", "simulate cache hierarchies over the Figure 6 run, e.g. l1=32k/8/64,l2=256k/8/64; semicolon-separated list sweeps geometries")
 	runTimeout := fs.Duration("run-timeout", 0, "per-experiment wall-clock bound (0 = none)")
-	fs.Parse(args)
+	parse(fs, args)
 
 	caches, err := parseCaches(*cache)
 	if err != nil {

@@ -37,7 +37,8 @@ const (
 	// EventRetry: a transiently failed attempt is being re-executed.
 	EventRetry = "retry"
 	// EventCheckpointed: the run's result (or its recording's trace) was
-	// served from or persisted into a checkpoint journal.
+	// served from or persisted into a checkpoint journal; a recording's
+	// trace also when adopted from a trace source or kept at a sink.
 	EventCheckpointed = "checkpointed"
 	// EventSucceeded: the run completed and its result is available.
 	EventSucceeded = "succeeded"

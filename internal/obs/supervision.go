@@ -19,11 +19,12 @@ const (
 	// MetricSchedFailures counts runs that exhausted their retries (or
 	// failed permanently) and were reported to the caller.
 	MetricSchedFailures = "tquad_sched_runs_failed_total"
-	// MetricSchedCheckpointHits counts guest recordings satisfied from a
-	// checkpoint journal instead of a fresh execution.
+	// MetricSchedCheckpointHits counts guest recordings satisfied from an
+	// existing trace — a checkpoint journal's or an adopted trace source
+	// (tquad -replay) — instead of a fresh execution.
 	MetricSchedCheckpointHits = "tquad_sched_checkpoint_hits_total"
 	// MetricSchedCheckpointSaves counts recordings persisted into a
-	// checkpoint journal.
+	// checkpoint journal or a trace sink (tquad -record).
 	MetricSchedCheckpointSaves = "tquad_sched_checkpoint_saves_total"
 	// MetricSchedStalled counts runs flagged by the live stall detector:
 	// started but heartbeat-silent for longer than the stall window.

@@ -19,7 +19,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -151,22 +150,10 @@ func (c *Checkpoint) markDone(e doneEntry) error {
 // PersistedTrace returns the path of the journalled, validated event
 // trace for an execution-equivalence key (the scheduler's ExecKey), or
 // ok=false when none has been persisted yet or the file does not decode
-// to a complete trace.  The jobd daemon archives a finished job's
+// to a complete trace (in which case the recording runs fresh and
+// persists over it).  The jobd daemon archives a finished job's
 // recording from here into its artifact store.
 func (c *Checkpoint) PersistedTrace(execKey string) (string, bool) {
-	return c.trace(execKey)
-}
-
-// tracePath returns the persisted trace location for an
-// execution-equivalence key.
-func (c *Checkpoint) tracePath(execKey string) string {
-	return filepath.Join(c.dir, "trace-"+sanitizeKey(execKey)+".etrace")
-}
-
-// trace returns the persisted, validated trace for the key, or ok=false
-// when none exists or the file does not decode to a complete trace (in
-// which case the recording runs fresh and overwrites it).
-func (c *Checkpoint) trace(execKey string) (string, bool) {
 	path := c.tracePath(execKey)
 	f, err := os.Open(path)
 	if err != nil {
@@ -180,53 +167,10 @@ func (c *Checkpoint) trace(execKey string) (string, bool) {
 	return path, true
 }
 
-// invalidateTrace removes the persisted trace for the key, so neither
-// this sweep's re-recording path nor a future resume can be served a
-// trace that failed integrity verification.  Removing a file that is
-// not there (or was never persisted) is a no-op.
-func (c *Checkpoint) invalidateTrace(execKey string) {
-	os.Remove(c.tracePath(execKey))
-}
-
-// saveTrace moves a finished recording from tmp into the journal,
-// atomically: the content lands under a .part name first (rename when
-// the temp file shares the journal's filesystem, copy otherwise) and
-// only a final rename makes it visible to trace().
-func (c *Checkpoint) saveTrace(execKey, tmp string) (string, error) {
-	final := c.tracePath(execKey)
-	part := final + ".part"
-	if err := os.Rename(tmp, part); err != nil {
-		if cerr := copyFile(tmp, part); cerr != nil {
-			return "", fmt.Errorf("study: checkpoint: persist trace: %w", cerr)
-		}
-		os.Remove(tmp)
-	}
-	if err := os.Rename(part, final); err != nil {
-		return "", fmt.Errorf("study: checkpoint: persist trace: %w", err)
-	}
-	return final, nil
-}
-
-func copyFile(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		os.Remove(dst)
-		return err
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
+// tracePath returns the persisted trace location for an
+// execution-equivalence key.
+func (c *Checkpoint) tracePath(execKey string) string {
+	return filepath.Join(c.dir, "trace-"+sanitizeKey(execKey)+".etrace")
 }
 
 // sanitizeKey maps a run key onto a safe filename fragment.

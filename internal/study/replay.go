@@ -43,13 +43,13 @@ func (k RunKind) known() bool {
 // recording is one in-flight or finished guest recording, shared by all
 // configurations in its execution-equivalence group.
 type recording struct {
-	done      chan struct{}
-	path      string // trace file; a temp file unless persisted
-	persisted bool   // path lives in a checkpoint journal; Close keeps it
-	icount    uint64 // recorded guest instruction total (replay budget)
-	reg       *obs.Registry
-	spans     []obs.SpanRecord
-	err       error
+	done   chan struct{}
+	path   string // trace file; a temp file unless kept
+	kept   bool   // path was adopted or persisted, so Close keeps it
+	icount uint64 // recorded guest instruction total (replay budget)
+	reg    *obs.Registry
+	spans  []obs.SpanRecord
+	err    error
 
 	// Corruption recovery state, guarded by the scheduler's mu.  A
 	// recording whose trace later fails integrity verification is retired
@@ -81,44 +81,47 @@ func (sc *Scheduler) recordingLocked(key string) *recording {
 	return rec
 }
 
-// record drives one recording under the supervision policy: checkpoint
-// fast path, then attempts with panic recovery and transient retry on a
-// schedule seeded from "record/<key>", persisting the finished trace
-// into the checkpoint journal when one is attached.
+// record drives one recording under the supervision policy.  An
+// existing trace — the trace source, or the checkpoint journal's — is
+// adopted, executing the guest zero times.  Otherwise the guest is
+// recorded in attempts, with panic recovery and transient retry on a
+// schedule seeded from "record/<key>", and the finished trace is
+// persisted to the sink: the trace sink, or the checkpoint journal,
+// which keeps the temp file when it cannot persist.  A recording that
+// fails leaves nothing at its sink.
 func (sc *Scheduler) record(pol policy, key string, rec *recording) {
 	defer close(rec.done)
 	evKey := "record/" + key
 	pol.emit(obs.Event{Type: obs.EventQueued, Key: evKey})
-	ctx := pol.ctx
-	if pol.ckpt != nil {
-		if path, ok := pol.ckpt.trace(key); ok {
-			// A previous sweep already recorded this group: replay from the
-			// persisted trace, executing the guest zero times.
-			rec.path, rec.persisted = path, true
-			rec.icount = statTraceICount(pol, path)
-			sc.sup.CheckpointHits.Inc()
-			pol.emit(obs.Event{Type: obs.EventCheckpointed, Key: evKey, ICount: rec.icount})
-			pol.emit(obs.Event{Type: obs.EventSucceeded, Key: evKey, ICount: rec.icount})
-			return
-		}
+	if path, ok := pol.adopt(key); ok {
+		rec.path, rec.kept = path, true
+		rec.icount = statTraceICount(pol, path)
+		sc.sup.CheckpointHits.Inc()
+		pol.emit(obs.Event{Type: obs.EventCheckpointed, Key: evKey, ICount: rec.icount})
+		pol.emit(obs.Event{Type: obs.EventSucceeded, Key: evKey, ICount: rec.icount})
+		return
 	}
+	ctx := pol.ctx
+	sink := pol.sinkPath(key)
 	sched := backoffSchedule(evKey, pol.retries, pol.base, pol.cap)
 	for attempt := 0; ; attempt++ {
-		if cerr := ctx.Err(); cerr != nil {
-			sc.sup.Cancels.Inc()
-			rec.err = cerr
-			pol.emit(obs.Event{Type: obs.EventFailed, Key: evKey, Err: cerr.Error()})
-			return
+		if rec.err = ctx.Err(); rec.err != nil {
+			break
 		}
 		rec.err = sc.recordOnce(pol, key, attempt, rec)
-		if rec.err == nil {
-			if pol.ckpt != nil {
-				if path, err := pol.ckpt.saveTrace(key, rec.path); err == nil {
-					rec.path, rec.persisted = path, true
-					sc.sup.CheckpointSaves.Inc()
-					pol.emit(obs.Event{Type: obs.EventCheckpointed, Key: evKey, ICount: rec.icount})
-				}
+		if rec.err == nil && sink != "" {
+			if err := persistTrace(rec.path, sink); err == nil {
+				rec.path, rec.kept = sink, true
+				sc.sup.CheckpointSaves.Inc()
+				pol.emit(obs.Event{Type: obs.EventCheckpointed, Key: evKey, ICount: rec.icount})
+			} else if pol.sink != "" {
+				rec.err = fmt.Errorf("study: persist trace: %w", err)
+				os.Remove(rec.path)
+				rec.path = ""
+				break
 			}
+		}
+		if rec.err == nil {
 			pol.emit(obs.Event{Type: obs.EventSucceeded, Key: evKey, ICount: rec.icount})
 			return
 		}
@@ -131,6 +134,9 @@ func (sc *Scheduler) record(pol policy, key string, rec *recording) {
 			break
 		}
 	}
+	if sink != "" {
+		os.Remove(sink)
+	}
 	if IsCancelled(rec.err) && ctx.Err() != nil {
 		sc.sup.Cancels.Inc()
 	} else {
@@ -139,7 +145,82 @@ func (sc *Scheduler) record(pol policy, key string, rec *recording) {
 	pol.emit(obs.Event{Type: obs.EventFailed, Key: evKey, Err: rec.err.Error()})
 }
 
-// statTraceICount reads a checkpointed trace's recorded instruction
+// adopt returns the existing trace the group's recording is served
+// from: the trace source, unvalidated — its damage must surface at
+// replay — or else the checkpoint journal's trace once it validates.
+func (pol policy) adopt(key string) (string, bool) {
+	if pol.source != "" {
+		return pol.source, true
+	}
+	if pol.ckpt != nil {
+		return pol.ckpt.PersistedTrace(key)
+	}
+	return "", false
+}
+
+// sinkPath returns where the group's finished recording is persisted:
+// the trace sink, else the checkpoint journal's trace path, else ""
+// (nowhere: the recording stays a temp file).
+func (pol policy) sinkPath(key string) string {
+	if pol.sink == "" && pol.ckpt != nil {
+		return pol.ckpt.tracePath(key)
+	}
+	return pol.sink
+}
+
+// persistTrace moves a finished recording from tmp to final, atomically:
+// the content lands under a .part name first (rename when tmp shares
+// final's filesystem, copy otherwise) and only a final rename makes it
+// visible.  The trace gets the mode os.Create gives, not the temp file's
+// 0600.
+func persistTrace(tmp, final string) error {
+	part := final + ".part"
+	f, err := os.Create(part)
+	if err != nil {
+		return err
+	}
+	fi, err := f.Stat()
+	f.Close()
+	if err == nil {
+		err = os.Chmod(tmp, fi.Mode())
+	}
+	copied := false
+	if err == nil && os.Rename(tmp, part) != nil {
+		err, copied = copyFile(tmp, part), true
+	}
+	if err == nil {
+		err = os.Rename(part, final)
+	}
+	if err != nil {
+		os.Remove(part)
+	} else if copied {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+// copyFile copies src to a file it creates at dst, and fsyncs it.
+func copyFile(src, dst string) error {
+	in, err := os.Open(src)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	out, err := os.Create(dst)
+	if err != nil {
+		return err
+	}
+	_, err = io.Copy(out, in)
+	if err == nil {
+		err = out.Sync()
+	}
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// statTraceICount reads an adopted trace's recorded instruction
 // total — the budget the live dashboard shows replays progressing
 // against.  Only paid when events are on; any failure just yields an
 // unknown (zero) budget.
@@ -317,8 +398,9 @@ type groupRun struct {
 // bad tool configuration, a panicking analysis routine (a *PanicError)
 // or a non-zero recorded exit code fails its own run only, while trace
 // damage and cancellation reach every run the pass was still feeding.
-// wrap, when non-nil, wraps the trace file (Hooks.ReplayReader).
-func (s *Study) replayGroup(ctx context.Context, runs []*groupRun, path string, jobs int, wrap func(io.ReaderAt, int64) (io.ReaderAt, int64)) {
+// opts sets the decode workers and salvage mode, and wrap, when non-nil,
+// wraps the trace file (Hooks.ReplayReader).
+func (s *Study) replayGroup(ctx context.Context, runs []*groupRun, path string, opts etrace.ParallelOptions, wrap func(io.ReaderAt, int64) (io.ReaderAt, int64)) {
 	fail := func(err error) {
 		for _, r := range runs {
 			r.Err = fmt.Errorf("study: run %s: %w", r.Cfg.Key(), err)
@@ -340,7 +422,7 @@ func (s *Study) replayGroup(ctx context.Context, runs []*groupRun, path string, 
 	if wrap != nil {
 		ra, size = wrap(ra, size)
 	}
-	pr, err := etrace.NewParallelReplayer(ra, size, etrace.ParallelOptions{Jobs: jobs})
+	pr, err := etrace.NewParallelReplayer(ra, size, opts)
 	if err != nil {
 		fail(err)
 		return
@@ -418,6 +500,7 @@ func (s *Study) replayGroup(ctx context.Context, runs []*groupRun, path string, 
 		}
 		m.host.PublishMetrics(m.ro.Registry())
 		m.Res = m.ts.Collect(m.host.ICount(), m.host.Overhead(), m.ro)
+		m.Res.Salvage = m.host.SalvageReport()
 		m.run.End()
 		if m.ro != nil {
 			m.Res.Registry = m.ro.Metrics

@@ -149,6 +149,10 @@ type RunResult struct {
 	Breakdown core.OverheadBreakdown // RunTQUAD
 	Mem       *memsim.Profile        // RunTQUAD with Cache set
 
+	// Salvage is what a salvage replay of the adopted trace lost (see
+	// SetTraceSource); nil for every other run.
+	Salvage *etrace.SalvageReport
+
 	// Registry and Spans hold the run's private observability, recorded
 	// into per-run sinks so concurrent runs never contend; Scheduler.Flush
 	// merges them into the study's observer.  Nil when observability is
@@ -205,6 +209,9 @@ type Scheduler struct {
 	maxInstr    uint64
 	hooks       Hooks
 	ckpt        *Checkpoint
+	source      string // SetTraceSource's adopted trace
+	salvage     bool
+	sink        string // SetTraceSink's path
 	sup         obs.Supervision
 	events      obs.EventSink
 	beatEvery   uint64
@@ -341,6 +348,29 @@ func (sc *Scheduler) SetCheckpoint(c *Checkpoint) {
 	sc.mu.Unlock()
 }
 
+// SetTraceSource adopts the recorded trace at path as the scheduler's
+// recording: replay-mode runs read it, and the guest never executes.  The
+// file is read-only input: a damaged one fails its runs with an
+// etrace.IsCorrupt error instead of being re-recorded, and it is never
+// removed or rewritten.  With salvage set, replays skip damaged chunks
+// and every RunResult carries the salvage report.  Call before the first
+// Submit.
+func (sc *Scheduler) SetTraceSource(path string, salvage bool) {
+	sc.mu.Lock()
+	sc.source, sc.salvage = path, salvage
+	sc.mu.Unlock()
+}
+
+// SetTraceSink persists the scheduler's recording at path, where it
+// appears only once complete and fsynced.  A recording that fails leaves
+// no file at path, not even an older one, and one found corrupt at
+// replay is re-recorded into it.  Call before the first Submit.
+func (sc *Scheduler) SetTraceSink(path string) {
+	sc.mu.Lock()
+	sc.sink = path
+	sc.mu.Unlock()
+}
+
 // SetReplay switches between record-once/replay-many execution (the
 // default) and live execution of every configuration.  Call it before
 // the first Submit; already-submitted runs keep the mode they started
@@ -374,9 +404,10 @@ func (sc *Scheduler) SetReplayJobs(n int) {
 func (sc *Scheduler) DecodePasses() uint64 { return sc.decodePasses.Load() }
 
 // Close waits for all submitted work and removes the recorded trace
-// temp files.  Traces persisted into a checkpoint journal are kept —
-// they belong to the journal, not the scheduler.  Call it when the
-// sweep is done; the memoised results stay valid.
+// temp files.  Adopted and persisted traces are kept — they belong to
+// the trace source, the sink or the checkpoint journal, not the
+// scheduler.  Call it when the sweep is done; the memoised results stay
+// valid.
 func (sc *Scheduler) Close() {
 	sc.mu.Lock()
 	pend := make([]*Pending, 0, len(sc.memo))
@@ -394,7 +425,7 @@ func (sc *Scheduler) Close() {
 	}
 	for _, r := range recs {
 		<-r.done
-		if r.path != "" && !r.persisted {
+		if r.path != "" && !r.kept {
 			os.Remove(r.path)
 			r.path = ""
 		}
@@ -405,34 +436,51 @@ func (sc *Scheduler) Close() {
 // to its (possibly already running or finished) result.  Submissions
 // with a configuration seen before — by this scheduler — reuse the
 // earlier run.
-func (sc *Scheduler) Submit(cfg RunConfig) *Pending {
-	key := cfg.Key()
-	sc.mu.Lock()
-	if p, ok := sc.memo[key]; ok {
-		sc.mu.Unlock()
-		return p
-	}
-	p := &Pending{key: key, done: make(chan struct{})}
-	sc.memo[key] = p
-	m := &member{p: p, cfg: cfg, key: key, pol: sc.policyLocked()}
+func (sc *Scheduler) Submit(cfg RunConfig) *Pending { return sc.submit(cfg)[0] }
+
+// submit is Submit for several configurations at once.  Their replays
+// are queued together, so they share one decode pass even when their
+// recording is already done, as an adopted trace is at once.
+func (sc *Scheduler) submit(cfgs ...RunConfig) []*Pending {
+	pend := make([]*Pending, len(cfgs))
 	var rec *recording
-	if sc.replay && cfg.Kind.known() {
-		rec = sc.recordingLocked(cfg.ExecKey())
+	var queued []*member
+	for i, cfg := range cfgs {
+		key := cfg.Key()
+		sc.mu.Lock()
+		if p, ok := sc.memo[key]; ok {
+			sc.mu.Unlock()
+			pend[i] = p
+			continue
+		}
+		p := &Pending{key: key, done: make(chan struct{})}
+		sc.memo[key], pend[i] = p, p
+		m := &member{p: p, cfg: cfg, key: key, pol: sc.policyLocked()}
+		replay := sc.replay
+		if replay && cfg.Kind.known() {
+			// ExecKey is a constant, so every replayed run shares rec.
+			rec = sc.recordingLocked(cfg.ExecKey())
+		}
+		sc.mu.Unlock()
+		m.pol.emit(obs.Event{Type: obs.EventQueued, Key: key})
+		switch {
+		case replay && !cfg.Kind.known():
+			// Reject before recording anything: an unknown kind must not cost
+			// (or wait for) a guest execution, and its failure must surface
+			// for every duplicate submission of the same key.
+			p.err = fmt.Errorf("study: unknown run kind %d", cfg.Kind)
+			m.pol.emit(obs.Event{Type: obs.EventFailed, Key: key, Err: p.err.Error()})
+			close(p.done)
+		case replay:
+			queued = append(queued, m)
+		default:
+			sc.dispatch(nil, m)
+		}
 	}
-	invalid := sc.replay && !cfg.Kind.known()
-	sc.mu.Unlock()
-	m.pol.emit(obs.Event{Type: obs.EventQueued, Key: key})
-	if invalid {
-		// Reject before recording anything: an unknown kind must not cost
-		// (or wait for) a guest execution, and its failure must surface
-		// for every duplicate submission of the same key.
-		p.err = fmt.Errorf("study: unknown run kind %d", cfg.Kind)
-		m.pol.emit(obs.Event{Type: obs.EventFailed, Key: key, Err: p.err.Error()})
-		close(p.done)
-		return p
+	if len(queued) > 0 {
+		sc.dispatch(rec, queued...)
 	}
-	sc.dispatch(rec, m)
-	return p
+	return pend
 }
 
 // member is one submitted configuration, with the policy snapshot from
@@ -450,15 +498,17 @@ type member struct {
 	cancel context.CancelFunc
 }
 
-// dispatch queues a member for its next pass: its recording's next replay
-// pass, or — with rec nil, replay off — a live run of its own.
-func (sc *Scheduler) dispatch(rec *recording, m *member) {
+// dispatch queues members for their next pass: their recording's next
+// replay pass, or — with rec nil, replay off — a live run each.
+func (sc *Scheduler) dispatch(rec *recording, ms ...*member) {
 	if rec == nil {
-		go sc.runPass(nil, []*member{m})
+		for _, m := range ms {
+			go sc.runPass(nil, []*member{m})
+		}
 		return
 	}
 	sc.mu.Lock()
-	rec.batch = append(rec.batch, m)
+	rec.batch = append(rec.batch, ms...)
 	start := !rec.batching
 	rec.batching = true
 	sc.mu.Unlock()
@@ -619,7 +669,7 @@ func (sc *Scheduler) execute(ctx context.Context, rec *recording, pol policy, ru
 	jobs := sc.replayJobs
 	sc.mu.Unlock()
 	sc.decodePasses.Add(1)
-	sc.study.replayGroup(ctx, runs, rec.path, jobs, pol.hooks.ReplayReader)
+	sc.study.replayGroup(ctx, runs, rec.path, etrace.ParallelOptions{Jobs: jobs, Salvage: pol.salvage}, pol.hooks.ReplayReader)
 }
 
 // settle applies the one outcome rule to a member after an attempt.
@@ -681,13 +731,14 @@ func (sc *Scheduler) fail(m *member, err error) {
 // rerecord handles a recorded trace that failed integrity verification
 // at replay time: the guest execution was fine — the bytes rotted after
 // recording — so the trace is re-recordable, not a config-group
-// failure.  It retires the bad recording, invalidates any checkpointed
-// copy (a resume must not serve the same rot), and starts one
-// replacement guest execution shared by every configuration in the
-// group.  Concurrent callers converge on the same replacement; the
-// budget is one re-execution per recording chain (a corrupt replacement
-// means the fault is systematic, and the second failure surfaces).
-// Returns nil when the budget is exhausted.
+// failure.  It retires the bad recording, removes the copy at its sink
+// (a resume must not serve the same rot), and starts one replacement
+// guest execution shared by every configuration in the group.
+// Concurrent callers converge on the same replacement; the budget is one
+// re-execution per recording chain (a corrupt replacement means the
+// fault is systematic, and the second failure surfaces).  Returns nil
+// when the budget is exhausted, or when the trace is the adopted trace
+// source, which is never re-recorded.
 func (sc *Scheduler) rerecord(pol policy, key string, bad *recording) *recording {
 	sc.mu.Lock()
 	if bad.replacement != nil {
@@ -695,7 +746,7 @@ func (sc *Scheduler) rerecord(pol policy, key string, bad *recording) *recording
 		sc.mu.Unlock()
 		return fresh
 	}
-	if bad.generation >= 1 {
+	if bad.generation >= 1 || pol.source != "" {
 		sc.mu.Unlock()
 		return nil
 	}
@@ -704,8 +755,8 @@ func (sc *Scheduler) rerecord(pol policy, key string, bad *recording) *recording
 	sc.retired = append(sc.retired, bad)
 	sc.recs[key] = fresh
 	sc.mu.Unlock()
-	if pol.ckpt != nil {
-		pol.ckpt.invalidateTrace(key)
+	if sink := pol.sinkPath(key); sink != "" {
+		os.Remove(sink)
 	}
 	if sc.study != nil && sc.study.Obs != nil {
 		sc.study.Obs.Registry().Counter(obs.MetricSchedRerecords).Inc()
@@ -748,31 +799,31 @@ func (sc *Scheduler) NativeICount() (uint64, error) {
 
 // SliceForCount returns the slice interval that divides the run into
 // roughly the requested number of slices (the paper picks 1e8 for 64
-// slices, 25e6 for 255), sized by a (memoised) native run.
+// slices, 25e6 for 255), sized by a (memoised) native run.  A salvaged
+// trace has lost instructions, so it cannot size slices.
 func (sc *Scheduler) SliceForCount(slices uint64) (uint64, error) {
-	ic, err := sc.NativeICount()
+	res, err := sc.Run(RunConfig{Kind: RunNative})
 	if err != nil {
 		return 0, err
 	}
-	iv := ic / slices
-	if iv == 0 {
-		iv = 1
+	if res.Salvage != nil && res.Salvage.Damaged() {
+		return 0, errors.New("cannot size slices from a damaged trace; pass an explicit -slice")
 	}
-	return iv, nil
+	return max(res.ICount/slices, 1), nil
 }
 
 // SubmitSweep submits the tQUAD sweep grid of the profiler and of a
 // daemon job: each 0 interval resolves to ~64 slices, then one run per
-// interval × cache key (none: one cache-less run), interval-major.  It
-// returns the resolved intervals (WriteSweepReport's) and the runs in
-// submission order.
+// interval × cache key (none: one cache-less run), interval-major, all
+// queued for one replay pass.  It returns the resolved intervals
+// (WriteSweepReport's) and the runs in submission order.
 func (sc *Scheduler) SubmitSweep(intervals []uint64, caches []string, includeStack, excludeLibs bool) ([]uint64, []*Pending, error) {
 	resolved := make([]uint64, len(intervals))
 	for i, iv := range intervals {
 		if iv == 0 {
 			var err error
 			if iv, err = sc.SliceForCount(64); err != nil {
-				return nil, nil, err
+				return nil, nil, fmt.Errorf("sizing run for -slice 0: %w", err)
 			}
 		}
 		resolved[i] = iv
@@ -780,15 +831,15 @@ func (sc *Scheduler) SubmitSweep(intervals []uint64, caches []string, includeSta
 	if len(caches) == 0 {
 		caches = []string{""}
 	}
-	pend := make([]*Pending, 0, len(resolved)*len(caches))
+	cfgs := make([]RunConfig, 0, len(resolved)*len(caches))
 	for _, iv := range resolved {
 		for _, c := range caches {
-			pend = append(pend, sc.Submit(RunConfig{
+			cfgs = append(cfgs, RunConfig{
 				Kind: RunTQUAD, SliceInterval: iv, IncludeStack: includeStack, ExcludeLibs: excludeLibs, Cache: c,
-			}))
+			})
 		}
 	}
-	return resolved, pend, nil
+	return resolved, sc.submit(cfgs...), nil
 }
 
 // WaitAll waits for every run and returns their results in order, or

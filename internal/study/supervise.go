@@ -159,6 +159,9 @@ type policy struct {
 	maxInstr   uint64
 	hooks      Hooks
 	ckpt       *Checkpoint
+	source     string
+	salvage    bool
+	sink       string
 	events     obs.EventSink
 	beatEvery  uint64
 }
@@ -174,6 +177,9 @@ func (sc *Scheduler) policyLocked() policy {
 		maxInstr:   sc.maxInstr,
 		hooks:      sc.hooks,
 		ckpt:       sc.ckpt,
+		source:     sc.source,
+		salvage:    sc.salvage,
+		sink:       sc.sink,
 		events:     sc.events,
 		beatEvery:  sc.beatEvery,
 	}
