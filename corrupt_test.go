@@ -9,7 +9,10 @@
 package repro_test
 
 import (
+	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
@@ -125,4 +128,114 @@ func TestChaosTornTailRecording(t *testing.T) {
 	if n := sch.GuestExecutions(); n != 2 {
 		t.Errorf("guest executed %d times, want 2 (original + one re-recording)", n)
 	}
+}
+
+// TestCheckpointResumeOverDamagedTrace: a checkpoint directory whose
+// trace had one byte flipped mid-payload while no process had it open
+// is resumed by a fresh process.  The resume decodes the trace it
+// finds on disk, rejects it, records the guest once afresh, and
+// delivers every config byte-identical to the fault-free baseline.
+func TestCheckpointResumeOverDamagedTrace(t *testing.T) {
+	baseline := baselineResults(t)
+	dir := t.TempDir()
+	all := chaosConfigs()
+	// The native run and a tQUAD run that replays every event.
+	cfgs := []study.RunConfig{all[0], all[3]}
+	sweep := func() *study.Scheduler {
+		ck, err := study.OpenCheckpoint(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ck.Close()
+		sch := study.NewScheduler(chaosStudy(t), 2)
+		defer sch.Close()
+		sch.SetCheckpoint(ck)
+		for _, cfg := range cfgs {
+			res, err := sch.Run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", cfg.Key(), err)
+			}
+			if got := renderResult(res); got != baseline[cfg.Key()] {
+				t.Errorf("%s differs from fault-free baseline:\n%s\nvs\n%s", cfg.Key(), got, baseline[cfg.Key()])
+			}
+		}
+		return sch
+	}
+	sweep()
+
+	path := filepath.Join(dir, "trace-guest.etrace")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0xff
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n := sweep().GuestExecutions(); n != 1 {
+		t.Errorf("resume over a damaged checkpoint trace executed the guest %d times, want 1", n)
+	}
+	if _, err := etrace.Stat(mustOpen(t, path)); err != nil {
+		t.Errorf("re-recorded checkpoint trace: %v", err)
+	}
+}
+
+// TestRerecordForgetsCheckpointTrace: the checkpoint trusts the
+// recording it persisted without decoding it, so when replay finds that
+// recording corrupt, the rerecord must make the checkpoint forget it:
+// from the removal until the replacement is persisted, the checkpoint
+// has no trace to offer.
+func TestRerecordForgetsCheckpointTrace(t *testing.T) {
+	baseline := baselineResults(t)
+	ck, err := study.OpenCheckpoint(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	sch := study.NewScheduler(chaosStudy(t), 2)
+	defer sch.Close()
+	sch.SetCheckpoint(ck)
+	hooks := chaos.New(chaos.Plan{
+		RecordFlipOffsets: chaos.BitFlips(31337, 3, 4096),
+		RecordCorruptions: 1,
+	}).Hooks()
+	records, before := 0, hooks.BeforeRecord
+	hooks.BeforeRecord = func(ctx context.Context, key string, attempt int) error {
+		if records++; records == 2 {
+			if path, ok := ck.PersistedTrace(key); ok {
+				t.Errorf("re-recording: checkpoint still offers the corrupt trace %s", path)
+			}
+		}
+		return before(ctx, key, attempt)
+	}
+	sch.SetHooks(hooks)
+	cfg := chaosConfigs()[3]
+	res, err := sch.Run(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", cfg.Key(), err)
+	}
+	if got := renderResult(res); got != baseline[cfg.Key()] {
+		t.Errorf("%s differs from fault-free baseline after rerecord:\n%s\nvs\n%s", cfg.Key(), got, baseline[cfg.Key()])
+	}
+	if records != 2 {
+		t.Fatalf("%d recordings, want 2 (original + one re-recording)", records)
+	}
+	path, ok := ck.PersistedTrace(study.RunConfig{}.ExecKey())
+	if !ok {
+		t.Fatal("checkpoint offers no trace after the re-recording was persisted")
+	}
+	if info, err := etrace.Stat(mustOpen(t, path)); err != nil || !info.Complete {
+		t.Errorf("persisted re-recording: %v (complete %v)", err, info != nil && info.Complete)
+	}
+}
+
+// mustOpen opens path for the rest of the test.
+func mustOpen(t *testing.T, path string) *os.File {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
 }

@@ -115,7 +115,8 @@ func TestFormatGenerationsReplayIdentically(t *testing.T) {
 }
 
 // TestStatReportsGenerations: Stat tells the three generations apart and
-// decodes all of them to the same complete final state.
+// decodes all of them to the same complete final state, which each
+// footered generation's index footer also records.
 func TestStatReportsGenerations(t *testing.T) {
 	gens := generations(t)
 	rec := record(t)
@@ -144,6 +145,17 @@ func TestStatReportsGenerations(t *testing.T) {
 		if !info.Complete || info.FinalICount != rec.icount || info.Halted != rec.halted {
 			t.Errorf("%s: final state ic=%d halted=%v complete=%v, want %d/%v/true",
 				tc.gen, info.FinalICount, info.Halted, info.Complete, rec.icount, rec.halted)
+		}
+		// A footered trace's index ends at the end record's icount, so a
+		// reader needing only the length takes it from the footer.
+		idx, err := etrace.ReadIndex(bytes.NewReader(gens[tc.gen]), int64(len(gens[tc.gen])))
+		if err != nil || (idx != nil) != tc.indexed {
+			t.Fatalf("%s: ReadIndex = %v, %v; want a footer: %v", tc.gen, idx, err, tc.indexed)
+		}
+		if idx != nil {
+			if got := idx.Chunks[len(idx.Chunks)-1].EndIC; got != info.FinalICount {
+				t.Errorf("%s: footer ends at icount %d, Stat's final icount is %d", tc.gen, got, info.FinalICount)
+			}
 		}
 	}
 }

@@ -317,9 +317,7 @@ func (d *Daemon) runJob(id string, rj *runningJob) {
 	defer func() {
 		rj.cancel()
 		rj.tracker.Close()
-		d.mu.Lock()
-		delete(d.running, id)
-		d.mu.Unlock()
+		d.release(id, rj)
 		d.publishGauges()
 	}()
 
@@ -344,6 +342,9 @@ func (d *Daemon) runJob(id string, rj *runningJob) {
 	// registry; their label values are bounded, so /metrics cannot grow.
 	d.reg.Merge(o.Registry())
 
+	// Leave the running set before the outcome is journalled: once a job
+	// reads as terminal, Cancel must refuse it and Retry may re-queue it.
+	d.release(id, rj)
 	switch {
 	case err == nil:
 		d.store.markSucceeded(id, arts, guest)
@@ -359,6 +360,16 @@ func (d *Daemon) runJob(id string, rj *runningJob) {
 		d.store.markFailed(id, err.Error())
 		d.reg.Counter(MetricJobsFailed).Inc()
 	}
+}
+
+// release takes a job out of the running set, unless a later claim of
+// the same id (a retry) has replaced it there.
+func (d *Daemon) release(id string, rj *runningJob) {
+	d.mu.Lock()
+	if d.running[id] == rj {
+		delete(d.running, id)
+	}
+	d.mu.Unlock()
 }
 
 // isCancel reports whether err is rooted in context cancellation.

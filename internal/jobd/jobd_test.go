@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -230,6 +231,94 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	if err := d.Retry(j2.ID); err == nil {
 		t.Error("retry of a succeeded job: want error")
+	}
+}
+
+// TestTerminalJobLeftRunningSet: a job leaves the running set before
+// its terminal state becomes visible, so a job that reads as succeeded
+// can no longer be cancelled or found running.  The test holds the
+// daemon's lock once the job's work is done: if the store can report
+// the job succeeded while it still sits in the running set, the
+// invariant is broken.
+func TestTerminalJobLeftRunningSet(t *testing.T) {
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	d, err := New(Options{
+		DataDir: t.TempDir(),
+		Workers: 1,
+		Hooks: study.Hooks{
+			BeforeRun: func(ctx context.Context, cfg study.RunConfig, attempt int) error {
+				once.Do(func() { close(entered) })
+				<-gate
+				return nil
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	j, err := d.Submit(JobSpec{Config: "small", Slices: []uint64{200000}, SkipTables: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered // past markStart's gauge update: nothing else takes d.mu
+	d.mu.Lock()
+	close(gate)
+	deadline := time.Now().Add(60 * time.Second)
+	for d.GuestExecutions() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	// The job's work is done; give its outcome time to reach the store.
+	for end := time.Now().Add(time.Second); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		if got, _ := d.Job(j.ID); got.State == StateSucceeded && d.running[j.ID] != nil {
+			d.mu.Unlock()
+			t.Fatal("job reads as succeeded while still in the running set")
+		}
+	}
+	d.mu.Unlock()
+	waitState(t, d, j.ID, StateSucceeded)
+	if err := d.Cancel(j.ID); err == nil {
+		t.Error("cancel of a succeeded job: want error")
+	}
+	if tr := d.Tracker(j.ID); tr != nil {
+		t.Error("succeeded job still has a live tracker")
+	}
+}
+
+// TestArchivedTraceMatchesCheckpoint: the trace.etrace artifact is the
+// job's checkpointed recording, byte for byte.
+func TestArchivedTraceMatchesCheckpoint(t *testing.T) {
+	d, err := New(Options{DataDir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown()
+	j, err := d.Submit(JobSpec{Config: "small", Slices: []uint64{200000}, SkipTables: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, d, j.ID, StateSucceeded)
+	got, _ := d.Job(j.ID)
+	a, ok := got.Artifact("trace.etrace")
+	if !ok {
+		t.Fatalf("no trace.etrace artifact (have %v)", got.Artifacts)
+	}
+	f, err := d.art.Open(a.Digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	archived, err := io.ReadAll(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := os.ReadFile(filepath.Join(d.store.CheckpointDir(j.ID), "trace-guest.etrace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(archived, ckpt) {
+		t.Errorf("archived trace (%d bytes) differs from the checkpoint's (%d bytes)", len(archived), len(ckpt))
 	}
 }
 

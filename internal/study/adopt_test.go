@@ -76,11 +76,36 @@ func unchanged(t *testing.T, path string, want []byte) {
 // as a live scheduler does.  Damaged, it fails every run as corrupt
 // without a guest execution or a re-recording; under salvage the same
 // runs succeed, each with the damage reported.  Either way the adopted
-// file stays byte for byte as it was.
+// file stays byte for byte as it was, and the dashboard's replay budget
+// is the recorded instruction total: it comes from the index footer, so
+// damage mid-payload does not hide it.
 func TestSchedulerTraceSource(t *testing.T) {
 	s := newStudy(t, nil)
 	path := filepath.Join(t.TempDir(), "guest.etrace")
 	recordTo(t, s, path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := etrace.Stat(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// budget fails the test unless the adopted recording's events carry
+	// the recorded instruction total.
+	budget := func(t *testing.T, sink *collector) {
+		t.Helper()
+		for _, ev := range sink.events() {
+			if ev.Key == "record/guest" && ev.Type == obs.EventSucceeded {
+				if ev.ICount != info.FinalICount {
+					t.Errorf("adopted trace budget %d, want the recorded %d", ev.ICount, info.FinalICount)
+				}
+				return
+			}
+		}
+		t.Error("no succeeded event for the adopted recording")
+	}
 
 	t.Run("intact", func(t *testing.T) {
 		want, err := os.ReadFile(path)
@@ -97,10 +122,13 @@ func TestSchedulerTraceSource(t *testing.T) {
 			study.WriteSweepReport(&b, results, ivs, true, study.RenderOptions{Metric: "both", Kernels: "all", Width: 64, IncludeStack: true})
 			return b.String(), results
 		}
+		sink := &collector{}
 		adopted := study.NewScheduler(s, 2)
 		adopted.SetTraceSource(path, false)
+		adopted.SetEvents(sink)
 		got, gotRes := report(adopted)
 		adopted.Close()
+		budget(t, sink)
 		if n := adopted.GuestExecutions(); n != 0 {
 			t.Errorf("adopted sweep executed the guest %d times, want 0", n)
 		}
@@ -134,8 +162,10 @@ func TestSchedulerTraceSource(t *testing.T) {
 		}
 		for _, salvage := range []bool{false, true} {
 			o := obs.NewObserver()
+			sink := &collector{}
 			sch := study.NewScheduler(&study.Study{W: s.W, Obs: o}, 2)
 			sch.SetTraceSource(damaged, salvage)
+			sch.SetEvents(sink)
 			_, pend := sweepGrid(t, sch)
 			for _, p := range pend {
 				res, err := p.Wait()
@@ -149,6 +179,7 @@ func TestSchedulerTraceSource(t *testing.T) {
 				}
 			}
 			sch.Close()
+			budget(t, sink)
 			if n := sch.GuestExecutions(); n != 0 {
 				t.Errorf("salvage=%v: %d guest executions, want 0", salvage, n)
 			}

@@ -7,6 +7,12 @@
 // from the persisted trace — after validating it decodes to a complete
 // end record — and completed configurations replay from it cheaply.
 //
+// A trace is validated at most once per process.  One found on disk is
+// fully decoded the first time it is asked for; one this process has
+// validated, or persisted itself (the scheduler flushes, fsyncs and
+// closes a recording before renaming it into place), is served without
+// decoding again, until a rerecord or a failed recording removes it.
+//
 // Crash safety is append-only-with-rename: a torn final line in
 // done.jsonl (the process died inside the write) fails to parse and is
 // ignored, so the worst outcome of a kill is re-running one
@@ -49,6 +55,10 @@ type Checkpoint struct {
 	mu   sync.Mutex
 	done map[string]doneEntry
 	f    *os.File // done.jsonl, append-only
+	// valid holds the execution keys whose trace file is known complete
+	// in this process: persisted here by the scheduler, or validated by
+	// a full decode.
+	valid map[string]bool
 }
 
 // OpenCheckpoint opens (creating if needed) the journal directory and
@@ -59,7 +69,7 @@ func OpenCheckpoint(dir string) (*Checkpoint, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("study: checkpoint: %w", err)
 	}
-	c := &Checkpoint{dir: dir, done: make(map[string]doneEntry)}
+	c := &Checkpoint{dir: dir, done: make(map[string]doneEntry), valid: make(map[string]bool)}
 	path := filepath.Join(dir, doneFile)
 	if b, err := os.ReadFile(path); err == nil {
 		for _, line := range bytes.Split(b, []byte("\n")) {
@@ -151,10 +161,17 @@ func (c *Checkpoint) markDone(e doneEntry) error {
 // trace for an execution-equivalence key (the scheduler's ExecKey), or
 // ok=false when none has been persisted yet or the file does not decode
 // to a complete trace (in which case the recording runs fresh and
-// persists over it).  The jobd daemon archives a finished job's
-// recording from here into its artifact store.
+// persists over it).  Only a trace this process has neither persisted
+// nor validated yet is decoded.  The jobd daemon archives a finished
+// job's recording from here into its artifact store.
 func (c *Checkpoint) PersistedTrace(execKey string) (string, bool) {
 	path := c.tracePath(execKey)
+	c.mu.Lock()
+	valid := c.valid[execKey]
+	c.mu.Unlock()
+	if valid {
+		return path, true
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return "", false
@@ -164,7 +181,19 @@ func (c *Checkpoint) PersistedTrace(execKey string) (string, bool) {
 	if err != nil || !info.Complete {
 		return "", false
 	}
+	c.setValid(execKey, true)
 	return path, true
+}
+
+// setValid records whether execKey's trace file is known complete.
+func (c *Checkpoint) setValid(execKey string, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ok {
+		c.valid[execKey] = true
+	} else {
+		delete(c.valid, execKey)
+	}
 }
 
 // tracePath returns the persisted trace location for an

@@ -112,6 +112,9 @@ func (sc *Scheduler) record(pol policy, key string, rec *recording) {
 		if rec.err == nil && sink != "" {
 			if err := persistTrace(rec.path, sink); err == nil {
 				rec.path, rec.kept = sink, true
+				if pol.ckptSink() {
+					pol.ckpt.setValid(key, true)
+				}
 				sc.sup.CheckpointSaves.Inc()
 				pol.emit(obs.Event{Type: obs.EventCheckpointed, Key: evKey, ICount: rec.icount})
 			} else if pol.sink != "" {
@@ -134,9 +137,7 @@ func (sc *Scheduler) record(pol policy, key string, rec *recording) {
 			break
 		}
 	}
-	if sink != "" {
-		os.Remove(sink)
-	}
+	pol.removeSink(key)
 	if IsCancelled(rec.err) && ctx.Err() != nil {
 		sc.sup.Cancels.Inc()
 	} else {
@@ -162,10 +163,25 @@ func (pol policy) adopt(key string) (string, bool) {
 // the trace sink, else the checkpoint journal's trace path, else ""
 // (nowhere: the recording stays a temp file).
 func (pol policy) sinkPath(key string) string {
-	if pol.sink == "" && pol.ckpt != nil {
+	if pol.ckptSink() {
 		return pol.ckpt.tracePath(key)
 	}
 	return pol.sink
+}
+
+// ckptSink reports whether recordings persist into the checkpoint
+// journal.
+func (pol policy) ckptSink() bool { return pol.sink == "" && pol.ckpt != nil }
+
+// removeSink deletes the group's persisted trace, if it has a sink,
+// after making the checkpoint forget it was valid.
+func (pol policy) removeSink(key string) {
+	if pol.ckptSink() {
+		pol.ckpt.setValid(key, false)
+	}
+	if sink := pol.sinkPath(key); sink != "" {
+		os.Remove(sink)
+	}
 }
 
 // persistTrace moves a finished recording from tmp to final, atomically:
@@ -222,8 +238,9 @@ func copyFile(src, dst string) error {
 
 // statTraceICount reads an adopted trace's recorded instruction
 // total — the budget the live dashboard shows replays progressing
-// against.  Only paid when events are on; any failure just yields an
-// unknown (zero) budget.
+// against — from the last chunk of its index footer, decoding the
+// whole trace only when it has no footer.  Only paid when events are
+// on; any failure just yields an unknown (zero) budget.
 func statTraceICount(pol policy, path string) uint64 {
 	if pol.events == nil {
 		return 0
@@ -233,6 +250,17 @@ func statTraceICount(pol policy, path string) uint64 {
 		return 0
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0
+	}
+	idx, err := etrace.ReadIndex(f, fi.Size())
+	if err != nil {
+		return 0
+	}
+	if idx != nil {
+		return idx.Chunks[len(idx.Chunks)-1].EndIC
+	}
 	info, err := etrace.Stat(f)
 	if err != nil {
 		return 0

@@ -755,9 +755,7 @@ func (sc *Scheduler) rerecord(pol policy, key string, bad *recording) *recording
 	sc.retired = append(sc.retired, bad)
 	sc.recs[key] = fresh
 	sc.mu.Unlock()
-	if sink := pol.sinkPath(key); sink != "" {
-		os.Remove(sink)
-	}
+	pol.removeSink(key)
 	if sc.study != nil && sc.study.Obs != nil {
 		sc.study.Obs.Registry().Counter(obs.MetricSchedRerecords).Inc()
 	}

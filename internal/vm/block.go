@@ -126,15 +126,17 @@ func endsBlock(op isa.Op) bool {
 
 // flushBlocks drops every compiled block.  Called whenever the code cache
 // is flushed (LoadImage, SetProbe) and on Reset: both can change the
-// bytes or the instrumentation behind already-compiled PCs.
+// bytes or the instrumentation behind already-compiled PCs.  The dense
+// table is cleared in place unless LoadImage resized the code cache.
 func (m *Machine) flushBlocks() {
-	if m.blockArr != nil || len(m.blockMap) > 0 {
+	if len(m.blockArr) > 0 || len(m.blockMap) > 0 {
 		m.BlockStats.Invalidations++
 	}
-	m.blockArr = nil
 	m.blockMap = nil
-	if m.cacheArr != nil {
-		m.blockArr = make([]*block, len(m.cacheArr))
+	if n := m.codeIdx.Len(); len(m.blockArr) == n {
+		clear(m.blockArr)
+	} else {
+		m.blockArr = make([]*block, n)
 	}
 }
 
@@ -143,8 +145,8 @@ func (m *Machine) flushBlocks() {
 // the caller falls back to Step for the exact trap.
 func (m *Machine) blockEntry(pc uint64) *block {
 	var slot **block
-	if m.blockArr != nil && pc >= m.cacheBase && pc < m.cacheEnd && pc%isa.InstrSize == 0 {
-		slot = &m.blockArr[(pc-m.cacheBase)/isa.InstrSize]
+	if i, ok := m.codeIdx.Slot(pc); ok {
+		slot = &m.blockArr[i]
 		if b := *slot; b != nil {
 			return b
 		}

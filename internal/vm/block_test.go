@@ -3,7 +3,6 @@ package vm_test
 import (
 	"testing"
 
-	"tquad/internal/image"
 	"tquad/internal/isa"
 	"tquad/internal/obs"
 	"tquad/internal/vm"
@@ -16,18 +15,6 @@ func asm(code []isa.Instr) []byte {
 		buf = ins.EncodeTo(buf)
 	}
 	return buf
-}
-
-// mkImage wraps code bytes into a single-routine main image at base.
-func mkImage(t *testing.T, name string, base uint64, code []byte) *image.Image {
-	t.Helper()
-	img, err := image.New(name, image.Main, base, code, 0, nil, 0, []image.Routine{
-		{Name: "main", Entry: base, End: base + uint64(len(code))},
-	})
-	if err != nil {
-		t.Fatalf("image.New: %v", err)
-	}
-	return img
 }
 
 // TestBlockCacheInvalidatedOnImageReload is the staleness regression
@@ -51,7 +38,7 @@ func TestBlockCacheInvalidatedOnImageReload(t *testing.T) {
 	})
 
 	m := vm.New()
-	m.LoadImage(mkImage(t, "a", base, progA))
+	m.LoadImage(diffImage("a", base, progA))
 	m.Reset(base)
 	if err := m.Run(1000); err != nil {
 		t.Fatalf("run A: %v", err)
@@ -60,7 +47,7 @@ func TestBlockCacheInvalidatedOnImageReload(t *testing.T) {
 		t.Fatalf("program A exited %d, want 7", m.ExitCode)
 	}
 
-	m.LoadImage(mkImage(t, "b", base, progB))
+	m.LoadImage(diffImage("b", base, progB))
 	m.Reset(base)
 	if err := m.Run(1000); err != nil {
 		t.Fatalf("run B: %v", err)
@@ -132,7 +119,7 @@ func TestBlockStatsCounters(t *testing.T) {
 		{Op: isa.OpHalt, Rs1: 1},
 	})
 	m := vm.New()
-	m.LoadImage(mkImage(t, "loop", base, prog))
+	m.LoadImage(diffImage("loop", base, prog))
 	m.Reset(base)
 	if err := m.Run(0); err != nil {
 		t.Fatalf("run: %v", err)

@@ -201,22 +201,27 @@ type Machine struct {
 	// (internal/chaos traps or hangs a run at instruction N through it).
 	Watchdog func(m *Machine) error
 
-	// The code cache is direct-mapped over the contiguous span of
-	// loaded code segments (instructions are 8-byte aligned, so one
-	// slot per 8 bytes); PCs outside the span fall back to a map.
-	cacheBase uint64
-	cacheEnd  uint64
-	cacheArr  []cacheEntry
-	cache     map[uint64]*cacheEntry
-	ev        Event // scratch event, reused to avoid per-step allocation
+	// The code cache holds one slot per instruction of the loaded
+	// images' code segments ([Base, CodeEnd) of each), found through
+	// codeIdx, so it is sized by the code and not by the address gap
+	// between a main image and its library.  PCs without a slot (code
+	// outside every image, images past the index's two ranges,
+	// unaligned PCs) fall back to a map.
+	codeIdx  isa.PCIndex
+	cacheArr []cacheEntry
+	cache    map[uint64]*cacheEntry
+	ev       Event // scratch event, reused to avoid per-step allocation
 
-	// The block cache mirrors the code cache's layout: direct-mapped
-	// over the loaded code span, map fallback for PCs outside it.
+	// The block cache shares the code cache's slots and map fallback.
 	// Invalidated whenever the code cache is (LoadImage, SetProbe) and
 	// on Reset.
 	blockArr []*block
 	blockMap map[uint64]*block
 }
+
+// maxCodeSlots caps the code cache's dense slots: 1M slots cover 8 MiB
+// of code, and images past the cap run through the map fallback.
+const maxCodeSlots = 1 << 20
 
 // New creates a machine with empty memory and default stack placement.
 func New() *Machine {
@@ -244,33 +249,19 @@ func (m *Machine) SetProbe(p Probe) {
 // block (blocks hold harvested handlers, so they can never outlive the
 // code cache they were harvested from).
 func (m *Machine) flushCache() {
-	m.cache = make(map[uint64]*cacheEntry)
-	m.cacheArr = nil
-	m.sizeCache()
+	clear(m.cache)
+	clear(m.cacheArr)
 	m.flushBlocks()
 }
 
-// sizeCache re-derives the direct-mapped span from the loaded images.
-func (m *Machine) sizeCache() {
-	if len(m.Images) == 0 {
-		return
+// indexCode sizes the code cache to the loaded images' code segments.
+func (m *Machine) indexCode() {
+	ranges := make([]isa.CodeRange, len(m.Images))
+	for i, img := range m.Images {
+		ranges[i] = isa.CodeRange{Lo: img.Base, Hi: img.CodeEnd()}
 	}
-	lo, hi := ^uint64(0), uint64(0)
-	for _, img := range m.Images {
-		if img.Base < lo {
-			lo = img.Base
-		}
-		if img.CodeEnd() > hi {
-			hi = img.CodeEnd()
-		}
-	}
-	// Guard against degenerate layouts (an absurdly wide span would
-	// allocate too much); 1M slots covers 8 MiB of code.
-	if slots := (hi - lo) / isa.InstrSize; slots > 0 && slots <= 1<<20 {
-		m.cacheBase = lo
-		m.cacheEnd = hi
-		m.cacheArr = make([]cacheEntry, slots)
-	}
+	m.codeIdx = isa.NewPCIndex(maxCodeSlots, ranges...)
+	m.cacheArr = make([]cacheEntry, m.codeIdx.Len())
 }
 
 // ChargeOverhead adds simulated analysis cost (in instruction-equivalents)
@@ -352,6 +343,7 @@ func (m *Machine) LoadImage(img *image.Image) {
 		m.Mem.Write(img.DataBase, img.Data)
 	}
 	m.Images = append(m.Images, img)
+	m.indexCode()
 	m.flushCache()
 }
 
@@ -434,8 +426,8 @@ func (m *Machine) trap(pc uint64, format string, args ...any) error {
 func (m *Machine) entry(pc uint64) (*cacheEntry, error) {
 	var slot *cacheEntry
 	if m.CacheEnabled {
-		if m.cacheArr != nil && pc >= m.cacheBase && pc < m.cacheEnd && pc%isa.InstrSize == 0 {
-			slot = &m.cacheArr[(pc-m.cacheBase)/isa.InstrSize]
+		if i, ok := m.codeIdx.Slot(pc); ok {
+			slot = &m.cacheArr[i]
 			if slot.valid {
 				return slot, nil
 			}
