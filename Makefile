@@ -27,9 +27,11 @@ fmt:
 # memory-hierarchy simulator attached across worker threads, the block
 # execution engine (per-machine caches on concurrent sweep workers), the
 # job daemon (worker pool + journal + HTTP surface) and the cache-bearing
-# block-engine kill/cancel/resume sweep at the root.
+# block-engine kill/cancel/resume sweep at the root.  The packages run
+# one at a time (-p 1): run side by side on two CPUs, internal/study and
+# internal/etrace each came within seconds of the per-package timeout.
 race:
-	$(GO) test -race -timeout $(TEST_TIMEOUT) ./internal/obs/... ./internal/study/... ./internal/etrace/... ./internal/memsim/... ./internal/vm/... ./internal/jobd/...
+	$(GO) test -race -p 1 -timeout $(TEST_TIMEOUT) ./internal/obs/... ./internal/study/... ./internal/etrace/... ./internal/memsim/... ./internal/vm/... ./internal/jobd/...
 	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'TestChaosBlockEngine|TestChaosMidSweepCancellation' .
 
 # The chaos suite: drives full scheduler sweeps through the deterministic
@@ -76,13 +78,17 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzQUADMatchesMapRef -fuzztime 10s ./internal/quad
 	$(GO) test -run xxx -fuzz FuzzBlockEngineEquivalence -fuzztime 10s ./internal/vm
 
-# One pass over every table/figure benchmark, the obs on/off pair, the
-# cache-geometry sweep, the simulator hot path and the paged-vs-map
-# shadow-memory ablation.
+# Every Go benchmark, 10 samples each: the code-cache, prefetch
+# fast-path and granularity ablations and the obs and serve on/off pairs
+# at the root, the slice-accumulator, simulator and paged-vs-map
+# shadow-memory micro-benchmarks, and the obs primitives.  The paper's
+# evaluation is timed by tqbench (bench/run.sh), not here.
 bench:
-	$(GO) test -bench . -benchtime 1x
-	$(GO) test -bench BenchmarkMemSim -benchtime 1x ./internal/memsim
-	$(GO) test -bench . -benchtime 1x ./internal/shadow
+	$(GO) test -run '^$$' -bench . -count 10 .
+	$(GO) test -run '^$$' -bench . -count 10 ./internal/core
+	$(GO) test -run '^$$' -bench . -count 10 ./internal/memsim
+	$(GO) test -run '^$$' -bench . -count 10 ./internal/shadow
+	$(GO) test -run '^$$' -bench . -count 10 ./internal/obs
 
 # The benchmark program (bench/, its own module, so the root ./...
 # patterns never compile it): vet it and run its tests against this

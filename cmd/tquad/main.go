@@ -167,6 +167,9 @@ func profileMain(args []string) {
 	if *stack != "include" && *stack != "exclude" {
 		log.Fatalf("bad -stack %q", *stack)
 	}
+	if err := p.opt.Check("-"); err != nil {
+		log.Fatal(err)
+	}
 	if p.replayJobs < 0 {
 		log.Fatalf("bad -replay-jobs %d: must be >= 0", p.replayJobs)
 	}

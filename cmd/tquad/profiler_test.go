@@ -45,7 +45,8 @@ func TestReplayCacheSweepMatchesLive(t *testing.T) {
 
 // TestProfilerFlagRules: -serve with -replay, -record on a sweep and
 // -retries/-resume on a single run all run; -resume refuses -record and
-// -replay, whose traces would compete with the journal's own recording.
+// -replay, whose traces would compete with the journal's own recording;
+// a -metric, -kernels or -width the daemon would refuse is refused.
 func TestProfilerFlagRules(t *testing.T) {
 	dir := t.TempDir()
 	trace := recordSmall(t, dir)
@@ -63,6 +64,9 @@ func TestProfilerFlagRules(t *testing.T) {
 		{[]string{"-replay", rec, "-slice", "200000,400000"}, 0, sweep, ""},
 		{[]string{"-resume", resume, "-record", filepath.Join(dir, "x.etrace")}, 1, "", "-resume excludes -record and -replay"},
 		{[]string{"-resume", resume, "-replay", trace}, 1, "", "-resume excludes -record and -replay"},
+		{[]string{"-config", "small", "-metric", "foo"}, 1, "", `bad -metric "foo" (want reads, writes or both)`},
+		{[]string{"-config", "small", "-kernels", "bogus"}, 1, "", `bad -kernels "bogus" (want top, last or all)`},
+		{[]string{"-config", "small", "-width", "-3"}, 1, "", "bad -width -3"},
 	} {
 		stdout, stderr, err := tool(c.args...)
 		if got := exitCode(err); got != c.code {

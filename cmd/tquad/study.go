@@ -53,6 +53,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"tquad/internal/cluster"
@@ -175,17 +176,7 @@ func runStudy(ctx context.Context, config string, caches []string, runTimeout ti
 		cfg.Speakers, cfg.Frames, cfg.FrameSize, cfg.FFTSize)
 	fmt.Printf("Native execution: %d guest instructions.\n\n", native)
 
-	fmt.Println("### Table I — flat profile (gprof analogue)")
-	fmt.Println()
-	fmt.Println(study.RenderTableI(flatRes.Flat))
-
-	fmt.Println("### Table II — QUAD producer/consumer summary")
-	fmt.Println()
-	fmt.Println(study.RenderTableII(quadExRes.Quad, quadInRes.Quad))
-
-	fmt.Println("### Table III — flat profile of the QUAD-instrumented run")
-	fmt.Println()
-	fmt.Println(study.RenderTableIII(flatRes.Flat, instrRes.Flat))
+	study.WriteTablesIToIII(os.Stdout, flatRes.Flat, instrRes.Flat, quadExRes.Quad, quadInRes.Quad)
 
 	fmt.Printf("### Figure 6 — reads, stack included, %d slices (slowdown %.1fx)\n\n",
 		fig6Res.Temporal.NumSlices, float64(fig6Res.Time)/float64(fig6Res.Temporal.TotalInstr))
@@ -201,11 +192,7 @@ func runStudy(ctx context.Context, config string, caches []string, runTimeout ti
 	fmt.Println()
 
 	phases := s.PhasesFromProfile(phasesRes.Temporal)
-	fmt.Printf("### Table IV — %d phases over %d slices of 5000 instructions\n\n",
-		len(phases), phasesRes.Temporal.NumSlices)
-	fmt.Println("```")
-	fmt.Print(study.RenderTableIV(phases, phasesRes.Temporal.NumSlices))
-	fmt.Println("```")
+	study.WriteTableIV(os.Stdout, phases, phasesRes.Temporal.NumSlices)
 
 	if len(memProfs) > 0 {
 		fmt.Println("### Memory hierarchy — effective off-chip bandwidth (simulated)")

@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"tquad/internal/core"
 	"tquad/internal/imgproc"
@@ -19,16 +21,24 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run profiles the image pipeline and writes its bandwidth chart,
+// phases and data flow to out.
+func run(out io.Writer) error {
 	w, err := imgproc.NewWorkload(imgproc.Small())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	m, osys := w.NewMachine()
 	engine := pin.NewEngine(m)
 	tq := core.Attach(engine, core.Options{SliceInterval: 3000, IncludeStack: true})
 	qd := quad.Attach(engine, quad.Options{IncludeStack: false})
 	if err := m.Run(500_000_000); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	edges, _ := osys.File(w.Cfg.OutputFile)
@@ -38,7 +48,7 @@ func main() {
 			on++
 		}
 	}
-	fmt.Printf("pipeline done: %dx%d image, %d edge pixels, %d guest instructions\n\n",
+	fmt.Fprintf(out, "pipeline done: %dx%d image, %d edge pixels, %d guest instructions\n\n",
 		w.Cfg.Width, w.Cfg.Height, on, m.ICount)
 
 	prof := tq.Snapshot()
@@ -48,20 +58,21 @@ func main() {
 			series[name] = k.Series(prof.NumSlices, true, true)
 		}
 	}
-	fmt.Print(report.BandwidthChart("temporal read bandwidth (bytes/slice)",
+	fmt.Fprint(out, report.BandwidthChart("temporal read bandwidth (bytes/slice)",
 		imgproc.KernelNames(), series, 60))
 
 	phases := phase.Detect(prof, phase.Options{IncludeStack: true, Kernels: imgproc.KernelNames()})
-	fmt.Printf("\n%d phases:\n", len(phases))
+	fmt.Fprintf(out, "\n%d phases:\n", len(phases))
 	for i, ph := range phases {
-		fmt.Printf("  phase %d [%4d,%4d): %v\n", i+1, ph.Start, ph.End, ph.KernelNames())
+		fmt.Fprintf(out, "  phase %d [%4d,%4d): %v\n", i+1, ph.Start, ph.End, ph.KernelNames())
 	}
 
-	fmt.Println("\ndata flow (QDU bindings over 10 KB):")
+	fmt.Fprintln(out, "\ndata flow (QDU bindings over 10 KB):")
 	for _, b := range qd.Report().Bindings {
 		if b.Producer == "" || b.Bytes < 10_000 {
 			continue
 		}
-		fmt.Printf("  %-10s -> %-10s %8d bytes\n", b.Producer, b.Consumer, b.Bytes)
+		fmt.Fprintf(out, "  %-10s -> %-10s %8d bytes\n", b.Producer, b.Consumer, b.Bytes)
 	}
+	return nil
 }

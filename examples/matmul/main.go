@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"tquad/internal/core"
 	"tquad/internal/glibc"
@@ -109,10 +111,10 @@ func buildMatmul(order string) *hl.Builder {
 	return b
 }
 
-func profile(order string) (checksum int64, prof *core.Profile) {
+func profile(order string) (checksum int64, prof *core.Profile, err error) {
 	prog, err := hl.Link(buildMatmul(order), glibc.Builder())
 	if err != nil {
-		log.Fatal(err)
+		return 0, nil, err
 	}
 	m := vm.New()
 	m.SetSyscallHandler(gos.New())
@@ -123,26 +125,38 @@ func profile(order string) (checksum int64, prof *core.Profile) {
 	engine := pin.NewEngine(m)
 	tool := core.Attach(engine, core.Options{SliceInterval: 20_000, IncludeStack: true})
 	if err := m.Run(1_000_000_000); err != nil {
-		log.Fatal(err)
+		return 0, nil, err
 	}
-	return m.ExitCode, tool.Snapshot()
+	return m.ExitCode, tool.Snapshot(), nil
 }
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run profiles both loop orders and writes their bandwidth signatures
+// to w.
+func run(w io.Writer) error {
 	var sums [2]int64
 	for idx, order := range []string{"ijk", "ikj"} {
-		sum, prof := profile(order)
+		sum, prof, err := profile(order)
+		if err != nil {
+			return err
+		}
 		sums[idx] = sum
 		k, _ := prof.Kernel("multiply")
 		st := k.Stats(true, prof.SliceInterval)
-		fmt.Printf("%s: checksum=%d  instructions=%-9d  multiply: %.3f B/instr read, %.3f B/instr written (peak %.3f)\n",
+		fmt.Fprintf(w, "%s: checksum=%d  instructions=%-9d  multiply: %.3f B/instr read, %.3f B/instr written (peak %.3f)\n",
 			order, sum, prof.TotalInstr, st.AvgRead, st.AvgWrite, st.MaxRW)
 	}
 	if sums[0] != sums[1] {
-		log.Fatalf("loop orders disagree: %d vs %d", sums[0], sums[1])
+		return fmt.Errorf("loop orders disagree: %d vs %d", sums[0], sums[1])
 	}
-	fmt.Println("\nsame result, different temporal bandwidth signature — the ikj variant")
-	fmt.Println("writes C once per inner iteration (higher write intensity), which is")
-	fmt.Println("precisely what a bandwidth-aware mapping decision needs to know.")
+	fmt.Fprintln(w, "\nsame result, different temporal bandwidth signature — the ikj variant")
+	fmt.Fprintln(w, "writes C once per inner iteration (higher write intensity), which is")
+	fmt.Fprintln(w, "precisely what a bandwidth-aware mapping decision needs to know.")
+	return nil
 }

@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"tquad/internal/cluster"
 	"tquad/internal/core"
@@ -90,9 +92,17 @@ func buildPipeline() *hl.Builder {
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run profiles the pipeline and writes its phases, producer/consumer
+// bindings and kernel clusters to w.
+func run(w io.Writer) error {
 	prog, err := hl.Link(buildPipeline(), glibc.Builder())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	m := vm.New()
 	m.SetSyscallHandler(gos.New())
@@ -104,7 +114,7 @@ func main() {
 	tq := core.Attach(engine, core.Options{SliceInterval: 5_000, IncludeStack: true})
 	qd := quad.Attach(engine, quad.Options{IncludeStack: true})
 	if err := m.Run(1_000_000_000); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	prof := tq.Snapshot()
@@ -117,24 +127,25 @@ func main() {
 		MergeSim:   0.6,
 		OverlapSim: 2,
 	})
-	fmt.Printf("detected %d phases over %d slices:\n", len(phases), prof.NumSlices)
+	fmt.Fprintf(w, "detected %d phases over %d slices:\n", len(phases), prof.NumSlices)
 	for i, ph := range phases {
-		fmt.Printf("  phase %d [%4d,%4d): %v\n", i+1, ph.Start, ph.End, ph.KernelNames())
+		fmt.Fprintf(w, "  phase %d [%4d,%4d): %v\n", i+1, ph.Start, ph.End, ph.KernelNames())
 	}
 
 	rep := qd.Report()
-	fmt.Println("\nproducer/consumer bindings:")
+	fmt.Fprintln(w, "\nproducer/consumer bindings:")
 	for _, bind := range rep.Bindings {
 		if bind.Producer == "" || bind.Bytes < 1000 {
 			continue
 		}
-		fmt.Printf("  %-8s -> %-8s %8d bytes\n", bind.Producer, bind.Consumer, bind.Bytes)
+		fmt.Fprintf(w, "  %-8s -> %-8s %8d bytes\n", bind.Producer, bind.Consumer, bind.Bytes)
 	}
 
 	res := cluster.Build(prof, rep, cluster.Options{TargetClusters: 2, IncludeStack: true})
-	fmt.Println("\nclustering for task partitioning (2 clusters):")
+	fmt.Fprintln(w, "\nclustering for task partitioning (2 clusters):")
 	for i, c := range res.Clusters {
-		fmt.Printf("  cluster %d: %v (intra %d bytes)\n", i+1, c.Kernels, c.IntraBytes)
+		fmt.Fprintf(w, "  cluster %d: %v (intra %d bytes)\n", i+1, c.Kernels, c.IntraBytes)
 	}
-	fmt.Printf("  inter-cluster traffic: %d bytes\n", res.InterBytes)
+	fmt.Fprintf(w, "  inter-cluster traffic: %d bytes\n", res.InterBytes)
+	return nil
 }

@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"tquad/internal/core"
 	"tquad/internal/glibc"
@@ -20,7 +22,14 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run profiles the two-kernel program and writes its bandwidth summary
+// to w.
+func run(w io.Writer) error {
 	// 1. Describe a guest program: two kernels with very different
 	// memory behaviour.
 	b := hl.NewBuilder("quickstart", image.Main)
@@ -61,7 +70,7 @@ func main() {
 	// 2. Link against the guest libc and load into a fresh machine.
 	prog, err := hl.Link(b, glibc.Builder())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	m := vm.New()
 	m.SetSyscallHandler(gos.New())
@@ -76,19 +85,20 @@ func main() {
 
 	// 4. Run and inspect.
 	if err := m.Run(100_000_000); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	prof := tool.Snapshot()
-	fmt.Printf("executed %d instructions in %d slices (exit code %d)\n\n",
+	fmt.Fprintf(w, "executed %d instructions in %d slices (exit code %d)\n\n",
 		prof.TotalInstr, prof.NumSlices, m.ExitCode)
 	for _, k := range prof.Kernels {
 		if k.Name != "fill" && k.Name != "crunch" {
 			continue
 		}
 		st := k.Stats(true, prof.SliceInterval)
-		fmt.Printf("%-8s active slices %3d..%3d  avg %.2f B/instr read, %.2f B/instr written, peak %.2f\n",
+		fmt.Fprintf(w, "%-8s active slices %3d..%3d  avg %.2f B/instr read, %.2f B/instr written, peak %.2f\n",
 			k.Name, k.FirstSlice, k.LastSlice, st.AvgRead, st.AvgWrite, st.MaxRW)
 	}
-	fmt.Println("\nfill is the bandwidth hog; crunch barely touches memory —")
-	fmt.Println("exactly the distinction tQUAD exists to expose.")
+	fmt.Fprintln(w, "\nfill is the bandwidth hog; crunch barely touches memory —")
+	fmt.Fprintln(w, "exactly the distinction tQUAD exists to expose.")
+	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"tquad/internal/memsim"
+	"tquad/internal/study"
 	"tquad/internal/wfs"
 )
 
@@ -121,25 +122,17 @@ func (s *JobSpec) normalize() error {
 	default:
 		return fmt.Errorf("jobd: bad engine %q (want block or step)", s.Engine)
 	}
-	switch s.Metric {
-	case "":
+	if s.Metric == "" {
 		s.Metric = "reads"
-	case "reads", "writes", "both":
-	default:
-		return fmt.Errorf("jobd: bad metric %q (want reads, writes or both)", s.Metric)
 	}
-	switch s.Kernels {
-	case "":
+	if s.Kernels == "" {
 		s.Kernels = "top"
-	case "top", "last", "all":
-	default:
-		return fmt.Errorf("jobd: bad kernels %q (want top, last or all)", s.Kernels)
-	}
-	if s.Width < 0 {
-		return fmt.Errorf("jobd: bad width %d", s.Width)
 	}
 	if s.Width == 0 {
 		s.Width = 64
+	}
+	if err := s.renderOptions().Check(""); err != nil {
+		return fmt.Errorf("jobd: %w", err)
 	}
 	if s.Retries < 0 {
 		return fmt.Errorf("jobd: bad retries %d", s.Retries)
@@ -149,6 +142,14 @@ func (s *JobSpec) normalize() error {
 
 // includeStack is the Stack word as the bool the run configs take.
 func (s *JobSpec) includeStack() bool { return s.Stack != "exclude" }
+
+// renderOptions is what the job's report and heatmaps show.
+func (s *JobSpec) renderOptions() study.RenderOptions {
+	return study.RenderOptions{
+		Metric: s.Metric, Kernels: s.Kernels,
+		Width: s.Width, IncludeStack: s.includeStack(),
+	}
+}
 
 // Summary is the one-line human description shown on the dashboard.
 func (s *JobSpec) Summary() string {

@@ -460,10 +460,7 @@ func (d *Daemon) executeJob(ctx context.Context, job Job, tracker *live.Tracker,
 
 	// report.txt: the sweep report, byte-identical to cmd/tquad's stdout
 	// for the same flags (shared renderer).
-	opt := study.RenderOptions{
-		Metric: spec.Metric, Kernels: spec.Kernels,
-		Width: spec.Width, IncludeStack: spec.includeStack(),
-	}
+	opt := spec.renderOptions()
 	var buf bytes.Buffer
 	study.WriteSweepReport(&buf, results, resolved, len(spec.Caches) > 1, opt)
 	if err := add(d.art.PutBytes("report.txt", buf.Bytes())); err != nil {
@@ -513,9 +510,10 @@ func (d *Daemon) executeJob(ctx context.Context, job Job, tracker *live.Tracker,
 	return arts, sch.GuestExecutions(), nil
 }
 
-// renderTables renders the Table I–IV report artifact (the study
-// subcommand's table set) from the already-completed flat, QUAD
-// exclusive and inclusive, instrumented-flat and phase runs.
+// renderTables renders the Table I–IV report artifact from the
+// already-completed flat, QUAD exclusive and inclusive,
+// instrumented-flat and phase runs, with the writers the study
+// subcommand prints them with.
 func renderTables(s *study.Study, tables []*study.Pending) ([]byte, error) {
 	res, err := study.WaitAll(tables...)
 	if err != nil {
@@ -523,11 +521,7 @@ func renderTables(s *study.Study, tables []*study.Pending) ([]byte, error) {
 	}
 	flat, quadEx, quadIn, instr, phasesRes := res[0], res[1], res[2], res[3], res[4]
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "### Table I — flat profile (gprof analogue)\n\n%s\n", study.RenderTableI(flat.Flat))
-	fmt.Fprintf(&b, "### Table II — QUAD producer/consumer summary\n\n%s\n", study.RenderTableII(quadEx.Quad, quadIn.Quad))
-	fmt.Fprintf(&b, "### Table III — flat profile of the QUAD-instrumented run\n\n%s\n", study.RenderTableIII(flat.Flat, instr.Flat))
-	phases := s.PhasesFromProfile(phasesRes.Temporal)
-	fmt.Fprintf(&b, "### Table IV — %d phases over %d slices of 5000 instructions\n\n%s",
-		len(phases), phasesRes.Temporal.NumSlices, study.RenderTableIV(phases, phasesRes.Temporal.NumSlices))
+	study.WriteTablesIToIII(&b, flat.Flat, instr.Flat, quadEx.Quad, quadIn.Quad)
+	study.WriteTableIV(&b, s.PhasesFromProfile(phasesRes.Temporal), phasesRes.Temporal.NumSlices)
 	return b.Bytes(), nil
 }

@@ -287,32 +287,21 @@ func TestTerminalJobLeftRunningSet(t *testing.T) {
 }
 
 // TestArchivedTraceMatchesCheckpoint: the trace.etrace artifact is the
-// job's checkpointed recording, byte for byte.
+// job's checkpointed recording, byte for byte, and the job's tables.txt
+// holds Tables I–IV exactly as `tquad study -config small` prints them.
 func TestArchivedTraceMatchesCheckpoint(t *testing.T) {
 	d, err := New(Options{DataDir: t.TempDir(), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Shutdown()
-	j, err := d.Submit(JobSpec{Config: "small", Slices: []uint64{200000}, SkipTables: true})
+	j, err := d.Submit(JobSpec{Config: "small", Slices: []uint64{200000}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, d, j.ID, StateSucceeded)
 	got, _ := d.Job(j.ID)
-	a, ok := got.Artifact("trace.etrace")
-	if !ok {
-		t.Fatalf("no trace.etrace artifact (have %v)", got.Artifacts)
-	}
-	f, err := d.art.Open(a.Digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	archived, err := io.ReadAll(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	archived := artifactBytes(t, d, got, "trace.etrace")
 	ckpt, err := os.ReadFile(filepath.Join(d.store.CheckpointDir(j.ID), "trace-guest.etrace"))
 	if err != nil {
 		t.Fatal(err)
@@ -320,6 +309,37 @@ func TestArchivedTraceMatchesCheckpoint(t *testing.T) {
 	if !bytes.Equal(archived, ckpt) {
 		t.Errorf("archived trace (%d bytes) differs from the checkpoint's (%d bytes)", len(archived), len(ckpt))
 	}
+
+	// Tables I–III are lines 6–72 of the study golden, Table IV lines
+	// 105–150.
+	golden, err := os.ReadFile("../../cmd/tquad/testdata/study/golden_small.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(golden), "\n")
+	want := strings.Join(lines[5:72], "") + strings.Join(lines[104:150], "")
+	if tables := string(artifactBytes(t, d, got, "tables.txt")); tables != want {
+		t.Errorf("tables.txt differs from the study golden's tables:\n--- got ---\n%s--- want ---\n%s", tables, want)
+	}
+}
+
+// artifactBytes reads the named artifact of job j from the store.
+func artifactBytes(t *testing.T, d *Daemon, j Job, name string) []byte {
+	t.Helper()
+	a, ok := j.Artifact(name)
+	if !ok {
+		t.Fatalf("no %s artifact (have %v)", name, j.Artifacts)
+	}
+	f, err := d.art.Open(a.Digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func waitState(t *testing.T, d *Daemon, id, state string) {

@@ -92,22 +92,29 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// Adopt grafts another tracer's finished span records into t as the
-// children of a new synthetic root span named name.  The records'
-// relative timing and nesting are preserved; their time base is shifted
-// to t's clock at the moment of adoption.  Used to fold per-run tracers
+// Adopt grafts src's span records into t as the children of a new
+// synthetic root span named name.  The records keep their nesting and
+// their timing relative to one another.  The root starts where src's
+// first span started, placed on t's timeline through the two tracers'
+// origins, and never before t's origin.  Used to fold per-run tracers
 // from parallel experiment runs into the study-wide timeline.  A nil
-// tracer is a no-op.
-func (t *Tracer) Adopt(name string, recs []SpanRecord) {
-	if t == nil {
+// tracer or source is a no-op.
+func (t *Tracer) Adopt(name string, src *Tracer) {
+	if t == nil || src == nil {
 		return
 	}
+	recs := src.Records()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	base := t.now().Sub(t.t0)
+	// Records are in start order: the first starts the subtree.
+	var first time.Duration
+	if len(recs) > 0 {
+		first = recs[0].Start
+	}
+	base := max(src.t0.Sub(t.t0)+first, 0)
 	var rootDur time.Duration
 	for _, r := range recs {
-		if end := r.Start + r.Dur; end > rootDur {
+		if end := r.Start + r.Dur - first; end > rootDur {
 			rootDur = end
 		}
 	}
@@ -131,7 +138,7 @@ func (t *Tracer) Adopt(name string, recs []SpanRecord) {
 			idx:    len(t.spans),
 			parent: parent,
 			depth:  root.depth + 1 + r.Depth,
-			start:  base + r.Start,
+			start:  base + r.Start - first,
 			dur:    r.Dur,
 			done:   true,
 			instr:  r.Instr,

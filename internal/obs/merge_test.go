@@ -118,7 +118,7 @@ func TestTracerAdoptPreservesStructure(t *testing.T) {
 
 	parent := NewTracerWithClock(tick)
 	top := parent.Start("sweep")
-	parent.Adopt("tquad/slice=100", child.Records())
+	parent.Adopt("tquad/slice=100", child)
 	top.End()
 
 	recs := parent.Records()
@@ -139,6 +139,63 @@ func TestTracerAdoptPreservesStructure(t *testing.T) {
 	}
 	if exec.Start < run.Start || exec.Start+exec.Dur > root.Start+root.Dur {
 		t.Errorf("adopted spans not nested in time: root=%+v exec=%+v", root, exec)
+	}
+}
+
+// TestTracerAdoptPlacesRunsWhereTheyRan: an adopted run sits on the
+// target's timeline where it ran, not where it was merged, with its
+// spans' timing intact, and a run that began before the target's origin
+// starts at 0.
+func TestTracerAdoptPlacesRunsWhereTheyRan(t *testing.T) {
+	var clock time.Time
+	at := func(ms int) { clock = time.Unix(0, 0).Add(time.Duration(ms) * time.Millisecond) }
+	now := func() time.Time { return clock }
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+
+	at(0)
+	early := NewTracerWithClock(now)
+	at(2)
+	warm := early.Start("warmup")
+	at(10)
+	parent := NewTracerWithClock(now)
+	at(14)
+	warm.End()
+	at(30)
+	child := NewTracerWithClock(now)
+	at(40)
+	run := child.Start("run")
+	at(45)
+	exec := child.Start("execute")
+	at(70)
+	exec.End()
+	run.End()
+
+	at(500) // the merge, long after both runs ended
+	parent.Adopt("tquad/slice=100", child)
+	parent.Adopt("record/x", early)
+	report := parent.Start("report")
+	at(510)
+	report.End()
+
+	recs := parent.Records()
+	if len(recs) != 6 {
+		t.Fatalf("record count = %d, want 6", len(recs))
+	}
+	for i, want := range []struct {
+		name       string
+		start, dur time.Duration
+	}{
+		{"tquad/slice=100", ms(30), ms(30)},
+		{"run", ms(30), ms(30)},
+		{"execute", ms(35), ms(25)},
+		{"record/x", 0, ms(12)},
+		{"warmup", 0, ms(12)},
+		{"report", ms(490), ms(10)},
+	} {
+		if r := recs[i]; r.Name != want.name || r.Start != want.start || r.Dur != want.dur {
+			t.Errorf("record %d = %s at %v for %v, want %s at %v for %v",
+				i, r.Name, r.Start, r.Dur, want.name, want.start, want.dur)
+		}
 	}
 }
 

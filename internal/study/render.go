@@ -12,8 +12,11 @@ import (
 	"sort"
 
 	"tquad/internal/core"
+	"tquad/internal/flatprof"
 	"tquad/internal/memsim"
+	"tquad/internal/phase"
 	"tquad/internal/plot"
+	"tquad/internal/quad"
 	"tquad/internal/report"
 	"tquad/internal/wfs"
 )
@@ -26,6 +29,27 @@ type RenderOptions struct {
 	Kernels      string // top (ten), last (ten) or all
 	Width        int    // chart width in characters
 	IncludeStack bool
+}
+
+// Check reports the first option a report cannot render: a metric other
+// than reads, writes or both, a kernel set other than top, last or all,
+// or a negative width.  The error names the option with prefix in front
+// ("-" names the command-line flag).
+func (o RenderOptions) Check(prefix string) error {
+	switch o.Metric {
+	case "reads", "writes", "both":
+	default:
+		return fmt.Errorf("bad %smetric %q (want reads, writes or both)", prefix, o.Metric)
+	}
+	switch o.Kernels {
+	case "top", "last", "all":
+	default:
+		return fmt.Errorf("bad %skernels %q (want top, last or all)", prefix, o.Kernels)
+	}
+	if o.Width < 0 {
+		return fmt.Errorf("bad %swidth %d", prefix, o.Width)
+	}
+	return nil
 }
 
 // KernelSet resolves a kernel-selection word against a profile: "top"
@@ -120,6 +144,23 @@ func WriteMemSection(w io.Writer, mp *memsim.Profile, names []string, width int)
 	io.WriteString(w, MemSummaryTable(mp, names))
 	fmt.Fprintln(w)
 	io.WriteString(w, mp.String())
+}
+
+// WriteTablesIToIII writes Tables I–III under their headings, as `tquad
+// study` prints them and the daemon's tables.txt holds them: the flat
+// profile, the QUAD summary of the stack-excluded and stack-included
+// runs, and the flat profile of the QUAD-instrumented run beside flat.
+func WriteTablesIToIII(w io.Writer, flat, instr *flatprof.Profile, quadEx, quadIn *quad.Report) {
+	fmt.Fprintf(w, "### Table I — flat profile (gprof analogue)\n\n%s\n", RenderTableI(flat))
+	fmt.Fprintf(w, "### Table II — QUAD producer/consumer summary\n\n%s\n", RenderTableII(quadEx, quadIn))
+	fmt.Fprintf(w, "### Table III — flat profile of the QUAD-instrumented run\n\n%s\n", RenderTableIII(flat, instr))
+}
+
+// WriteTableIV writes Table IV under its heading as a fenced block: the
+// phases detected over a run of numSlices 5000-instruction slices.
+func WriteTableIV(w io.Writer, phases []phase.Phase, numSlices uint64) {
+	fmt.Fprintf(w, "### Table IV — %d phases over %d slices of 5000 instructions\n\n```\n%s```\n",
+		len(phases), numSlices, RenderTableIV(phases, numSlices))
 }
 
 // WriteRunReport writes one tQUAD run's report block: the header line,

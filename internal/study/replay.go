@@ -48,7 +48,7 @@ type recording struct {
 	kept   bool   // path was adopted or persisted, so Close keeps it
 	icount uint64 // recorded guest instruction total (replay budget)
 	reg    *obs.Registry
-	spans  []obs.SpanRecord
+	spans  *obs.Tracer
 	err    error
 
 	// Corruption recovery state, guarded by the scheduler's mu.  A
@@ -348,7 +348,7 @@ func (sc *Scheduler) recordOnce(pol policy, key string, attempt int, rec *record
 // behaviour, so they are classified by markHostIO (retryable, unless
 // the errno names a stable host condition); guest failures stay
 // permanent.
-func (s *Study) recordGuest(w io.Writer, opt runOptions) (*obs.Registry, []obs.SpanRecord, uint64, error) {
+func (s *Study) recordGuest(w io.Writer, opt runOptions) (*obs.Registry, *obs.Tracer, uint64, error) {
 	if opt.ctx == nil {
 		opt.ctx = context.Background()
 	}
@@ -402,7 +402,7 @@ func (s *Study) recordGuest(w io.Writer, opt runOptions) (*obs.Registry, []obs.S
 	if ro == nil {
 		return nil, nil, m.ICount, nil
 	}
-	return ro.Metrics, ro.Spans.Records(), m.ICount, nil
+	return ro.Metrics, ro.Spans, m.ICount, nil
 }
 
 // groupRun is one member's attempt in a pass, live or replayed: a
@@ -532,7 +532,7 @@ func (s *Study) replayGroup(ctx context.Context, runs []*groupRun, path string, 
 		m.run.End()
 		if m.ro != nil {
 			m.Res.Registry = m.ro.Metrics
-			m.Res.Spans = m.ro.Spans.Records()
+			m.Res.Spans = m.ro.Spans
 		}
 	}
 }

@@ -158,7 +158,7 @@ type RunResult struct {
 	// merges them into the study's observer.  Nil when observability is
 	// disabled.
 	Registry *obs.Registry
-	Spans    []obs.SpanRecord
+	Spans    *obs.Tracer
 }
 
 // Pending is a handle to a submitted (possibly shared) run.
@@ -1028,7 +1028,7 @@ func (s *Study) executeConfig(cfg RunConfig, opt runOptions) (*RunResult, error)
 	run.End()
 	if ro != nil {
 		res.Registry = ro.Metrics
-		res.Spans = ro.Spans.Records()
+		res.Spans = ro.Spans
 	}
 	return res, nil
 }
