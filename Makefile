@@ -46,16 +46,18 @@ chaos:
 # The trace-integrity gate: the etrace corruption matrix (every fault
 # class × inline and worker-pool decode × strict and salvage — detected
 # or byte-identical, never silent divergence), the format-generation
-# compat suite (footer instruction counts included), the end-to-end
-# rerecord-on-corrupt scheduler scenarios (a checkpoint resumed over a
-# damaged trace re-records once; a rerecord makes the checkpoint forget
-# the trace it trusted), the checkpoint's validate-once rule, the
-# scheduler's adopted-trace rules (an adopted trace's replay budget
-# read from its index footer), and the profiler's -record and
-# -replay contract (a damaged -replay trace fails strict, salvages to its
-# golden and is never modified; a failed -record leaves no file).
+# compat suite (footer instruction counts included), the unassigned
+# record kinds failing closed in Stat and in every replay mode, the
+# end-to-end rerecord-on-corrupt scheduler scenarios (a checkpoint
+# resumed over a damaged trace re-records once; a rerecord makes the
+# checkpoint forget the trace it trusted), the checkpoint's
+# validate-once rule, the scheduler's adopted-trace rules (an adopted
+# trace's replay budget read from its index footer), and the
+# profiler's -record and -replay contract (a damaged -replay trace
+# fails strict, salvages to its golden and is never modified; a failed
+# -record leaves no file).
 corrupt:
-	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestCorruptionMatrix|TestSalvageAccounting|TestFormatGenerations|TestStatReportsGenerations' -v ./internal/etrace
+	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestCorruptionMatrix|TestSalvageAccounting|TestFormatGenerations|TestStatReportsGenerations|TestRemovedRecordKindsFailClosed' -v ./internal/etrace
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestChaosCorrupt|TestChaosENOSPC|TestChaosTornTail|TestCheckpointResumeOverDamagedTrace|TestRerecordForgetsCheckpointTrace' -v .
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestSchedulerTraceSource|TestCheckpointValidatesTraceOnce' -v ./internal/study
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestReplayContract|TestRecordContract' -v ./cmd/tquad
@@ -63,17 +65,16 @@ corrupt:
 # Short fuzzing budgets for the text/binary-format parsers: the
 # event-trace replay with inline decode, salvage replay, the indexed
 # replay pipeline with a decode worker pool (checked against Stat's
-# index-free frame walk), the JSON profile envelope and the
-# cache-geometry grammar.  None may panic on any input.  Then QUAD's
-# page-span shadow walk against its per-byte map oracle: any access
-# stream must give both identical reports.  Last, the block engine
-# against the reference stepper on arbitrary guest code loaded as an
-# image: every run must be observably identical.
+# index-free frame walk) and the cache-geometry grammar.  None may
+# panic on any input.  Then QUAD's page-span shadow walk against its
+# per-byte map oracle: any access stream must give both identical
+# reports.  Last, the block engine against the reference stepper on
+# arbitrary guest code loaded as an image: every run must be
+# observably identical.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReplay -fuzztime 10s ./internal/etrace
 	$(GO) test -run xxx -fuzz FuzzSalvage -fuzztime 10s ./internal/etrace
 	$(GO) test -run xxx -fuzz FuzzIndex -fuzztime 10s ./internal/etrace
-	$(GO) test -run xxx -fuzz FuzzLoad -fuzztime 10s ./internal/trace
 	$(GO) test -run xxx -fuzz FuzzCacheConfig -fuzztime 10s ./internal/memsim
 	$(GO) test -run xxx -fuzz FuzzQUADMatchesMapRef -fuzztime 10s ./internal/quad
 	$(GO) test -run xxx -fuzz FuzzBlockEngineEquivalence -fuzztime 10s ./internal/vm

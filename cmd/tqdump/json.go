@@ -43,14 +43,12 @@ type traceJSON struct {
 }
 
 type traceRecordsJSON struct {
-	Statics   uint64 `json:"statics"`
-	Reads     uint64 `json:"reads"`
-	Writes    uint64 `json:"writes"`
-	Calls     uint64 `json:"calls"`
-	Returns   uint64 `json:"returns"`
-	Skipped   uint64 `json:"skipped"`
-	BlockDefs uint64 `json:"block_defs"`
-	Blocks    uint64 `json:"blocks"`
+	Statics uint64 `json:"statics"`
+	Reads   uint64 `json:"reads"`
+	Writes  uint64 `json:"writes"`
+	Calls   uint64 `json:"calls"`
+	Returns uint64 `json:"returns"`
+	Skipped uint64 `json:"skipped"`
 }
 
 type traceIndexJSON struct {
@@ -133,7 +131,6 @@ func dumpTraceJSON(w io.Writer, path string) (int, error) {
 	doc.Records = &traceRecordsJSON{
 		Statics: info.Statics, Reads: info.Reads, Writes: info.Writes,
 		Calls: info.Calls, Returns: info.Returns, Skipped: info.Skipped,
-		BlockDefs: info.BlockDefs, Blocks: info.Blocks,
 	}
 	if info.Complete {
 		doc.Final = &traceFinalJSON{

@@ -25,14 +25,12 @@ type pinnedTraceJSON struct {
 	StackBase uint64 `json:"stack_base"`
 	Routines  int    `json:"routines"`
 	Records   *struct {
-		Statics   uint64 `json:"statics"`
-		Reads     uint64 `json:"reads"`
-		Writes    uint64 `json:"writes"`
-		Calls     uint64 `json:"calls"`
-		Returns   uint64 `json:"returns"`
-		Skipped   uint64 `json:"skipped"`
-		BlockDefs uint64 `json:"block_defs"`
-		Blocks    uint64 `json:"blocks"`
+		Statics uint64 `json:"statics"`
+		Reads   uint64 `json:"reads"`
+		Writes  uint64 `json:"writes"`
+		Calls   uint64 `json:"calls"`
+		Returns uint64 `json:"returns"`
+		Skipped uint64 `json:"skipped"`
 	} `json:"records"`
 
 	Index *struct {

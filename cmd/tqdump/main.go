@@ -240,9 +240,8 @@ func dumpTraceReader(w io.Writer, name string, r io.Reader) error {
 		fmt.Fprintf(w, "  %#08x  %s  %-28s %5d instructions\n",
 			rt.Entry, kind, rt.Name, (rt.End-rt.Entry)/isa.InstrSize)
 	}
-	fmt.Fprintf(w, "records: %d static, %d reads, %d writes, %d calls, %d returns (%d skipped), %d block defs, %d blocks, %d chunks\n",
-		info.Statics, info.Reads, info.Writes, info.Calls, info.Returns,
-		info.Skipped, info.BlockDefs, info.Blocks, info.Chunks)
+	fmt.Fprintf(w, "records: %d static, %d reads, %d writes, %d calls, %d returns (%d skipped), %d chunks\n",
+		info.Statics, info.Reads, info.Writes, info.Calls, info.Returns, info.Skipped, info.Chunks)
 	if info.Indexed {
 		fmt.Fprintf(w, "index: footer with %d chunk entries\n", info.IndexChunks)
 	} else {

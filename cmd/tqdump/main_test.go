@@ -47,7 +47,7 @@ func recordTrace(t *testing.T) []byte {
 	m, _ := w.NewMachine()
 	e := pin.NewEngine(m)
 	var buf bytes.Buffer
-	rec, err := etrace.Record(e, &buf, etrace.RecordOptions{Workload: "wfs/small", Blocks: true})
+	rec, err := etrace.Record(e, &buf, etrace.RecordOptions{Workload: "wfs/small"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,16 +152,6 @@ func Build(code []byte, base uint64) (*Graph, error) {
 	return g, nil
 }
 
-// BlockAt returns the block containing pc, if any.
-func (g *Graph) BlockAt(pc uint64) (*Block, bool) {
-	for _, b := range g.Blocks {
-		if pc >= b.Start && pc < b.End {
-			return b, true
-		}
-	}
-	return nil, false
-}
-
 // Starts returns the block start addresses in ascending order.
 func (g *Graph) Starts() []uint64 {
 	out := make([]uint64, 0, len(g.Blocks))

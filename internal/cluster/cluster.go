@@ -120,18 +120,30 @@ func Build(prof *core.Profile, rep *quad.Report, opts Options) *Result {
 		}
 	}
 
+	// Kernel-pair similarity, computed once: a pair's communication and
+	// co-activity never change while clusters merge.
+	pair := make([][]float64, n)
+	for i := range pair {
+		pair[i] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			var c float64
+			if maxComm > 0 {
+				c = float64(comm[i][j]) / float64(maxComm)
+			}
+			co := jaccard(slices[i], slices[j])
+			pair[i][j] = opts.CommWeight*c + (1-opts.CommWeight)*co
+			pair[j][i] = pair[i][j]
+		}
+	}
+
 	sim := func(a, b []int) float64 {
 		// Cluster-to-cluster similarity: max pairwise.
 		best := 0.0
 		for _, i := range a {
 			for _, j := range b {
-				var c float64
-				if maxComm > 0 {
-					c = float64(comm[i][j]) / float64(maxComm)
-				}
-				co := jaccard(slices[i], slices[j])
-				s := opts.CommWeight*c + (1-opts.CommWeight)*co
-				if s > best {
+				if s := pair[i][j]; s > best {
 					best = s
 				}
 			}

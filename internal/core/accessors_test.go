@@ -21,16 +21,11 @@ func TestKernelPointAccessor(t *testing.T) {
 		Name: "k",
 		Points: []core.SlicePoint{
 			{Slice: 3, ReadIncl: 7, Instr: 10},
+			{Slice: 4, Instr: 3}, // instruction time only: no traffic
 			{Slice: 9, WriteIncl: 5, Instr: 20},
 		},
 	}
-	if got := k.Point(3); got.ReadIncl != 7 {
-		t.Errorf("Point(3) = %+v", got)
-	}
-	if got := k.Point(5); got.ReadIncl != 0 || got.Slice != 5 {
-		t.Errorf("Point(silent slice) = %+v", got)
-	}
-	if !k.Active(3) || k.Active(5) {
+	if !k.Active(3) || !k.Active(9) || k.Active(4) || k.Active(5) {
 		t.Errorf("Active misclassifies")
 	}
 }

@@ -342,16 +342,6 @@ func (k *KernelProfile) Active(slice uint64) bool {
 	return i < len(k.Points) && k.Points[i].Slice == slice && k.Points[i].hasTraffic()
 }
 
-// Point returns the kernel's traffic in the given slice (zero value if
-// silent).
-func (k *KernelProfile) Point(slice uint64) SlicePoint {
-	i := sort.Search(len(k.Points), func(i int) bool { return k.Points[i].Slice >= slice })
-	if i < len(k.Points) && k.Points[i].Slice == slice {
-		return k.Points[i]
-	}
-	return SlicePoint{Slice: slice}
-}
-
 // BandwidthStats are the normalised bytes-per-instruction figures of
 // Table IV for one stack mode.
 type BandwidthStats struct {

@@ -6,9 +6,7 @@ import (
 
 	"tquad/internal/core"
 	"tquad/internal/etrace"
-	"tquad/internal/pin"
 	"tquad/internal/trace"
-	"tquad/internal/wfs"
 )
 
 // The trace format has shipped in three on-disk generations:
@@ -22,42 +20,28 @@ import (
 // decode (Jobs 1), a decode worker pool (Jobs 2), and salvage — and Stat
 // reports each stream's generation honestly.
 
-// recordAtVersion records the shared small workload at a forced format
-// revision and returns the raw stream.
-func recordAtVersion(t *testing.T, ver byte) []byte {
-	t.Helper()
-	w := workload(t)
-	m, _ := w.NewMachine()
-	e := pin.NewEngine(m)
-	var buf bytes.Buffer
-	opts := etrace.RecordOptions{Workload: "wfs/small", Blocks: true}
-	etrace.SetFormatVersion(&opts, ver)
-	rec, err := etrace.Record(e, &buf, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Run(wfs.MaxInstr); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
+var genTraces map[string][]byte
 
-// generations returns the three on-disk generations of one recording of
-// the small workload: gen1 is gen2 with the footer stripped, which is
-// exactly what a pre-footer recorder produced.
+// generations returns the three on-disk generations of the small
+// workload's recording, built once per test binary: gen3 is record's
+// trace, gen2 the same run recorded at format version 1, and gen1 is
+// gen2 with the footer stripped, which is exactly what a pre-footer
+// recorder produced.
 func generations(t *testing.T) map[string][]byte {
 	t.Helper()
-	gen2 := recordAtVersion(t, 1)
-	gen3 := recordAtVersion(t, 2)
+	if genTraces != nil {
+		return genTraces
+	}
+	m, _ := workload(t).NewMachine()
+	opts := etrace.RecordOptions{Workload: "wfs/small"}
+	etrace.SetFormatVersion(&opts, 1)
+	gen2 := capture(t, m, opts)
 	idx, err := etrace.ReadIndex(bytes.NewReader(gen2), int64(len(gen2)))
 	if err != nil || idx == nil || !idx.FromFooter {
 		t.Fatalf("v1 recording lacks a footer to strip: %v", err)
 	}
-	gen1 := gen2[:idx.DataEnd]
-	return map[string][]byte{"gen1": gen1, "gen2": gen2, "gen3": gen3}
+	genTraces = map[string][]byte{"gen1": gen2[:idx.DataEnd], "gen2": gen2, "gen3": record(t).data}
+	return genTraces
 }
 
 // profileVia replays one stream in one mode with the core tool attached

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"tquad/internal/etrace"
-	"tquad/internal/pin"
-	"tquad/internal/wfs"
 )
 
 // The corruption matrix: every class of disk fault a stored trace can
@@ -221,24 +219,7 @@ func TestSalvageAccounting(t *testing.T) {
 // On an undamaged trace, salvage must reproduce the strict replay exactly
 // (checked against a strict run inside the fuzz body).
 func FuzzSalvage(f *testing.F) {
-	w, err := wfs.NewWorkload(wfs.Small())
-	if err != nil {
-		f.Fatal(err)
-	}
-	m, _ := w.NewMachine()
-	e := pin.NewEngine(m)
-	var buf bytes.Buffer
-	rec, err := etrace.Record(e, &buf, etrace.RecordOptions{Workload: "seed", Blocks: true})
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := m.Run(wfs.MaxInstr); err != nil {
-		f.Fatal(err)
-	}
-	if err := rec.Finish(); err != nil {
-		f.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := bytes.Clone(record(f).data)
 	for _, n := range []int{len(data), 64 << 10, 4096, 200, 64, 5} {
 		if n <= len(data) {
 			f.Add(data[:n])

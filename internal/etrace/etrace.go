@@ -49,8 +49,6 @@
 //	write    executed flag packed into the tag byte
 //	call/    as above plus the branch-target delta (call edges carry
 //	return   the callee entry, returns the return pc)
-//	blockdef basic-block start + length, interned in encounter order
-//	block    icount delta + block id (basic-block execution)
 //	end      final icount, final pc, exit code, halted flag
 //
 // The Recorder attaches to a pin.Engine exactly like a profiling tool;
@@ -90,11 +88,9 @@ const (
 
 	// Decoder hardening caps: a hostile header or chunk length must fail
 	// fast instead of provoking a huge allocation.
-	maxChunkLen    = 1 << 26
-	maxNameLen     = 1 << 12
-	maxRoutines    = 1 << 20
-	maxBlockDefs   = 1 << 22
-	maxBlockInstrs = 1 << 20
+	maxChunkLen = 1 << 26
+	maxNameLen  = 1 << 12
+	maxRoutines = 1 << 20
 
 	// Index-footer format (see index.go).  indexVersionCRC payloads end
 	// in a CRC32C over the preceding payload bytes.
@@ -112,16 +108,15 @@ const (
 	maxFooterLen = 1 << 26
 )
 
-// Record kinds (low three bits of the tag byte).
+// Record kinds (low three bits of the tag byte).  Kinds 5 and 7 are
+// unassigned: the decoder rejects them as unknown tags.
 const (
-	recEnd      = 0
-	recRead     = 1
-	recWrite    = 2
-	recCall     = 3
-	recReturn   = 4
-	recBlock    = 5
-	recStatic   = 6
-	recBlockDef = 7
+	recEnd    = 0
+	recRead   = 1
+	recWrite  = 2
+	recCall   = 3
+	recReturn = 4
+	recStatic = 6
 
 	// flagSkipped marks a predicated instruction that occupied its slot
 	// in the dynamic stream without executing.

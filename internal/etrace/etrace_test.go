@@ -30,45 +30,49 @@ type recorded struct {
 var smallTrace *recorded
 
 // record captures the small workload once per test binary.
-func record(t *testing.T) *recorded {
-	t.Helper()
+func record(tb testing.TB) *recorded {
+	tb.Helper()
 	if smallTrace != nil {
 		return smallTrace
 	}
-	w := workload(t)
-	m, _ := w.NewMachine()
-	e := pin.NewEngine(m)
+	m, _ := workload(tb).NewMachine()
+	smallTrace = &recorded{
+		data:     capture(tb, m, etrace.RecordOptions{Workload: "wfs/small"}),
+		icount:   m.ICount,
+		time:     m.Time(),
+		pc:       m.PC,
+		exit:     m.ExitCode,
+		halted:   m.Halted,
+		memStats: m.MemStats,
+	}
+	return smallTrace
+}
+
+// capture records one run of m to its end and returns the trace.
+func capture(tb testing.TB, m *vm.Machine, opts etrace.RecordOptions) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
-	rec, err := etrace.Record(e, &buf, etrace.RecordOptions{Workload: "wfs/small", Blocks: true})
+	rec, err := etrace.Record(pin.NewEngine(m), &buf, opts)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := m.Run(wfs.MaxInstr); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := rec.Finish(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	smallTrace = &recorded{
-		data:   buf.Bytes(),
-		icount: m.ICount,
-		time:   m.Time(),
-		pc:     m.PC,
-		exit:   m.ExitCode,
-		halted: m.Halted,
-	}
-	smallTrace.memStats = m.MemStats
-	return smallTrace
+	return buf.Bytes()
 }
 
 var smallWorkload *wfs.Workload
 
-func workload(t *testing.T) *wfs.Workload {
-	t.Helper()
+func workload(tb testing.TB) *wfs.Workload {
+	tb.Helper()
 	if smallWorkload == nil {
 		w, err := wfs.NewWorkload(wfs.Small())
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		smallWorkload = w
 	}
@@ -148,9 +152,6 @@ func TestReplayReproducesFinalState(t *testing.T) {
 	}
 	if got := rp.MemStats(); got != rec.memStats {
 		t.Errorf("replayed MemStats %+v\nlive %+v", got, rec.memStats)
-	}
-	if rp.Workload() != "wfs/small" {
-		t.Errorf("workload label %q", rp.Workload())
 	}
 }
 
@@ -248,27 +249,6 @@ func TestReplayMatchesLiveFlatAndQUAD(t *testing.T) {
 	}
 }
 
-// TestReplayBlockEvents: basic-block execution records must account for
-// every executed instruction (blocks always run to completion), so the
-// per-block sum equals the recorded final instruction count.
-func TestReplayBlockEvents(t *testing.T) {
-	rec := record(t)
-	rp := replayer(t, rec)
-	var counted uint64
-	rp.OnBlock(func(start uint64, ninstr int, ic uint64) {
-		counted += uint64(ninstr)
-		if ic > rec.icount {
-			t.Fatalf("block at %#x timestamped %d past the end of the run", start, ic)
-		}
-	})
-	if err := rp.Replay(); err != nil {
-		t.Fatal(err)
-	}
-	if counted != rec.icount {
-		t.Errorf("block records account for %d instructions, run executed %d", counted, rec.icount)
-	}
-}
-
 // TestStatSummarises: the inspector must agree with the recording.
 func TestStatSummarises(t *testing.T) {
 	rec := record(t)
@@ -287,7 +267,7 @@ func TestStatSummarises(t *testing.T) {
 		t.Errorf("workload %q", info.Workload)
 	}
 	if len(info.Routines) == 0 || info.Reads == 0 || info.Writes == 0 ||
-		info.Calls == 0 || info.Returns == 0 || info.Statics == 0 || info.Blocks == 0 {
+		info.Calls == 0 || info.Returns == 0 || info.Statics == 0 {
 		t.Errorf("implausible record counts: %+v", info)
 	}
 	if info.Calls != info.Returns {
@@ -369,24 +349,7 @@ func TestReplayTwiceFails(t *testing.T) {
 // real recording so mutations explore the record grammar, not just the
 // header.
 func FuzzReplay(f *testing.F) {
-	w, err := wfs.NewWorkload(wfs.Small())
-	if err != nil {
-		f.Fatal(err)
-	}
-	m, _ := w.NewMachine()
-	e := pin.NewEngine(m)
-	var buf bytes.Buffer
-	rec, err := etrace.Record(e, &buf, etrace.RecordOptions{Workload: "seed", Blocks: true})
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := m.Run(wfs.MaxInstr); err != nil {
-		f.Fatal(err)
-	}
-	if err := rec.Finish(); err != nil {
-		f.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := bytes.Clone(record(f).data)
 	for _, n := range []int{len(data), 64 << 10, 4096, 200, 64, 5} {
 		if n <= len(data) {
 			f.Add(data[:n])
@@ -405,36 +368,17 @@ func FuzzReplay(f *testing.F) {
 }
 
 // TestRecordByteIdentityAcrossEngines pins the block engine's trace
-// contract: recording the same workload through the pre-decoded block
-// engine and through the reference stepper must produce byte-identical
-// trace files — same static records in the same compile order, same
-// events with the same instruction counts.
+// contract: recording the same workload through the reference stepper
+// must produce the bytes the block engine (record's default) wrote —
+// same static records in the same compile order, same events with the
+// same instruction counts.
 func TestRecordByteIdentityAcrossEngines(t *testing.T) {
-	capture := func(blockEngine bool) []byte {
-		w := workload(t)
-		m, _ := w.NewMachine()
-		m.BlockEngine = blockEngine
-		e := pin.NewEngine(m)
-		var buf bytes.Buffer
-		rec, err := etrace.Record(e, &buf, etrace.RecordOptions{Workload: "wfs/small", Blocks: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Run(wfs.MaxInstr); err != nil {
-			t.Fatal(err)
-		}
-		if err := rec.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	ref := capture(false)
-	got := capture(true)
+	got := record(t).data
+	m, _ := workload(t).NewMachine()
+	m.BlockEngine = false
+	ref := capture(t, m, etrace.RecordOptions{Workload: "wfs/small"})
 	if !bytes.Equal(ref, got) {
-		n := len(ref)
-		if len(got) < n {
-			n = len(got)
-		}
+		n := min(len(ref), len(got))
 		at := n
 		for i := 0; i < n; i++ {
 			if ref[i] != got[i] {

@@ -4,32 +4,54 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"hash/crc32"
 	"strings"
 	"testing"
 
+	"tquad/internal/isa"
 	"tquad/internal/pin"
 	"tquad/internal/vm"
 )
 
 // synthTrace hand-assembles a valid indexed trace of nchunks chunks of
-// block records — small enough to corrupt surgically, real enough to
-// replay.
+// read events on one static load — small enough to corrupt surgically,
+// real enough to replay.
 func synthTrace(t *testing.T, nchunks int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := newWriter(&buf, header{stackBase: 0x40000, workload: "synth"})
+	w.static(0x1000, isa.Instr{Op: isa.OpLd8, Rd: 1, Rs1: 2})
+	ctx := &pin.Context{Event: &vm.Event{PC: 0x1000, Size: 8, Executed: true}}
 	ic := uint64(0)
-	w.blockDef(0x1000, 4)
 	for c := 0; c < nchunks-1; c++ {
 		for i := 0; i < 8; i++ {
 			ic += 4
-			w.block(ic, 0)
+			ctx.Addr = 0x2000 + ic
+			w.event(recRead, ic, ctx)
 		}
 		w.flush()
 	}
 	ic += 4
 	if err := w.end(ic, 0x2000, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// withRecord returns a checksummed, indexed trace whose first chunk
+// holds a static load, one read event at it and then the raw bytes,
+// and whose second chunk holds the end record.  The writer checksums
+// the raw bytes with the rest of their chunk, so decode reaches their
+// tag.
+func withRecord(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := newWriter(&buf, header{stackBase: 0x40000, workload: "hostile"})
+	w.static(0x1000, isa.Instr{Op: isa.OpLd8, Rd: 1, Rs1: 2})
+	w.event(recRead, 1, &pin.Context{Event: &vm.Event{PC: 0x1000, Size: 8, Executed: true}})
+	w.buf = append(w.buf, raw...)
+	w.chunkRecords++
+	w.flush()
+	if err := w.end(2, 0x1008, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -195,46 +217,17 @@ func TestParallelRejectsTamperedIndex(t *testing.T) {
 }
 
 // TestStatHostileSkipFlag: the skipped flag is only legal on executable
-// event kinds.  A hand-crafted tag smuggling it onto block or end
-// records must fail decode — and can therefore never inflate the
-// Skipped tally — while genuinely skipped events count exactly once.
+// event kinds.  A hand-crafted tag smuggling it onto the end record must
+// fail decode — and can therefore never inflate the Skipped tally —
+// while genuinely skipped events count exactly once.
 func TestStatHostileSkipFlag(t *testing.T) {
-	mkHeader := func() []byte {
-		var b []byte
-		b = append(b, magic...)
-		b = append(b, Version)
-		b = binary.AppendUvarint(b, 0x40000)                // stack base
-		b = binary.AppendUvarint(b, uint64(len("hostile"))) // workload
-		b = append(b, "hostile"...)
-		b = binary.AppendUvarint(b, 0) // no routines
-		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
-		return b
-	}
-	chunked := func(payload []byte) []byte {
-		b := mkHeader()
-		// A valid checksum over the hostile payload, so decode reaches the
-		// tag validation under test instead of stopping at the CRC.
-		payload = binary.LittleEndian.AppendUint32(payload, crc32.Checksum(payload, castagnoli))
-		b = binary.AppendUvarint(b, uint64(len(payload)))
-		return append(b, payload...)
-	}
-
-	var hostileBlock []byte
-	hostileBlock = append(hostileBlock, recBlock|flagSkipped)
-	hostileBlock = binary.AppendUvarint(hostileBlock, 1) // ic delta
-	hostileBlock = binary.AppendUvarint(hostileBlock, 0) // id
-	if _, err := Stat(bytes.NewReader(chunked(hostileBlock))); err == nil ||
-		!strings.Contains(err.Error(), "malformed block tag") {
-		t.Errorf("skip flag on a block record: got %v, want malformed-tag error", err)
-	}
-
 	var hostileEnd []byte
 	hostileEnd = append(hostileEnd, recEnd|flagSkipped)
 	hostileEnd = binary.AppendUvarint(hostileEnd, 1)      // ic
 	hostileEnd = binary.AppendUvarint(hostileEnd, 0x1000) // pc
 	hostileEnd = binary.AppendUvarint(hostileEnd, 0)      // exit
 	hostileEnd = append(hostileEnd, 1)                    // halted
-	if _, err := Stat(bytes.NewReader(chunked(hostileEnd))); err == nil ||
+	if _, err := Stat(bytes.NewReader(withRecord(t, hostileEnd))); err == nil ||
 		!strings.Contains(err.Error(), "malformed end tag") {
 		t.Errorf("skip flag on the end record: got %v, want malformed-tag error", err)
 	}
@@ -256,5 +249,45 @@ func TestStatHostileSkipFlag(t *testing.T) {
 	}
 	if info.Reads != 1 || info.Writes != 1 {
 		t.Errorf("Reads/Writes = %d/%d, want 1/1", info.Reads, info.Writes)
+	}
+}
+
+// TestRemovedRecordKindsFailClosed: record kinds 5 and 7 are unassigned,
+// so a trace holding either fails closed.  Stat and strict replay, with
+// inline decode and with a decode worker pool, stop with an unknown-tag
+// error; salvage replay skips the chunk and reports it damaged.
+func TestRemovedRecordKindsFailClosed(t *testing.T) {
+	for _, tc := range []struct {
+		kind byte
+		rest []byte
+	}{
+		{5, []byte{1, 0}},          // ic delta, id
+		{7, []byte{0x80, 0x20, 4}}, // start 0x1000, length
+	} {
+		data := withRecord(t, append([]byte{tc.kind}, tc.rest...))
+		const want = "unknown record tag"
+		if _, err := Stat(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("kind %d: Stat: got %v, want %q", tc.kind, err, want)
+		}
+		for _, jobs := range []int{1, 2} {
+			pr, err := NewParallelReplayer(bytes.NewReader(data), int64(len(data)), ParallelOptions{Jobs: jobs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pr.Replay(); !IsCorrupt(err) || !strings.Contains(err.Error(), want) {
+				t.Errorf("kind %d: Jobs %d replay: got %v, want a corrupt-trace error with %q", tc.kind, jobs, err, want)
+			}
+			pr, err = NewParallelReplayer(bytes.NewReader(data), int64(len(data)), ParallelOptions{Jobs: jobs, Salvage: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := pr.NewConsumer()
+			if err := pr.Replay(); err != nil {
+				t.Fatalf("kind %d: Jobs %d salvage replay: %v", tc.kind, jobs, err)
+			}
+			if rep := c.SalvageReport(); rep.ChunksBad != 1 || rep.RecordsLost != 1 || !rep.Complete {
+				t.Errorf("kind %d: Jobs %d salvage: %s, want one bad chunk losing one record, end record kept", tc.kind, jobs, rep)
+			}
+		}
 	}
 }

@@ -139,12 +139,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // Index returns the chunk index the replay will follow.
 func (p *ParallelReplayer) Index() *Index { return p.index }
 
-// Workload returns the header's workload label.
-func (p *ParallelReplayer) Workload() string { return p.hdr.workload }
-
-// StackBase returns the recorded top-of-stack address.
-func (p *ParallelReplayer) StackBase() uint64 { return p.hdr.stackBase }
-
 // NewConsumer adds one pin.Host to the fan-out and returns it.  Attach a
 // tool stack to each consumer, then call Replay once.
 func (p *ParallelReplayer) NewConsumer() *Consumer {
@@ -413,9 +407,8 @@ func (c *Consumer) applyChunk(recs []record) (err error) {
 	for i := range recs {
 		if err := c.apply(&recs[i]); err != nil {
 			if c.salvage != nil {
-				// Fallout of a skipped chunk (dangling block id, event
-				// before its static record): drop and count, don't fail
-				// the pass.
+				// Fallout of a skipped chunk (an event before its
+				// static record): drop and count, don't fail the pass.
 				c.salvage.RecordsDropped++
 				continue
 			}

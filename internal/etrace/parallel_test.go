@@ -12,7 +12,6 @@ import (
 	"tquad/internal/pin"
 	"tquad/internal/trace"
 	"tquad/internal/vm"
-	"tquad/internal/wfs"
 )
 
 // coreProfile replays rec through a solo Jobs 1 replay with one core
@@ -280,11 +279,7 @@ func TestParallelPanicIsolated(t *testing.T) {
 // additionally rejects non-canonical chunk length prefixes, mid-trace
 // end records and index hints that a pure stream decode cannot check.)
 func FuzzIndex(f *testing.F) {
-	w, err := wfs.NewWorkload(wfs.Small())
-	if err != nil {
-		f.Fatal(err)
-	}
-	data := recordBytes(f, w)
+	data := bytes.Clone(record(f).data)
 	f.Add(data)
 	if idx, err := etrace.ReadIndex(bytes.NewReader(data), int64(len(data))); err == nil && idx != nil {
 		f.Add(data[:idx.DataEnd])                  // footer stripped: v1 shape
@@ -317,24 +312,4 @@ func FuzzIndex(f *testing.F) {
 				par.ICount(), par.ExitCode(), par.Halted(), info.FinalICount, info.ExitCode, info.Halted)
 		}
 	})
-}
-
-// recordBytes captures a fresh recording for fuzz seeding (the cached
-// record(t) helper needs a *testing.T).
-func recordBytes(f *testing.F, w *wfs.Workload) []byte {
-	f.Helper()
-	m, _ := w.NewMachine()
-	e := pin.NewEngine(m)
-	var buf bytes.Buffer
-	rec, err := etrace.Record(e, &buf, etrace.RecordOptions{Workload: "seed", Blocks: true})
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := m.Run(wfs.MaxInstr); err != nil {
-		f.Fatal(err)
-	}
-	if err := rec.Finish(); err != nil {
-		f.Fatal(err)
-	}
-	return buf.Bytes()
 }

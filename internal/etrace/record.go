@@ -18,10 +18,6 @@ type RecordOptions struct {
 	// Workload is a free-form label stored in the header (the workload
 	// name, for inspection).
 	Workload string
-	// Blocks additionally records basic-block executions (pin's TRACE
-	// granularity).  The profiling tools do not consume block events, so
-	// recording them is opt-in.
-	Blocks bool
 
 	// formatVersion overrides the trace format revision written (0 means
 	// the current Version).  Only the compatibility tests set it: every
@@ -177,36 +173,6 @@ func (w *writer) static(pc uint64, instr isa.Instr) {
 	}
 }
 
-// blockDef interns one basic block; ids are assigned in encounter order.
-func (w *writer) blockDef(start uint64, ninstr int) {
-	if w.err != nil {
-		return
-	}
-	w.buf = append(w.buf, recBlockDef)
-	w.buf = binary.AppendUvarint(w.buf, start)
-	w.buf = binary.AppendUvarint(w.buf, uint64(ninstr))
-	w.chunkRecords++
-	if len(w.buf) >= chunkTarget {
-		w.flush()
-	}
-}
-
-// block records one basic-block execution.
-func (w *writer) block(ic uint64, id uint64) {
-	if w.err != nil {
-		return
-	}
-	w.buf = append(w.buf, recBlock)
-	w.buf = binary.AppendUvarint(w.buf, ic-w.prevIC)
-	w.prevIC = ic
-	w.buf = binary.AppendUvarint(w.buf, id)
-	w.chunkRecords++
-	w.lastIC = ic
-	if len(w.buf) >= chunkTarget {
-		w.flush()
-	}
-}
-
 // end appends the trailer record, seals the final chunk, and writes the
 // index footer.
 func (w *writer) end(ic, pc uint64, exitCode int64, halted bool) error {
@@ -245,8 +211,7 @@ type Recorder struct {
 	engine *pin.Engine
 	w      *writer
 
-	seen     map[uint64]bool // pcs whose static record has been written
-	blockIDs uint64
+	seen map[uint64]bool // pcs whose static record has been written
 }
 
 // Record attaches a recorder to the engine, writing the trace to out.
@@ -275,9 +240,6 @@ func Record(e *pin.Engine, out io.Writer, opts RecordOptions) (*Recorder, error)
 		return nil, fmt.Errorf("etrace: write header: %w", r.w.err)
 	}
 	e.INSAddInstrumentFunction(r.instruction)
-	if opts.Blocks {
-		e.TRACEAddInstrumentFunction(r.trace)
-	}
 	return r, nil
 }
 
@@ -294,16 +256,6 @@ func (r *Recorder) instruction(ins *pin.INS) {
 	}
 	ins.InsertCall(func(ctx *pin.Context) {
 		r.w.event(recKind(ctx.Kind), r.engine.ICount(), ctx)
-	})
-}
-
-// trace is the basic-block instrumentation callback (RecordOptions.Blocks).
-func (r *Recorder) trace(tr *pin.TRACE) {
-	id := r.blockIDs
-	r.blockIDs++
-	r.w.blockDef(tr.Address(), tr.NumInstrs())
-	tr.InsertCall(func(*pin.Context) {
-		r.w.block(r.engine.ICount(), id)
 	})
 }
 

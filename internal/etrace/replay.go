@@ -40,10 +40,6 @@ type record struct {
 
 	instr isa.Instr // recStatic
 
-	start  uint64 // recBlockDef
-	ninstr int    // recBlockDef
-	id     uint64 // recBlock
-
 	exitCode int64 // recEnd
 	halted   bool  // recEnd
 }
@@ -106,36 +102,6 @@ func (p *chunkParser) parseRecord(rec *record) error {
 			return fmt.Errorf("etrace: static record at %#x: %w", rec.pc, err)
 		}
 		p.off += isa.InstrSize
-
-	case recBlockDef:
-		if tag != recBlockDef {
-			return fmt.Errorf("etrace: malformed block-def tag %#x", tag)
-		}
-		if rec.start, err = p.uvarint(); err != nil {
-			return err
-		}
-		n, err := p.uvarint()
-		if err != nil {
-			return err
-		}
-		if n == 0 || n > maxBlockInstrs {
-			return fmt.Errorf("etrace: bad block length %d", n)
-		}
-		rec.ninstr = int(n)
-
-	case recBlock:
-		if tag != recBlock {
-			return fmt.Errorf("etrace: malformed block tag %#x", tag)
-		}
-		var icd uint64
-		if icd, err = p.uvarint(); err != nil {
-			return err
-		}
-		rec.ic = p.prevIC + icd
-		p.prevIC = rec.ic
-		if rec.id, err = p.uvarint(); err != nil {
-			return err
-		}
 
 	case recEnd:
 		if tag != recEnd {
@@ -473,9 +439,6 @@ type Consumer struct {
 	insCallbacks  []pin.InstrumentFunc
 	symbolsInited bool
 
-	blocks  []blockDef
-	blockFn func(start uint64, ninstr int, ic uint64)
-
 	// salvage is non-nil when this consumer replays in salvage mode; the
 	// report tallies what the damaged trace lost.  Each consumer owns its
 	// report (parallel replay merges chunk-level stats in afterwards), so
@@ -485,11 +448,6 @@ type Consumer struct {
 	// err is the consumer's replay outcome (see Err), set once the pass
 	// has finished.
 	err error
-}
-
-type blockDef struct {
-	start  uint64
-	ninstr int
 }
 
 var _ pin.Host = (*Consumer)(nil)
@@ -545,12 +503,6 @@ func (c *Consumer) setSite(pc uint64, st *site) {
 	}
 	c.sites[pc] = st
 }
-
-// Workload returns the header's workload label.
-func (c *Consumer) Workload() string { return c.hdr.workload }
-
-// StackBase returns the recorded top-of-stack address.
-func (c *Consumer) StackBase() uint64 { return c.hdr.stackBase }
 
 // InitSymbols implements pin.Host.
 func (c *Consumer) InitSymbols() { c.symbolsInited = true }
@@ -618,10 +570,6 @@ func (c *Consumer) Traffic() (readBytes, writeBytes uint64) {
 	return c.memStats.ReadBytes(), c.memStats.WriteBytes()
 }
 
-// OnBlock registers a callback for basic-block execution records (traces
-// recorded with RecordOptions.Blocks).
-func (c *Consumer) OnBlock(fn func(start uint64, ninstr int, ic uint64)) { c.blockFn = fn }
-
 // apply advances the consumer by one record: static records compile
 // through the registered instrumentation callbacks, dynamic records
 // dispatch to the attached analysis routines.
@@ -668,22 +616,6 @@ func (c *Consumer) apply(rec *record) error {
 		fired, suppressed := st.ins.Dispatch(&c.ectx)
 		c.Stats.AnalysisCalls += fired
 		c.Stats.SuppressedCalls += suppressed
-
-	case recBlockDef:
-		if len(c.blocks) >= maxBlockDefs {
-			return errors.New("etrace: block definition count exceeds cap")
-		}
-		c.blocks = append(c.blocks, blockDef{start: rec.start, ninstr: rec.ninstr})
-
-	case recBlock:
-		if rec.id >= uint64(len(c.blocks)) {
-			return fmt.Errorf("etrace: block event with undefined id %d", rec.id)
-		}
-		c.ic = rec.ic
-		if c.blockFn != nil {
-			b := c.blocks[rec.id]
-			c.blockFn(b.start, b.ninstr, rec.ic)
-		}
 
 	case recEnd:
 		if rec.ic < c.ic {

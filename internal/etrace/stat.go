@@ -16,15 +16,13 @@ type Info struct {
 	Indexed     bool
 	IndexChunks int
 
-	Chunks    int
-	Statics   uint64
-	Reads     uint64
-	Writes    uint64
-	Calls     uint64
-	Returns   uint64
-	Skipped   uint64 // predicated events that did not execute
-	BlockDefs uint64
-	Blocks    uint64
+	Chunks  int
+	Statics uint64
+	Reads   uint64
+	Writes  uint64
+	Calls   uint64
+	Returns uint64
+	Skipped uint64 // predicated events that did not execute
 
 	// Final state from the end record; valid only when Complete.
 	Complete    bool
@@ -74,10 +72,6 @@ func Stat(rd io.Reader) (*Info, error) {
 			info.Calls++
 		case recReturn:
 			info.Returns++
-		case recBlockDef:
-			info.BlockDefs++
-		case recBlock:
-			info.Blocks++
 		case recEnd:
 			info.Complete = true
 			info.FinalICount = rec.ic
@@ -86,8 +80,8 @@ func Stat(rd io.Reader) (*Info, error) {
 			info.Halted = rec.halted
 		}
 		// Only executable event kinds carry the skipped flag; a hostile
-		// tag smuggling it onto an end or block record must not inflate
-		// the tally.
+		// tag smuggling it onto an end record must not inflate the
+		// tally.
 		switch rec.kind {
 		case recRead, recWrite, recCall, recReturn:
 			if !rec.executed {

@@ -11,7 +11,6 @@ package gos
 
 import (
 	"fmt"
-	"sort"
 
 	"tquad/internal/vm"
 )
@@ -85,16 +84,6 @@ func (o *OS) File(name string) ([]byte, bool) {
 		return nil, false
 	}
 	return append([]byte(nil), f.data...), true
-}
-
-// FileNames lists the files present, sorted.
-func (o *OS) FileNames() []string {
-	names := make([]string, 0, len(o.files))
-	for n := range o.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Console returns everything the guest printed.

@@ -154,16 +154,6 @@ func TestUnknownSyscall(t *testing.T) {
 	}
 }
 
-func TestFileNamesSorted(t *testing.T) {
-	o := gos.New()
-	o.AddFile("zeta", nil)
-	o.AddFile("alpha", nil)
-	names := o.FileNames()
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "zeta" {
-		t.Fatalf("FileNames = %v", names)
-	}
-}
-
 // TestGuestLevelIO drives the syscalls from actual guest code, end to
 // end.
 func TestGuestLevelIO(t *testing.T) {

@@ -8,7 +8,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // PageBits is the base-2 logarithm of the page size.
@@ -266,36 +265,4 @@ func (m *Memory) Load64(addr uint64) uint64 {
 // Store64 stores an 8-byte little-endian word at addr.
 func (m *Memory) Store64(addr uint64, v uint64) {
 	m.StoreLE(addr, v, 8)
-}
-
-// Zero clears n bytes starting at addr.  Pages entirely inside the range
-// that are not yet materialised stay unmaterialised.
-func (m *Memory) Zero(addr uint64, n uint64) {
-	for n > 0 {
-		off := addr & offMask
-		c := uint64(PageSize) - off
-		if c > n {
-			c = n
-		}
-		if p := m.peek(addr); p != nil {
-			for i := uint64(0); i < c; i++ {
-				p[off+i] = 0
-			}
-		}
-		addr += c
-		n -= c
-	}
-}
-
-// Pages calls fn for each materialised page in ascending base-address
-// order.  The callback must not mutate the memory.
-func (m *Memory) Pages(fn func(base uint64, data *[PageSize]byte)) {
-	idxs := make([]uint64, 0, len(m.pages))
-	for idx := range m.pages {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	for _, idx := range idxs {
-		fn(idx<<PageBits, m.pages[idx])
-	}
 }

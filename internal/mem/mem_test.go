@@ -126,51 +126,15 @@ func TestCrossPageWord(t *testing.T) {
 	}
 }
 
-func TestZero(t *testing.T) {
+// TestFootprintCountsPages: only touched pages are materialised, and
+// the footprint is their count times the page size.
+func TestFootprintCountsPages(t *testing.T) {
 	m := mem.New()
-	data := make([]byte, 3*mem.PageSize)
-	for i := range data {
-		data[i] = 0xaa
-	}
-	m.Write(0, data)
-	m.Zero(100, uint64(len(data))-200)
-	for i := range data {
-		want := byte(0)
-		if i < 100 || i >= len(data)-100 {
-			want = 0xaa
-		}
-		if got := m.ByteAt(uint64(i)); got != want {
-			t.Fatalf("after Zero: byte %d = %#x, want %#x", i, got, want)
-		}
-	}
-	// Zeroing unmaterialised memory must not allocate.
-	m2 := mem.New()
-	m2.Zero(1<<30, 1<<20)
-	if m2.PageCount() != 0 {
-		t.Errorf("Zero materialised %d pages", m2.PageCount())
-	}
-}
-
-func TestPagesIterationSorted(t *testing.T) {
-	m := mem.New()
-	for _, addr := range []uint64{5 * mem.PageSize, 1 * mem.PageSize, 9 * mem.PageSize} {
+	for _, addr := range []uint64{5 * mem.PageSize, 1 * mem.PageSize, 9*mem.PageSize + 7} {
 		m.SetByte(addr, 1)
 	}
-	var bases []uint64
-	m.Pages(func(base uint64, _ *[mem.PageSize]byte) {
-		bases = append(bases, base)
-	})
-	want := []uint64{1 * mem.PageSize, 5 * mem.PageSize, 9 * mem.PageSize}
-	if len(bases) != len(want) {
-		t.Fatalf("got %d pages, want %d", len(bases), len(want))
-	}
-	for i := range want {
-		if bases[i] != want[i] {
-			t.Errorf("page %d base %#x, want %#x", i, bases[i], want[i])
-		}
-	}
-	if m.Footprint() != 3*mem.PageSize {
-		t.Errorf("footprint = %d", m.Footprint())
+	if m.PageCount() != 3 || m.Footprint() != 3*mem.PageSize {
+		t.Errorf("page count %d, footprint %d; want 3 pages", m.PageCount(), m.Footprint())
 	}
 }
 

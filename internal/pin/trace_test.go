@@ -25,22 +25,26 @@ func attachBBLCounter(e *pin.Engine) *uint64 {
 // TestBBLCountingIsExact: since calls, syscalls and all control
 // transfers terminate basic blocks, an entered block always executes to
 // completion — so per-block counting must reproduce the machine's
-// instruction counter exactly.  This cross-validates the CFG
-// construction against the interpreter on two full applications.
+// instruction counter exactly, on the block engine and on the reference
+// stepper.  This cross-validates the CFG construction against both
+// execution engines over the whole small WFS application.
 func TestBBLCountingIsExact(t *testing.T) {
 	w, err := wfs.NewWorkload(wfs.Small())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := w.NewMachine()
-	e := pin.NewEngine(m)
-	count := attachBBLCounter(e)
-	if err := m.Run(wfs.MaxInstr); err != nil {
-		t.Fatal(err)
-	}
-	if *count != m.ICount {
-		t.Fatalf("BBL-counted %d instructions, machine executed %d (diff %d)",
-			*count, m.ICount, int64(*count)-int64(m.ICount))
+	for _, blockEngine := range []bool{true, false} {
+		m, _ := w.NewMachine()
+		m.BlockEngine = blockEngine
+		e := pin.NewEngine(m)
+		count := attachBBLCounter(e)
+		if err := m.Run(wfs.MaxInstr); err != nil {
+			t.Fatal(err)
+		}
+		if *count != m.ICount {
+			t.Fatalf("block engine %v: BBL-counted %d instructions, machine executed %d (diff %d)",
+				blockEngine, *count, m.ICount, int64(*count)-int64(m.ICount))
+		}
 	}
 }
 

@@ -93,9 +93,6 @@ func OpenCheckpoint(dir string) (*Checkpoint, error) {
 	return c, nil
 }
 
-// Dir returns the journal directory.
-func (c *Checkpoint) Dir() string { return c.dir }
-
 // Close flushes and closes the journal file.  The directory and its
 // contents stay on disk for a future resume; remove the directory once
 // the sweep has fully succeeded.

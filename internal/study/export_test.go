@@ -1,0 +1,10 @@
+package study
+
+// SetHeartbeatStride sets how many guest instructions elapse between
+// heartbeat events (0 restores DefaultHeartbeatStride).  Only meaningful
+// with an event sink attached.
+func (sc *Scheduler) SetHeartbeatStride(n uint64) {
+	sc.mu.Lock()
+	sc.beatEvery = n
+	sc.mu.Unlock()
+}

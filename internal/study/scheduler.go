@@ -252,9 +252,6 @@ func NewScheduler(s *Study, jobs int) *Scheduler {
 	}
 }
 
-// Jobs returns the scheduler's concurrency bound.
-func (sc *Scheduler) Jobs() int { return sc.jobs }
-
 // SetContext installs the sweep-wide context: cancelling it abandons
 // queued runs, stops in-flight guests at their next block boundary, and
 // makes every affected Pending fail with a cancellation error.  Call
@@ -325,15 +322,6 @@ func (sc *Scheduler) SetHooks(h Hooks) {
 func (sc *Scheduler) SetEvents(sink obs.EventSink) {
 	sc.mu.Lock()
 	sc.events = sink
-	sc.mu.Unlock()
-}
-
-// SetHeartbeatStride sets how many guest instructions elapse between
-// heartbeat events (0 restores DefaultHeartbeatStride).  Only meaningful
-// with an event sink attached.
-func (sc *Scheduler) SetHeartbeatStride(n uint64) {
-	sc.mu.Lock()
-	sc.beatEvery = n
 	sc.mu.Unlock()
 }
 

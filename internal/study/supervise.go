@@ -234,7 +234,7 @@ func (pol policy) beatFunc(key string, budget uint64) func(ic uint64) {
 }
 
 // DefaultHeartbeatStride is how many guest instructions elapse between
-// heartbeat events when SetHeartbeatStride has not overridden it.  At
+// heartbeat events when the scheduler's stride is unset (0).  At
 // the vm's typical throughput this is several beats per second — dense
 // enough for live rate/ETA display, sparse enough to be free.
 const DefaultHeartbeatStride = 1 << 20

@@ -1,12 +1,11 @@
 // Package trace serialises profiling results to JSON so they can leave
 // the process — for archival, diffing between runs, or plotting the
 // Figure 6/7 surfaces with external tooling.  The schema is versioned
-// and stable; Load rejects unknown versions rather than guessing.
+// and stable: every document carries its Version and Kind.
 package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"tquad/internal/core"
@@ -82,37 +81,6 @@ func FromTemporal(p *core.Profile) *TemporalProfile {
 	return out
 }
 
-// ToTemporal converts back to a core.Profile (totals are recomputed).
-func (tp *TemporalProfile) ToTemporal() *core.Profile {
-	p := &core.Profile{
-		SliceInterval: tp.SliceInterval,
-		NumSlices:     tp.NumSlices,
-		TotalInstr:    tp.TotalInstr,
-		IncludeStack:  tp.IncludeStack,
-	}
-	for _, k := range tp.Kernels {
-		kp := &core.KernelProfile{
-			Name:         k.Name,
-			FirstSlice:   k.FirstSlice,
-			LastSlice:    k.LastSlice,
-			ActivitySpan: k.ActivitySpan,
-		}
-		for _, pt := range k.Points {
-			sp := core.SlicePoint{
-				Slice: pt.Slice, ReadIncl: pt.ReadIncl, ReadExcl: pt.ReadExcl,
-				WriteIncl: pt.WriteIncl, WriteExcl: pt.WriteExcl, Instr: pt.Instr,
-			}
-			kp.Points = append(kp.Points, sp)
-			kp.TotalReadIncl += sp.ReadIncl
-			kp.TotalReadExcl += sp.ReadExcl
-			kp.TotalWriteIncl += sp.WriteIncl
-			kp.TotalWriteExcl += sp.WriteExcl
-		}
-		p.Kernels = append(p.Kernels, kp)
-	}
-	return p
-}
-
 // SaveTemporal writes a tQUAD profile.
 func SaveTemporal(w io.Writer, p *core.Profile) error {
 	return save(w, Document{Version: Version, Kind: "tquad", Temporal: FromTemporal(p)})
@@ -137,43 +105,4 @@ func save(w io.Writer, doc Document) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
-}
-
-// Load parses any document produced by the Save functions.  The payload
-// must be consistent with the declared kind: the matching field present
-// (a "phases" document may legitimately hold zero phases) and every
-// other payload absent, so a corrupted or hand-assembled document with
-// missing, mismatched or ambiguous payloads is rejected instead of one
-// being picked silently.
-func Load(r io.Reader) (*Document, error) {
-	var doc Document
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	if doc.Version != Version {
-		return nil, fmt.Errorf("trace: unsupported version %d (want %d)", doc.Version, Version)
-	}
-	payloads := map[string]bool{
-		"tquad":  doc.Temporal != nil,
-		"quad":   doc.QUAD != nil,
-		"flat":   doc.Flat != nil,
-		"phases": doc.Phases != nil,
-	}
-	if _, ok := payloads[doc.Kind]; !ok {
-		return nil, fmt.Errorf("trace: unknown document kind %q", doc.Kind)
-	}
-	for kind, present := range payloads {
-		if kind == doc.Kind {
-			// The phases payload round-trips empty tables as null
-			// (omitempty), so its absence is not corruption.
-			if !present && kind != "phases" {
-				return nil, fmt.Errorf("trace: %s document has no %s payload", doc.Kind, doc.Kind)
-			}
-			continue
-		}
-		if present {
-			return nil, fmt.Errorf("trace: %s document carries a stray %s payload", doc.Kind, kind)
-		}
-	}
-	return &doc, nil
 }

@@ -2,7 +2,8 @@ package trace_test
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"tquad/internal/core"
@@ -32,20 +33,34 @@ func sampleProfile() *core.Profile {
 	}
 }
 
+// decode reads one saved document back with encoding/json alone, as an
+// external tool would.
+func decode(t *testing.T, buf *bytes.Buffer, kind string) *trace.Document {
+	t.Helper()
+	var doc trace.Document
+	if err := json.NewDecoder(buf).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Version != trace.Version || doc.Kind != kind {
+		t.Fatalf("envelope version %d kind %q, want %d %q", doc.Version, doc.Kind, trace.Version, kind)
+	}
+	return &doc
+}
+
 func TestTemporalRoundTrip(t *testing.T) {
 	p := sampleProfile()
 	var buf bytes.Buffer
 	if err := trace.SaveTemporal(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := trace.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Kind != "tquad" || doc.Temporal == nil {
+	doc := decode(t, &buf, "tquad")
+	if doc.Temporal == nil || doc.QUAD != nil || doc.Flat != nil || doc.Phases != nil {
 		t.Fatalf("document malformed: %+v", doc)
 	}
-	got := doc.Temporal.ToTemporal()
+	if !reflect.DeepEqual(doc.Temporal, trace.FromTemporal(p)) {
+		t.Fatalf("decoded profile %+v, saved %+v", doc.Temporal, trace.FromTemporal(p))
+	}
+	got := doc.Temporal
 	if got.SliceInterval != p.SliceInterval || got.NumSlices != p.NumSlices ||
 		got.TotalInstr != p.TotalInstr || got.IncludeStack != p.IncludeStack {
 		t.Fatalf("header mismatch: %+v", got)
@@ -57,13 +72,11 @@ func TestTemporalRoundTrip(t *testing.T) {
 	if gk.Name != pk.Name || gk.ActivitySpan != pk.ActivitySpan {
 		t.Fatalf("kernel mismatch: %+v", gk)
 	}
-	// Totals are recomputed from points and must agree.
-	if gk.TotalReadIncl != pk.TotalReadIncl || gk.TotalWriteExcl != pk.TotalWriteExcl {
-		t.Fatalf("totals mismatch: %+v vs %+v", gk, pk)
-	}
-	for i := range pk.Points {
-		if gk.Points[i] != pk.Points[i] {
-			t.Fatalf("point %d differs: %+v vs %+v", i, gk.Points[i], pk.Points[i])
+	for i, pt := range pk.Points {
+		want := trace.SlicePoint{Slice: pt.Slice, ReadIncl: pt.ReadIncl, ReadExcl: pt.ReadExcl,
+			WriteIncl: pt.WriteIncl, WriteExcl: pt.WriteExcl, Instr: pt.Instr}
+		if gk.Points[i] != want {
+			t.Fatalf("point %d differs: %+v vs %+v", i, gk.Points[i], want)
 		}
 	}
 }
@@ -77,10 +90,7 @@ func TestQUADFlatPhasesRoundTrip(t *testing.T) {
 	if err := trace.SaveQUAD(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := trace.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := decode(t, &buf, "quad")
 	if doc.QUAD == nil || doc.QUAD.Kernels[0] != rep.Kernels[0] || doc.QUAD.Bindings[0] != rep.Bindings[0] {
 		t.Fatalf("quad roundtrip: %+v", doc.QUAD)
 	}
@@ -91,10 +101,7 @@ func TestQUADFlatPhasesRoundTrip(t *testing.T) {
 	if err := trace.SaveFlat(&buf, fp); err != nil {
 		t.Fatal(err)
 	}
-	doc, err = trace.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc = decode(t, &buf, "flat")
 	if doc.Flat == nil || doc.Flat.Rows[0] != fp.Rows[0] {
 		t.Fatalf("flat roundtrip: %+v", doc.Flat)
 	}
@@ -105,87 +112,8 @@ func TestQUADFlatPhasesRoundTrip(t *testing.T) {
 	if err := trace.SavePhases(&buf, phs); err != nil {
 		t.Fatal(err)
 	}
-	doc, err = trace.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc = decode(t, &buf, "phases")
 	if len(doc.Phases) != 1 || doc.Phases[0].Start != 0 || doc.Phases[0].Kernels[0].Name != "k" {
 		t.Fatalf("phases roundtrip: %+v", doc.Phases)
 	}
-}
-
-func TestLoadRejectsBadInput(t *testing.T) {
-	if _, err := trace.Load(strings.NewReader("not json")); err == nil {
-		t.Errorf("garbage accepted")
-	}
-	if _, err := trace.Load(strings.NewReader(`{"version":99,"kind":"tquad"}`)); err == nil {
-		t.Errorf("future version accepted")
-	}
-	if _, err := trace.Load(strings.NewReader(`{"version":1,"kind":"mystery"}`)); err == nil {
-		t.Errorf("unknown kind accepted")
-	}
-}
-
-// TestLoadValidatesPayloads: the declared kind must match the payload
-// actually present — a document missing its payload, or smuggling extra
-// ones, is corruption and must be rejected rather than half-loaded.
-func TestLoadValidatesPayloads(t *testing.T) {
-	bad := []struct{ name, doc string }{
-		{"missing tquad payload", `{"version":1,"kind":"tquad"}`},
-		{"missing quad payload", `{"version":1,"kind":"quad"}`},
-		{"missing flat payload", `{"version":1,"kind":"flat"}`},
-		{"mismatched payload", `{"version":1,"kind":"tquad","quad":{}}`},
-		{"ambiguous payloads", `{"version":1,"kind":"quad","quad":{},"flat":{}}`},
-		{"stray payload on phases", `{"version":1,"kind":"phases","quad":{}}`},
-	}
-	for _, c := range bad {
-		if _, err := trace.Load(strings.NewReader(c.doc)); err == nil {
-			t.Errorf("%s accepted", c.name)
-		}
-	}
-	// An empty phase table serialises without a payload field (omitempty);
-	// that document is legitimate.
-	doc, err := trace.Load(strings.NewReader(`{"version":1,"kind":"phases"}`))
-	if err != nil {
-		t.Fatalf("empty phases document rejected: %v", err)
-	}
-	if doc.Kind != "phases" || len(doc.Phases) != 0 {
-		t.Fatalf("empty phases document loaded as %+v", doc)
-	}
-}
-
-// TestLoadTruncated: every truncation of a valid document must error,
-// never succeed with partial data or panic.
-func TestLoadTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := trace.SaveTemporal(&buf, sampleProfile()); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.String()
-	for _, frac := range []int{2, 4, 10} {
-		cut := whole[:len(whole)/frac]
-		if _, err := trace.Load(strings.NewReader(cut)); err == nil {
-			t.Errorf("document truncated to 1/%d loaded successfully", frac)
-		}
-	}
-}
-
-// FuzzLoad hammers the envelope parser: any byte soup must produce a
-// document or an error, never a panic, and a returned document must have
-// passed kind/payload validation.
-func FuzzLoad(f *testing.F) {
-	var buf bytes.Buffer
-	if err := trace.SaveTemporal(&buf, sampleProfile()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.String())
-	f.Add(`{"version":1,"kind":"phases"}`)
-	f.Add(`{"version":1,"kind":"quad","quad":{}}`)
-	f.Add("not json")
-	f.Fuzz(func(t *testing.T, s string) {
-		doc, err := trace.Load(strings.NewReader(s))
-		if err == nil && doc == nil {
-			t.Fatal("nil document with nil error")
-		}
-	})
 }

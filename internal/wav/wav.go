@@ -28,16 +28,6 @@ func (f *File) Frames() int {
 	return len(f.Samples) / f.Channels
 }
 
-// Channel extracts one channel as float64 in [-1, 1).
-func (f *File) Channel(c int) []float64 {
-	n := f.Frames()
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = float64(f.Samples[i*f.Channels+c]) / 32768
-	}
-	return out
-}
-
 // HeaderSize is the byte size of the canonical 44-byte PCM WAVE header
 // this package reads and writes.
 const HeaderSize = 44

@@ -102,9 +102,8 @@ func TestChannelsAndFrames(t *testing.T) {
 	if f.Frames() != 2 {
 		t.Fatalf("frames = %d", f.Frames())
 	}
-	left, right := f.Channel(0), f.Channel(1)
-	if left[0] != 100.0/32768 || right[1] != -200.0/32768 {
-		t.Fatalf("channel extraction wrong: %v %v", left, right)
+	if (&wav.File{}).Frames() != 0 {
+		t.Fatal("a file with no channels has frames")
 	}
 }
 
