@@ -223,9 +223,9 @@ func (t *Tool) read(ctx *pin.Context, isStack bool) {
 	// Walk the producers page span by page span, charging each run of
 	// equally-owned bytes to its binding once.
 	for addr, size := ctx.Addr, ctx.Size; size > 0; {
-		owners, n := t.owners.Span(addr, size)
+		owners, owner, n := t.owners.Span(addr, size)
 		if owners == nil {
-			t.bind(shadow.NoOwner, me, uint64(n))
+			t.bind(owner, me, uint64(n))
 		} else {
 			run := 0
 			for i := 1; i < n; i++ {

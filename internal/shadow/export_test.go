@@ -5,10 +5,22 @@ package shadow
 
 // Owner returns the producer of the byte at addr.
 func (o *Owners) Owner(addr uint64) uint16 {
-	if owners, _ := o.Span(addr, 1); owners != nil {
+	owners, owner, _ := o.Span(addr, 1)
+	if owners != nil {
 		return owners[0]
 	}
-	return NoOwner
+	return owner
+}
+
+// PerBytePages returns the number of pages that hold per-byte owners.
+func (o *Owners) PerBytePages() int {
+	n := 0
+	for _, p := range o.pages {
+		if p.bytes != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // PageCount returns the number of shadow pages materialised.

@@ -55,6 +55,50 @@ func TestOwnerOverwrite(t *testing.T) {
 	}
 }
 
+// TestOwnersFoldWholePages: a page one kernel writes in full keeps one
+// owner instead of per-byte owners, whatever order it was written in,
+// and splits back into per-byte owners when another kernel writes part
+// of it — with every byte's owner matching the reference map throughout.
+func TestOwnersFoldWholePages(t *testing.T) {
+	const base = 0x40000
+	o := shadow.NewOwners()
+	ref := newMapOwners()
+	set := func(addr uint64, size int, owner uint16) {
+		o.SetRange(addr, size, owner)
+		ref.SetRange(addr, size, owner)
+	}
+	check := func(stage string, perByte int) {
+		t.Helper()
+		for a := uint64(base - 8); a < base+3*shadow.PageSize+8; a++ {
+			if o.Owner(a) != ref.Owner(a) {
+				t.Fatalf("%s: addr %#x: owner %d, want %d", stage, a, o.Owner(a), ref.Owner(a))
+			}
+		}
+		if got := o.PerBytePages(); got != perByte {
+			t.Fatalf("%s: %d pages hold per-byte owners, want %d", stage, got, perByte)
+		}
+	}
+	// Two pages filled in ascending 8-byte writes, a third in a strided
+	// order, the first of them starting mid-page: each folds once full.
+	for a := uint64(base + 64); a < base+2*shadow.PageSize; a += 8 {
+		set(a, 8, 1)
+	}
+	check("page 0 partly written", 1)
+	set(base, 64, 1)
+	for stride := uint64(0); stride < 64; stride += 8 {
+		for a := base + 2*shadow.PageSize + stride; a < base+3*shadow.PageSize; a += 64 {
+			set(a, 8, 2)
+		}
+	}
+	check("three pages filled", 0)
+	set(base+shadow.PageSize-4, 8, 3) // straddles pages 0 and 1
+	check("straddling overwrite", 2)
+	for a := uint64(base); a < base+shadow.PageSize; a += 8 {
+		set(a, 8, 3)
+	}
+	check("page 0 rewritten", 1)
+}
+
 // TestAddrSetCountMatchesReference: the incrementally-maintained UnMA
 // cardinality always equals the true set size.
 func TestAddrSetCountMatchesReference(t *testing.T) {
