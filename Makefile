@@ -44,33 +44,37 @@ chaos:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./internal/chaos/...
 
 # The trace-integrity gate: the etrace corruption matrix (every fault
-# class × inline and worker-pool decode × strict and salvage — detected
-# or byte-identical, never silent divergence), the format-generation
-# compat suite (footer instruction counts included), the unassigned
-# record kinds failing closed in Stat and in every replay mode, the
-# end-to-end rerecord-on-corrupt scheduler scenarios (a checkpoint
-# resumed over a damaged trace re-records once; a rerecord makes the
-# checkpoint forget the trace it trusted), the checkpoint's
-# validate-once rule, the scheduler's adopted-trace rules (an adopted
-# trace's replay budget read from its index footer), and the
-# profiler's -record and -replay contract (a damaged -replay trace
-# fails strict, salvages to its golden and is never modified; a failed
-# -record leaves no file).
+# class, lying but checksummed footers included × inline and worker-pool
+# decode × strict and salvage — detected or byte-identical, never silent
+# divergence — with Stat reporting damage exactly when strict replay
+# fails), the format-generation compat suite (footer instruction counts
+# included), the unassigned record kinds failing closed in Stat and in
+# every replay mode, the end-to-end rerecord-on-corrupt scheduler
+# scenarios (a checkpoint resumed over a damaged trace re-records once;
+# a rerecord makes the checkpoint forget the trace it trusted), the
+# checkpoint's validate-once rule, the scheduler's adopted-trace rules
+# (an adopted trace's replay budget read from its end record past a
+# damaged chunk), the profiler's -record and -replay contract (a
+# damaged -replay trace fails strict, salvages to its golden and is
+# never modified, and a salvage that replays nothing fails; a failed
+# -record leaves no file), and tqdump's -etrace verdicts (text and
+# -json exit alike: 0 intact, 3 damaged, 4 unreadable).
 corrupt:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestCorruptionMatrix|TestSalvageAccounting|TestFormatGenerations|TestStatReportsGenerations|TestRemovedRecordKindsFailClosed' -v ./internal/etrace
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestChaosCorrupt|TestChaosENOSPC|TestChaosTornTail|TestCheckpointResumeOverDamagedTrace|TestRerecordForgetsCheckpointTrace' -v .
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestSchedulerTraceSource|TestCheckpointValidatesTraceOnce' -v ./internal/study
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestReplayContract|TestRecordContract' -v ./cmd/tquad
+	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestDumpTrace' -v ./cmd/tqdump
 
 # Short fuzzing budgets for the text/binary-format parsers: the
-# event-trace replay with inline decode, salvage replay, the indexed
-# replay pipeline with a decode worker pool (checked against Stat's
-# index-free frame walk) and the cache-geometry grammar.  None may
-# panic on any input.  Then QUAD's page-span shadow walk against its
-# per-byte map oracle: any access stream must give both identical
-# reports.  Last, the block engine against the reference stepper on
-# arbitrary guest code loaded as an image: every run must be
-# observably identical.
+# event-trace replay with inline decode, salvage replay (and Stat), the
+# indexed replay pipeline with a decode worker pool (checked against an
+# index-free frame walk kept as its test oracle, and against Stat's
+# verdict) and the cache-geometry grammar.  None may panic on any
+# input.  Then QUAD's page-span shadow walk against its per-byte map
+# oracle: any access stream must give both identical reports.  Last,
+# the block engine against the reference stepper on arbitrary guest
+# code loaded as an image: every run must be observably identical.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReplay -fuzztime 10s ./internal/etrace
 	$(GO) test -run xxx -fuzz FuzzSalvage -fuzztime 10s ./internal/etrace

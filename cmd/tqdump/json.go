@@ -7,7 +7,6 @@ package main
 import (
 	"encoding/json"
 	"io"
-	"os"
 
 	"tquad/internal/etrace"
 )
@@ -73,54 +72,38 @@ type traceFinalJSON struct {
 	Halted   bool   `json:"halted"`
 }
 
-// dumpTraceJSON is dumpTrace's machine-readable twin: same verification
-// pass, same exit codes, JSON on w instead of prose.
+// dumpTraceJSON is dumpTrace's machine-readable twin: the same
+// etrace.Stat pass, the same exit codes, JSON on w instead of prose.
 func dumpTraceJSON(w io.Writer, path string) (int, error) {
-	f, err := os.Open(path)
+	f, size, err := openFile(path)
 	if err != nil {
 		return 1, err
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 1, err
-	}
 	doc := traceJSON{Path: path, Chunks: []traceChunkJSON{}}
-	health, err := etrace.Verify(f, st.Size())
+	info, err := etrace.Stat(f, size)
 	if err != nil {
 		doc.Status = "unreadable"
 		doc.ExitCode = exitTraceUnreadable
 		doc.Error = err.Error()
 		return doc.ExitCode, writeTraceJSON(w, &doc)
 	}
-	doc.Version = health.Version
-	doc.Checksummed = health.Checksummed
-	doc.Index = &traceIndexJSON{Present: health.Indexed, Chunks: len(health.Chunks), Error: health.IndexErr}
-	for _, c := range health.Chunks {
+	doc.Version = info.Version
+	doc.Checksummed = info.Checksummed
+	doc.Index = &traceIndexJSON{Present: info.Indexed, Chunks: len(info.Chunks), Error: info.IndexErr}
+	for _, c := range info.Chunks {
 		doc.Chunks = append(doc.Chunks, traceChunkJSON{
 			Offset: c.Ref.Offset, Size: c.Ref.Size, Records: c.Ref.Records,
 			StartIC: c.Ref.StartIC, EndIC: c.Ref.EndIC, Error: c.Err,
 		})
 	}
-	doc.BadChunks = health.Bad
-	doc.LostTailBytes = health.LostTailBytes
-	doc.Complete = health.Complete
+	doc.BadChunks = info.Bad
+	doc.LostTailBytes = info.LostTailBytes
+	doc.Complete = info.Complete
 
-	if health.Damaged() {
+	if info.Damaged() {
 		doc.Status = "damaged"
 		doc.ExitCode = exitTraceSalvageable
-		return doc.ExitCode, writeTraceJSON(w, &doc)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 1, err
-	}
-	info, err := etrace.Stat(f)
-	if err != nil {
-		// Verify passed but the record stream does not decode: treat as
-		// damage rather than a host failure, keeping exit-code semantics.
-		doc.Status = "damaged"
-		doc.ExitCode = exitTraceSalvageable
-		doc.Error = err.Error()
 		return doc.ExitCode, writeTraceJSON(w, &doc)
 	}
 	doc.Status = "ok"
@@ -132,11 +115,9 @@ func dumpTraceJSON(w io.Writer, path string) (int, error) {
 		Statics: info.Statics, Reads: info.Reads, Writes: info.Writes,
 		Calls: info.Calls, Returns: info.Returns, Skipped: info.Skipped,
 	}
-	if info.Complete {
-		doc.Final = &traceFinalJSON{
-			ICount: info.FinalICount, PC: info.FinalPC,
-			ExitCode: info.ExitCode, Halted: info.Halted,
-		}
+	doc.Final = &traceFinalJSON{
+		ICount: info.FinalICount, PC: info.FinalPC,
+		ExitCode: info.ExitCode, Halted: info.Halted,
 	}
 	return doc.ExitCode, writeTraceJSON(w, &doc)
 }

@@ -108,7 +108,7 @@ func TestDumpTraceJSONIntact(t *testing.T) {
 }
 
 func TestDumpTraceJSONDamaged(t *testing.T) {
-	data := recordTrace(t)
+	data := bytes.Clone(recordTrace(t))
 	// Flip a byte deep inside the stream: a chunk CRC must catch it.
 	data[len(data)/2] ^= 0xff
 	path := filepath.Join(t.TempDir(), "bad.etrace")

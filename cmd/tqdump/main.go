@@ -10,9 +10,9 @@
 //	       [-save DIR] [-load FILE...]
 //	tqdump -etrace FILE [-salvage | -json]
 //
-// With -etrace, the trace is verified end to end (header checksum, every
-// chunk's CRC32C, the index footer) and a per-chunk health report is
-// printed when damage is found.  -salvage additionally replays around the
+// With -etrace, the trace is checked end to end (header checksum, the
+// index footer, every chunk's CRC32C and records, in one etrace.Stat pass)
+// and a per-chunk health report is printed when damage is found.  -salvage additionally replays around the
 // damage and reports exactly what was lost.  Exit status triages stored
 // traces for scripts: 0 the trace is intact, 3 it is damaged but
 // salvageable (header and framing are usable), 4 it is unreadable.
@@ -58,7 +58,7 @@ func main() {
 		if *jsonOut {
 			code, err = dumpTraceJSON(os.Stdout, *etracePath)
 		} else {
-			code, err = dumpTrace(*etracePath, *salvage)
+			code, err = dumpTrace(os.Stdout, *etracePath, *salvage)
 		}
 		if err != nil {
 			log.Fatal(err)
@@ -110,65 +110,100 @@ const (
 	exitTraceUnreadable  = 4 // header unreadable; nothing can be trusted
 )
 
-// dumpTrace verifies a recorded event trace and summarises it: header,
-// routine table, record counts, the recorded final machine state, and —
-// when damage is found — a per-chunk health report and (with -salvage)
-// the salvage replay's loss accounting.  The int is the process exit
-// code; the error covers host-side failures (the file itself unreadable).
-func dumpTrace(path string, salvage bool) (int, error) {
-	f, err := os.Open(path)
+// dumpTrace checks the recorded event trace at path and reports on w
+// (dumpTraceReader).  The int is the process exit code; the error covers
+// host-side failures (the file itself cannot be opened).
+func dumpTrace(w io.Writer, path string, salvage bool) (int, error) {
+	f, size, err := openFile(path)
 	if err != nil {
 		return 1, err
 	}
 	defer f.Close()
+	return dumpTraceReader(w, path, f, size, salvage), nil
+}
+
+// openFile opens the trace file at path and returns it with its size.
+func openFile(path string) (*os.File, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
 	st, err := f.Stat()
 	if err != nil {
-		return 1, err
+		f.Close()
+		return nil, 0, err
 	}
-	health, err := etrace.Verify(f, st.Size())
+	return f, st.Size(), nil
+}
+
+// dumpTraceReader checks a recorded event trace with one etrace.Stat
+// pass and summarises it on w: header, routine table, record counts and
+// the recorded final machine state, or — when damage is found — a
+// per-chunk health report and (with salvage) the salvage replay's loss
+// accounting.  It returns the exit code.  The trace is read a chunk at a
+// time, never buffered whole, so multi-gigabyte recordings work; it must
+// be seekable, since the index footer sits at its end.
+func dumpTraceReader(w io.Writer, name string, ra io.ReaderAt, size int64, salvage bool) int {
+	info, err := etrace.Stat(ra, size)
 	if err != nil {
-		fmt.Printf("event trace %s: UNREADABLE: %v\n", path, err)
-		return exitTraceUnreadable, nil
+		fmt.Fprintf(w, "event trace %s: UNREADABLE: %v\n", name, err)
+		return exitTraceUnreadable
 	}
-	if !health.Damaged() {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return 1, err
+	if info.Damaged() {
+		dumpHealth(w, name, info)
+		if !salvage {
+			fmt.Fprintln(w, "rerun with -salvage to replay around the damage")
+		} else if err := dumpSalvage(w, ra, size); err != nil {
+			fmt.Fprintf(w, "salvage: FAILED: %v\n", err)
 		}
-		if err := dumpTraceReader(os.Stdout, path, f); err != nil {
-			return 1, err
-		}
-		integrity := "no checksums (v1 format)"
-		if health.Checksummed {
-			integrity = fmt.Sprintf("header, %d chunks and index footer verified (CRC32C)", len(health.Chunks))
-		}
-		fmt.Printf("integrity: ok, %s\n", integrity)
-		return exitTraceOK, nil
+		return exitTraceSalvageable
 	}
-	dumpHealth(os.Stdout, path, health)
-	if salvage {
-		if err := dumpSalvage(os.Stdout, f, st.Size()); err != nil {
-			fmt.Printf("salvage: FAILED: %v\n", err)
+	fmt.Fprintf(w, "event trace %s: format v%d, workload %q, stack base %#x\n",
+		name, info.Version, info.Workload, info.StackBase)
+	fmt.Fprintf(w, "routines (%d):\n", len(info.Routines))
+	for _, rt := range info.Routines {
+		kind := "lib "
+		if rt.Main {
+			kind = "main"
 		}
+		fmt.Fprintf(w, "  %#08x  %s  %-28s %5d instructions\n",
+			rt.Entry, kind, rt.Name, (rt.End-rt.Entry)/isa.InstrSize)
+	}
+	fmt.Fprintf(w, "records: %d static, %d reads, %d writes, %d calls, %d returns (%d skipped), %d chunks\n",
+		info.Statics, info.Reads, info.Writes, info.Calls, info.Returns, info.Skipped, len(info.Chunks))
+	if info.Indexed {
+		fmt.Fprintf(w, "index: footer with %d chunk entries\n", len(info.Chunks))
 	} else {
-		fmt.Println("rerun with -salvage to replay around the damage")
+		fmt.Fprintln(w, "index: none (footer absent; parallel replay scans chunk frames)")
 	}
-	return exitTraceSalvageable, nil
+	halted := "halted"
+	if !info.Halted {
+		halted = "stopped"
+	}
+	fmt.Fprintf(w, "final state: %d instructions, pc %#x, exit code %d, %s\n",
+		info.FinalICount, info.FinalPC, info.ExitCode, halted)
+	integrity := "no checksums (v1 format)"
+	if info.Checksummed {
+		integrity = fmt.Sprintf("header, %d chunks and index footer verified (CRC32C)", len(info.Chunks))
+	}
+	fmt.Fprintf(w, "integrity: ok, %s\n", integrity)
+	return exitTraceOK
 }
 
 // dumpHealth renders the per-chunk health report: every chunk when the
 // trace is small, damaged chunks only when it is not.
-func dumpHealth(w io.Writer, path string, h *Health) {
-	fmt.Fprintf(w, "event trace %s: DAMAGED (format v%d)\n", path, h.Version)
-	if h.IndexErr != "" {
-		fmt.Fprintf(w, "index footer: BROKEN (%s); chunk table rebuilt by frame scan\n", h.IndexErr)
-	} else if h.Indexed {
-		fmt.Fprintf(w, "index footer: ok, %d chunk entries\n", len(h.Chunks))
+func dumpHealth(w io.Writer, path string, info *etrace.Info) {
+	fmt.Fprintf(w, "event trace %s: DAMAGED (format v%d)\n", path, info.Version)
+	if info.IndexErr != "" {
+		fmt.Fprintf(w, "index footer: BROKEN (%s); chunk table rebuilt by frame scan\n", info.IndexErr)
+	} else if info.Indexed {
+		fmt.Fprintf(w, "index footer: ok, %d chunk entries\n", len(info.Chunks))
 	} else {
 		fmt.Fprintln(w, "index footer: none; chunk table rebuilt by frame scan")
 	}
 	const fullTableMax = 32
-	full := len(h.Chunks) <= fullTableMax
-	for i, c := range h.Chunks {
+	full := len(info.Chunks) <= fullTableMax
+	for i, c := range info.Chunks {
 		if !full && c.Err == "" {
 			continue
 		}
@@ -183,19 +218,16 @@ func dumpHealth(w io.Writer, path string, h *Health) {
 		fmt.Fprintf(w, "  chunk %4d  [%#x +%d]%s  %s\n", i, c.Ref.Offset, c.Ref.Size, extent, status)
 	}
 	if !full {
-		fmt.Fprintf(w, "  (%d healthy chunks not listed)\n", len(h.Chunks)-h.Bad)
+		fmt.Fprintf(w, "  (%d healthy chunks not listed)\n", len(info.Chunks)-info.Bad)
 	}
-	if h.LostTailBytes > 0 {
-		fmt.Fprintf(w, "torn tail: %d trailing bytes unreachable past the last sound frame\n", h.LostTailBytes)
+	if info.LostTailBytes > 0 {
+		fmt.Fprintf(w, "torn tail: %d trailing bytes unreachable past the last sound frame\n", info.LostTailBytes)
 	}
-	if !h.Complete {
+	if !info.Complete {
 		fmt.Fprintln(w, "final state: MISSING (end record damaged or lost)")
 	}
-	fmt.Fprintf(w, "chunks: %d total, %d damaged\n", len(h.Chunks), h.Bad)
+	fmt.Fprintf(w, "chunks: %d total, %d damaged\n", len(info.Chunks), info.Bad)
 }
-
-// Health is re-exported locally for dumpHealth's signature brevity.
-type Health = etrace.Health
 
 // dumpSalvage replays the damaged trace in salvage mode (no tools
 // attached — the point is the loss accounting) and prints what survived.
@@ -218,45 +250,6 @@ func dumpSalvage(w io.Writer, ra io.ReaderAt, size int64) error {
 		fmt.Fprintf(w, "final state: %d instructions, pc %#x, exit code %d, %s\n",
 			c.ICount(), c.CurrentPC(), c.ExitCode(), halted)
 	}
-	return nil
-}
-
-// dumpTraceReader is dumpTrace over any reader.  It streams: the trace
-// is summarised in one bounded-memory pass, never buffered whole, so
-// multi-gigabyte recordings and non-seekable sources (pipes) both work.
-func dumpTraceReader(w io.Writer, name string, r io.Reader) error {
-	info, err := etrace.Stat(r)
-	if err != nil {
-		return fmt.Errorf("%s: %w", name, err)
-	}
-	fmt.Fprintf(w, "event trace %s: format v%d, workload %q, stack base %#x\n",
-		name, info.Version, info.Workload, info.StackBase)
-	fmt.Fprintf(w, "routines (%d):\n", len(info.Routines))
-	for _, rt := range info.Routines {
-		kind := "lib "
-		if rt.Main {
-			kind = "main"
-		}
-		fmt.Fprintf(w, "  %#08x  %s  %-28s %5d instructions\n",
-			rt.Entry, kind, rt.Name, (rt.End-rt.Entry)/isa.InstrSize)
-	}
-	fmt.Fprintf(w, "records: %d static, %d reads, %d writes, %d calls, %d returns (%d skipped), %d chunks\n",
-		info.Statics, info.Reads, info.Writes, info.Calls, info.Returns, info.Skipped, info.Chunks)
-	if info.Indexed {
-		fmt.Fprintf(w, "index: footer with %d chunk entries\n", info.IndexChunks)
-	} else {
-		fmt.Fprintln(w, "index: none (footer absent; parallel replay scans chunk frames)")
-	}
-	if !info.Complete {
-		fmt.Fprintln(w, "final state: MISSING (truncated trace, no end record)")
-		return nil
-	}
-	halted := "halted"
-	if !info.Halted {
-		halted = "stopped"
-	}
-	fmt.Fprintf(w, "final state: %d instructions, pc %#x, exit code %d, %s\n",
-		info.FinalICount, info.FinalPC, info.ExitCode, halted)
 	return nil
 }
 

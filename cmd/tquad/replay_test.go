@@ -27,11 +27,12 @@ func recordSmall(t *testing.T, dir string) string {
 	return path
 }
 
-// damageMidChunk flips one byte halfway into the payload of the trace's
-// middle chunk.  The chunk is located through the trace's index, not at
-// a fixed file offset, so the damage lands in the same chunk whatever
-// the length of the header in front of it.
-func damageMidChunk(t *testing.T, path string) {
+// damageChunks flips one byte halfway into the payload of the trace's
+// middle chunk, or of every chunk when every is set.  The chunks are
+// located through the trace's index, not at fixed file offsets, so the
+// damage lands in the same chunks whatever the length of the header in
+// front of them.
+func damageChunks(t *testing.T, path string, every bool) {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -41,8 +42,13 @@ func damageMidChunk(t *testing.T, path string) {
 	if err != nil || idx == nil || len(idx.Chunks) < 3 {
 		t.Fatalf("index of %s: %v (%v)", path, idx, err)
 	}
-	c := idx.Chunks[len(idx.Chunks)/2]
-	b[c.Offset+int64(len(binary.AppendUvarint(nil, uint64(c.Size))))+c.Size/2] ^= 0xff
+	chunks := idx.Chunks[len(idx.Chunks)/2:][:1]
+	if every {
+		chunks = idx.Chunks
+	}
+	for _, c := range chunks {
+		b[c.Offset+int64(len(binary.AppendUvarint(nil, uint64(c.Size))))+c.Size/2] ^= 0xff
+	}
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -72,27 +78,41 @@ func TestReplayContractSweepGolden(t *testing.T) {
 
 // TestReplayContractDamagedTrace: a recording with one damaged chunk
 // fails a strict replay, salvages to the golden with an explicit slice,
-// cannot size -slice 0, and is never modified by any of them.
+// cannot size -slice 0, and is never modified by any of them.  A copy
+// with every chunk damaged salvages nothing, and that fails too.
 func TestReplayContractDamagedTrace(t *testing.T) {
-	trace := recordSmall(t, t.TempDir())
-	damageMidChunk(t, trace)
-	before, err := os.ReadFile(trace)
+	dir := t.TempDir()
+	trace := recordSmall(t, dir)
+	wrecked := filepath.Join(dir, "wrecked.etrace")
+	b, err := os.ReadFile(trace)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(wrecked, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	damageChunks(t, trace, false)
+	damageChunks(t, wrecked, true)
 	for _, c := range []struct {
 		name   string
+		trace  string
 		args   []string
 		code   int
 		stderr string // a substring stderr must hold
 		golden string // stdout's golden; empty: no stdout
 	}{
-		{"strict", []string{"-slice", "200000"}, 1, "checksum mismatch", ""},
-		{"salvage", []string{"-salvage", "-slice", "200000"}, 0, "", "golden_small_salvage.txt"},
-		{"salvage sizing", []string{"-salvage"}, 1, "pass an explicit -slice", ""},
+		{"strict", trace, []string{"-slice", "200000"}, 1, "checksum mismatch", ""},
+		{"salvage", trace, []string{"-salvage", "-slice", "200000"}, 0, "", "golden_small_salvage.txt"},
+		{"salvage sizing", trace, []string{"-salvage"}, 1, "pass an explicit -slice", ""},
+		{"salvage of nothing", wrecked, []string{"-salvage", "-slice", "200000"}, 1,
+			"salvage replay applied no instruction: salvaged 0/", ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			args := append([]string{"-replay", trace}, c.args...)
+			before, err := os.ReadFile(c.trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			args := append([]string{"-replay", c.trace}, c.args...)
 			stdout, stderr, err := tool(args...)
 			if got := exitCode(err); got != c.code {
 				t.Errorf("tquad %v: exit %d, want %d\nstderr:\n%s", args, got, c.code, stderr)
@@ -107,7 +127,7 @@ func TestReplayContractDamagedTrace(t *testing.T) {
 			if string(stdout) != want {
 				t.Errorf("tquad %v stdout:\n--- got ---\n%s--- want ---\n%s", args, stdout, want)
 			}
-			if after, err := os.ReadFile(trace); err != nil || !bytes.Equal(after, before) {
+			if after, err := os.ReadFile(c.trace); err != nil || !bytes.Equal(after, before) {
 				t.Errorf("tquad %v changed the trace (%v)", args, err)
 			}
 		})

@@ -2,6 +2,7 @@ package etrace_test
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"tquad/internal/core"
@@ -20,7 +21,10 @@ import (
 // decode (Jobs 1), a decode worker pool (Jobs 2), and salvage — and Stat
 // reports each stream's generation honestly.
 
-var genTraces map[string][]byte
+var (
+	genMu     sync.Mutex
+	genTraces map[string][]byte
+)
 
 // generations returns the three on-disk generations of the small
 // workload's recording, built once per test binary: gen3 is record's
@@ -29,6 +33,8 @@ var genTraces map[string][]byte
 // recorder produced.
 func generations(t *testing.T) map[string][]byte {
 	t.Helper()
+	genMu.Lock()
+	defer genMu.Unlock()
 	if genTraces != nil {
 		return genTraces
 	}
@@ -80,6 +86,7 @@ func profileVia(t *testing.T, data []byte, mode string, interval uint64) []byte 
 // TestFormatGenerationsReplayIdentically: one workload, three stream
 // generations, three drivers — nine byte-identical profiles.
 func TestFormatGenerationsReplayIdentically(t *testing.T) {
+	t.Parallel()
 	gens := generations(t)
 	rec := record(t)
 	interval := rec.icount / 16
@@ -115,9 +122,12 @@ func TestStatReportsGenerations(t *testing.T) {
 		{"gen3", 2, true, true},
 	}
 	for _, tc := range cases {
-		info, err := etrace.Stat(bytes.NewReader(gens[tc.gen]))
+		info, err := etrace.Stat(bytes.NewReader(gens[tc.gen]), int64(len(gens[tc.gen])))
 		if err != nil {
 			t.Fatalf("%s: Stat: %v", tc.gen, err)
+		}
+		if info.Damaged() {
+			t.Errorf("%s: Stat reports an undamaged stream damaged: %+v", tc.gen, info)
 		}
 		if info.Version != tc.version || info.Checksummed != tc.checksummed {
 			t.Errorf("%s: Version/Checksummed = %d/%v, want %d/%v",

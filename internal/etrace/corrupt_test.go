@@ -11,13 +11,16 @@ import (
 // The corruption matrix: every class of disk fault a stored trace can
 // suffer — bit flips in the header, a chunk payload, a length prefix or
 // the index footer; truncation mid-chunk, at a chunk boundary, or a few
-// torn tail bytes; a whole chunk zeroed — crossed with every replay mode
-// (inline decode and a decode worker pool, strict and salvage).  The invariant is
-// fail-closed-or-accounted: each injected fault is either DETECTED (a
+// torn tail bytes; a whole chunk zeroed; a well-formed, checksummed
+// footer that lies — crossed with every replay mode (inline decode and a
+// decode worker pool, strict and salvage) and with Stat.  The invariant
+// is fail-closed-or-accounted: each injected fault is either DETECTED (a
 // strict replay stops with a CorruptError; a salvage replay counts the
 // loss in its report) or the output is byte-identical to the pristine
 // replay.  Silent divergence — a clean success with different numbers —
-// is the one forbidden outcome.
+// is the one forbidden outcome.  Stat, which checks a trace through the
+// replay's own chunk location and decoder, reports damage exactly when
+// the strict replays fail, and errors only on header damage.
 
 // traceDigest summarises everything a tool could observe from a replay:
 // the final machine state plus the full memory statistics.
@@ -68,6 +71,7 @@ func payloadSpan(idx *etrace.Index, i int) (start, size int64) {
 }
 
 func TestCorruptionMatrix(t *testing.T) {
+	t.Parallel()
 	rec := record(t)
 	idx, err := etrace.ReadIndex(bytes.NewReader(rec.data), int64(len(rec.data)))
 	if err != nil || idx == nil || !idx.FromFooter || len(idx.Chunks) < 3 {
@@ -77,6 +81,7 @@ func TestCorruptionMatrix(t *testing.T) {
 
 	// Pristine baseline: all four modes agree, and the salvage modes see
 	// zero damage — salvage of an undamaged trace IS the strict replay.
+	// (TestStatSummarises checks Stat on the pristine trace.)
 	want, _, err := modes[0].run(rec.data)
 	if err != nil {
 		t.Fatalf("pristine %s replay: %v", modes[0].name, err)
@@ -104,6 +109,11 @@ func TestCorruptionMatrix(t *testing.T) {
 	cut := func(at int64) func([]byte) []byte {
 		return func(b []byte) []byte { return b[:at] }
 	}
+	// footer rewrites the index footer, its checksum recomputed: every
+	// structural check passes, yet the table disagrees with the chunks.
+	footer := func(edit func([]etrace.ChunkRef) []etrace.ChunkRef) func([]byte) []byte {
+		return func(b []byte) []byte { return etrace.RewriteFooter(b, edit) }
+	}
 
 	cases := []struct {
 		name   string
@@ -128,38 +138,60 @@ func TestCorruptionMatrix(t *testing.T) {
 		{"truncated mid chunk", cut(midStart + midSize/2), true},
 		{"truncated at chunk boundary", cut(idx.Chunks[mid].Offset), true},
 		{"torn tail bytes", cut(int64(len(rec.data)) - 3), true},
+		{"footer leaves out chunk 0", footer(func(c []etrace.ChunkRef) []etrace.ChunkRef { return c[1:] }), true},
+		{"footer overcounts chunk 1", footer(func(c []etrace.ChunkRef) []etrace.ChunkRef { c[1].Records++; return c }), true},
 	}
+	// The cases share nothing they write, so they run side by side: each
+	// decodes the whole trace in its salvage modes and in Stat.
 	for _, tc := range cases {
-		data := tc.mutate(append([]byte(nil), rec.data...))
-		for _, m := range modes {
-			d, rep, err := m.run(data)
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			data := tc.mutate(append([]byte(nil), rec.data...))
+			strictFailed := false
+			for _, m := range modes {
+				d, rep, err := m.run(data)
+				if !m.salvage && err != nil {
+					strictFailed = true
+				}
+				switch {
+				case err != nil:
+					if !etrace.IsCorrupt(err) {
+						t.Errorf("%s/%s: error not classified corrupt: %v", tc.name, m.name, err)
+					}
+					if m.salvage && tc.salvageRuns {
+						t.Errorf("%s/%s: salvage replay failed: %v", tc.name, m.name, err)
+					}
+				case m.salvage && rep.Damaged():
+					// Detected: the loss is accounted.  The digest may legally
+					// differ — that is what the report is for.
+				case d != want:
+					t.Errorf("%s/%s: SILENT DIVERGENCE — clean replay, different output:\n got %s\nwant %s",
+						tc.name, m.name, d, want)
+				default:
+					// Clean success with identical output: the fault hit bytes
+					// nothing depends on.  Strict mode is allowed to miss those;
+					// anything it cannot prove harmless must have errored.
+					if !m.salvage {
+						t.Errorf("%s/%s: strict replay accepted a damaged trace (digest happens to match — checksum must still catch it)",
+							tc.name, m.name)
+					}
+				}
+				if m.salvage && tc.salvageRuns && err == nil && !rep.Damaged() {
+					t.Errorf("%s/%s: salvage replay saw no damage in a damaged trace", tc.name, m.name)
+				}
+			}
+			info, err := etrace.Stat(bytes.NewReader(data), int64(len(data)))
 			switch {
-			case err != nil:
+			case !tc.salvageRuns:
 				if !etrace.IsCorrupt(err) {
-					t.Errorf("%s/%s: error not classified corrupt: %v", tc.name, m.name, err)
+					t.Errorf("%s/stat: header damage gave %v, want a corrupt-trace error", tc.name, err)
 				}
-				if m.salvage && tc.salvageRuns {
-					t.Errorf("%s/%s: salvage replay failed: %v", tc.name, m.name, err)
-				}
-			case m.salvage && rep.Damaged():
-				// Detected: the loss is accounted.  The digest may legally
-				// differ — that is what the report is for.
-			case d != want:
-				t.Errorf("%s/%s: SILENT DIVERGENCE — clean replay, different output:\n got %s\nwant %s",
-					tc.name, m.name, d, want)
-			default:
-				// Clean success with identical output: the fault hit bytes
-				// nothing depends on.  Strict mode is allowed to miss those;
-				// anything it cannot prove harmless must have errored.
-				if !m.salvage {
-					t.Errorf("%s/%s: strict replay accepted a damaged trace (digest happens to match — checksum must still catch it)",
-						tc.name, m.name)
-				}
+			case err != nil:
+				t.Errorf("%s/stat: %v", tc.name, err)
+			case info.Damaged() != strictFailed:
+				t.Errorf("%s/stat: Damaged() = %v, but the strict replays failed = %v", tc.name, info.Damaged(), strictFailed)
 			}
-			if m.salvage && tc.salvageRuns && err == nil && !rep.Damaged() {
-				t.Errorf("%s/%s: salvage replay saw no damage in a damaged trace", tc.name, m.name)
-			}
-		}
+		})
 	}
 }
 
@@ -249,6 +281,6 @@ func FuzzSalvage(f *testing.F) {
 			pr.NewConsumer()
 			_ = pr.Replay()
 		}
-		_, _ = etrace.Verify(bytes.NewReader(b), int64(len(b)))
+		_, _ = etrace.Stat(bytes.NewReader(b), int64(len(b)))
 	})
 }

@@ -31,16 +31,16 @@
 //	                        listing every chunk's byte offset, size,
 //	                        record/event counts and instruction-count
 //	                        span, closed by an 8-byte trailer (LE32
-//	                        payload length + "TQIX") so a seekable
-//	                        reader discovers it from the end of the
-//	                        file.  Traces recorded before the footer
-//	                        existed decode unchanged; indexed readers
-//	                        rebuild their index by a frame scan.
+//	                        payload length + "TQIX") so a reader
+//	                        discovers it from the end of the file.
+//	                        Traces recorded before the footer existed
+//	                        decode unchanged: their chunk table is
+//	                        rebuilt by a frame scan.
 //
 // Each chunk is a length-prefixed block of records, and every delta chain
-// resets at a chunk boundary, so a replayer streams the file chunk by
-// chunk without loading it whole and a corrupted chunk cannot poison
-// decoding past its own boundary.  Records:
+// resets at a chunk boundary, so a reader takes the file chunk by chunk
+// without loading it whole and a corrupted chunk cannot poison decoding
+// past its own boundary.  Records:
 //
 //	static   pc + 8 raw encoded instruction bytes; written at
 //	         instrument time, so it always precedes the first dynamic
@@ -56,6 +56,11 @@
 // quad.Attach and flatprof.Attach run unchanged against a recorded
 // stream and produce byte-identical profiles (asserted by the golden
 // tests).
+//
+// A stored trace is read one way.  openTrace reads the header and locates
+// the chunks (the index footer, or a frame scan), and decodeChunk decodes
+// one chunk; NewParallelReplayer and Stat, the inspector's end-to-end
+// check, both go through the two.
 package etrace
 
 import (
@@ -70,9 +75,9 @@ const (
 	// Version is the trace format version this package writes.  Version 2
 	// adds integrity checksums: a CRC32C over the header appended after
 	// the routine table, a CRC32C as the last four bytes of every chunk
-	// payload (inside the length prefix, so chunk framing and ScanIndex
-	// are unchanged), and a CRC32C over the index-footer payload.  The
-	// reader accepts versions 1 and 2.
+	// payload (inside the length prefix, so chunk framing and the frame
+	// scan are unchanged), and a CRC32C over the index-footer payload.
+	// The reader accepts versions 1 and 2.
 	Version = 2
 
 	// versionPlain is the original checksum-less format revision.
@@ -103,8 +108,7 @@ const (
 	// maxIndexEntries caps the chunk count a footer may claim; combined
 	// with chunkTarget it admits traces far past the terabyte mark.
 	maxIndexEntries = 1 << 22
-	// maxFooterLen bounds how much trailing data the streaming decoder
-	// will buffer while validating a footer.
+	// maxFooterLen bounds the footer payload ReadIndex will read.
 	maxFooterLen = 1 << 26
 )
 

@@ -3,6 +3,7 @@ package etrace_test
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"tquad/internal/core"
@@ -27,11 +28,19 @@ type recorded struct {
 	memStats vm.MemStats
 }
 
-var smallTrace *recorded
+// The fixtures are built once per test binary and shared, read-only, by
+// tests that run in parallel: the heavy replay tests call t.Parallel, so
+// under -race they overlap on the host's CPUs instead of queueing.
+var (
+	recordMu   sync.Mutex
+	smallTrace *recorded
+)
 
 // record captures the small workload once per test binary.
 func record(tb testing.TB) *recorded {
 	tb.Helper()
+	recordMu.Lock()
+	defer recordMu.Unlock()
 	if smallTrace != nil {
 		return smallTrace
 	}
@@ -65,10 +74,15 @@ func capture(tb testing.TB, m *vm.Machine, opts etrace.RecordOptions) []byte {
 	return buf.Bytes()
 }
 
-var smallWorkload *wfs.Workload
+var (
+	workloadMu    sync.Mutex
+	smallWorkload *wfs.Workload
+)
 
 func workload(tb testing.TB) *wfs.Workload {
 	tb.Helper()
+	workloadMu.Lock()
+	defer workloadMu.Unlock()
 	if smallWorkload == nil {
 		w, err := wfs.NewWorkload(wfs.Small())
 		if err != nil {
@@ -160,6 +174,7 @@ func TestReplayReproducesFinalState(t *testing.T) {
 // simulated clocks must agree — at two slice intervals under both stack
 // policies.
 func TestReplayMatchesLiveTQUAD(t *testing.T) {
+	t.Parallel()
 	rec := record(t)
 	w := workload(t)
 	for _, iv := range []uint64{rec.icount / 64, rec.icount / 16} {
@@ -204,6 +219,7 @@ func TestReplayMatchesLiveTQUAD(t *testing.T) {
 // TestReplayMatchesLiveFlatAndQUAD extends the golden gate to the other
 // two tools.
 func TestReplayMatchesLiveFlatAndQUAD(t *testing.T) {
+	t.Parallel()
 	rec := record(t)
 	w := workload(t)
 
@@ -252,12 +268,16 @@ func TestReplayMatchesLiveFlatAndQUAD(t *testing.T) {
 // TestStatSummarises: the inspector must agree with the recording.
 func TestStatSummarises(t *testing.T) {
 	rec := record(t)
-	info, err := etrace.Stat(bytes.NewReader(rec.data))
+	info, err := etrace.Stat(bytes.NewReader(rec.data), int64(len(rec.data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Complete {
-		t.Fatal("complete trace reported incomplete")
+	if info.Damaged() || !info.Complete {
+		t.Fatalf("intact trace reported damaged: %d bad chunks, index error %q, %d bytes lost, complete %v",
+			info.Bad, info.IndexErr, info.LostTailBytes, info.Complete)
+	}
+	if !info.Indexed || len(info.Chunks) < 3 {
+		t.Errorf("Indexed = %v over %d chunks, want a footer table", info.Indexed, len(info.Chunks))
 	}
 	if info.FinalICount != rec.icount || info.FinalPC != rec.pc ||
 		info.ExitCode != rec.exit || info.Halted != rec.halted {
@@ -275,19 +295,18 @@ func TestStatSummarises(t *testing.T) {
 	}
 }
 
-// TestStatTruncated: a trace cut anywhere must stat without error (just
-// incomplete), never panic.
+// TestStatTruncated: a trace cut past its header stats without error,
+// reported damaged, never panics.
 func TestStatTruncated(t *testing.T) {
 	rec := record(t)
 	for _, n := range []int{len(rec.data) / 2, len(rec.data) - 1} {
-		info, err := etrace.Stat(bytes.NewReader(rec.data[:n]))
+		info, err := etrace.Stat(bytes.NewReader(rec.data[:n]), int64(n))
 		if err != nil {
-			// Cutting mid-chunk is a decode error; that is fine too, as
-			// long as it is an error rather than a panic.
+			t.Errorf("trace truncated to %d bytes: %v", n, err)
 			continue
 		}
-		if info.Complete {
-			t.Errorf("trace truncated to %d bytes reported complete", n)
+		if !info.Damaged() {
+			t.Errorf("trace truncated to %d bytes reported intact", n)
 		}
 	}
 }
@@ -363,7 +382,7 @@ func FuzzReplay(f *testing.F) {
 			core.Attach(rp, core.Options{SliceInterval: 1000, IncludeStack: true})
 			_ = rp.Replay()
 		}
-		_, _ = etrace.Stat(bytes.NewReader(b))
+		_, _ = etrace.Stat(bytes.NewReader(b), int64(len(b)))
 	})
 }
 

@@ -1,26 +1,28 @@
-// The per-chunk index: what makes a recorded trace seekable.
+// The per-chunk index: what makes a recorded trace seekable, and the one
+// way a stored trace's chunks are located.
 //
 // Every delta chain in the record format resets at a chunk boundary, so
 // any chunk can be decoded knowing nothing but its payload bytes.  The
 // index is the table of contents that turns that property into random
 // access: one ChunkRef per chunk, serialised as a footer after the end
 // record.  The footer is discovered backwards — its last eight bytes are
-// a little-endian payload length plus the "TQIX" magic — so a seekable
-// reader finds it in one ReadAt without scanning the stream, while a
-// purely sequential reader simply decodes chunks until the end record
-// and then validates whatever trails it.
+// a little-endian payload length plus the "TQIX" magic — so a reader
+// finds it in one ReadAt without scanning the stream.
 //
-// Traces recorded before the footer existed (or whose footer was lost)
-// are still fully usable: ScanIndex rebuilds the offset table by walking
-// the chunk length prefixes, paying one cheap sequential pass of frame
-// headers (not payloads) and yielding an index without the record-count
-// and instruction-count hints.
+// openTrace is how NewParallelReplayer and Stat both find the chunks: it
+// reads the header, then uses the footer when it is valid and its first
+// entry starts at the header end.  Otherwise — a trace recorded before
+// the footer existed, or one whose footer was lost or damaged — one frame
+// scan rebuilds the offset table by walking the chunk length prefixes,
+// paying one cheap sequential pass of frame headers (not payloads) and
+// yielding a table without the record-count and instruction-count hints.
 //
-// Validation is deliberately strict.  A footer that is present but
-// malformed — truncated, length-mismatched, claiming offsets that are
-// not contiguous or sizes past the decoder caps — is an error, never a
-// silent fallback: an index that disagrees with the chunk framing could
-// otherwise mis-sequence a parallel replay.
+// Footer validation is deliberately strict.  A footer that is present but
+// malformed — truncated, length-mismatched, claiming offsets that are not
+// contiguous or sizes past the decoder caps — is reported, never trusted:
+// an index that disagrees with the chunk framing could otherwise
+// mis-sequence a parallel replay.  Strict replay fails on it; salvage
+// replay and Stat fall back to the frame scan.
 package etrace
 
 import (
@@ -37,7 +39,7 @@ type ChunkRef struct {
 	Offset int64 // file offset of the chunk's uvarint length prefix
 	Size   int64 // payload size in bytes (the length prefix's value)
 
-	// Decode hints; zero in indices rebuilt by ScanIndex.
+	// Decode hints; zero in tables rebuilt by a frame scan.
 	Records uint64 // records in the chunk
 	Events  uint64 // dynamic event records (reads/writes/calls/returns)
 	StartIC uint64 // guest instruction count entering the chunk
@@ -51,7 +53,8 @@ func (c ChunkRef) frameLen() int64 { return int64(uvarintLen(uint64(c.Size))) + 
 type Index struct {
 	Chunks []ChunkRef
 	// DataEnd is the file offset one past the last chunk: the footer's
-	// start for indexed traces, the end of input for scanned ones.
+	// start for indexed traces, the end of the last sound frame for
+	// scanned ones.
 	DataEnd int64
 	// FromFooter reports whether the index was read from a footer rather
 	// than rebuilt by a frame scan (footer indices carry decode hints).
@@ -192,7 +195,7 @@ func parseFooter(b []byte) ([]ChunkRef, error) {
 // ReadIndex reads the index footer of a trace of the given size.  A
 // trace without a footer (recorded before the index existed) returns
 // (nil, nil); a footer that is present but malformed is an error — the
-// caller must fail closed or rebuild via ScanIndex explicitly, never
+// caller must fail closed or rebuild the table by a frame scan, never
 // trust a broken table.
 func ReadIndex(ra io.ReaderAt, size int64) (*Index, error) {
 	if size < trailerLen {
@@ -225,41 +228,90 @@ func ReadIndex(ra io.ReaderAt, size int64) (*Index, error) {
 	return &Index{Chunks: chunks, DataEnd: dataEnd, FromFooter: true}, nil
 }
 
-// ScanIndex rebuilds a chunk index for a footer-less trace by walking
-// the chunk length prefixes in [start, end) — one tiny ReadAt per chunk
-// frame header, no payload reads.  The scanned index carries no decode
-// hints (Records/Events/IC spans are zero).
-func ScanIndex(ra io.ReaderAt, start, end int64) (*Index, error) {
-	idx := &Index{DataEnd: end}
+// scanFrames rebuilds a chunk table by walking the chunk length prefixes
+// in [start, end) — one tiny ReadAt per chunk frame header, no payload
+// reads.  It returns the frames before the first damage, the bytes past
+// the last sound frame and the damage that stopped the walk (nil when it
+// reached end).  The table carries no decode hints (Records/Events/IC
+// spans are zero) and may be empty.
+func scanFrames(ra io.ReaderAt, start, end int64) (*Index, int64, error) {
+	idx := &Index{}
 	off := start
 	var hdr [binary.MaxVarintLen64]byte
+	var err error
 	for off < end {
 		if len(idx.Chunks) >= maxIndexEntries {
-			return nil, errors.New("etrace: chunk count exceeds index cap")
+			err = errors.New("etrace: chunk count exceeds index cap")
+			break
 		}
-		h := hdr[:]
-		if rem := end - off; rem < int64(len(h)) {
-			h = h[:rem]
-		}
-		if _, err := ra.ReadAt(h, off); err != nil {
-			return nil, fmt.Errorf("etrace: scan chunk frame at %d: %w", off, err)
+		h := hdr[:min(int64(len(hdr)), end-off)]
+		if _, rerr := ra.ReadAt(h, off); rerr != nil {
+			err = fmt.Errorf("etrace: scan chunk frame at %d: %w", off, rerr)
+			break
 		}
 		size, n := binary.Uvarint(h)
 		if n <= 0 {
-			return nil, fmt.Errorf("etrace: malformed chunk length at %d", off)
+			err = fmt.Errorf("etrace: malformed chunk length at %d", off)
+			break
 		}
 		if size == 0 || size > maxChunkLen {
-			return nil, fmt.Errorf("etrace: bad chunk length %d", size)
+			err = fmt.Errorf("etrace: bad chunk length %d", size)
+			break
 		}
 		frame := int64(n) + int64(size)
 		if off+frame > end {
-			return nil, errors.New("etrace: chunk frame past end of trace")
+			err = errors.New("etrace: chunk frame past end of trace")
+			break
 		}
 		idx.Chunks = append(idx.Chunks, ChunkRef{Offset: off, Size: int64(size)})
 		off += frame
 	}
-	if len(idx.Chunks) == 0 {
-		return nil, errTruncated
+	idx.DataEnd = off
+	return idx, end - off, err
+}
+
+// traceFile is one stored trace opened for reading: its header, its chunk
+// table and what locating the chunks ran into.  NewParallelReplayer and
+// Stat both open a trace with openTrace and read each chunk with
+// decodeChunk.
+type traceFile struct {
+	ra    io.ReaderAt
+	hdr   header
+	index *Index
+
+	// footerErr is why an index footer that is present went unused (it is
+	// malformed, or its first entry is not at the header end); the chunk
+	// table then comes from a frame scan.  scanErr is the damage that
+	// stopped that scan, and lost the bytes it left unreachable.
+	footerErr error
+	scanErr   error
+	lost      int64
+
+	// salvage makes decodeChunk absorb damage into the chunk's flags
+	// instead of failing on it.
+	salvage bool
+}
+
+// openTrace reads a stored trace's header and locates its chunks: through
+// the index footer when it is valid and its first entry starts at the
+// header end, otherwise by one frame scan from the header end.  Only
+// header damage is an error; a bad footer or a scan that stopped at
+// damage is left in the traceFile for the caller to judge.
+func openTrace(ra io.ReaderAt, size int64) (*traceFile, error) {
+	hr := newHeaderReader(ra, size)
+	hdr, err := readHeader(hr)
+	if err != nil {
+		return nil, err
 	}
-	return idx, nil
+	headerEnd := hr.n
+	t := &traceFile{ra: ra, hdr: hdr}
+	idx, err := ReadIndex(ra, size)
+	if err == nil && idx != nil && idx.Chunks[0].Offset != headerEnd {
+		idx, err = nil, fmt.Errorf("etrace: index starts at %d, chunks at %d", idx.Chunks[0].Offset, headerEnd)
+	}
+	t.index, t.footerErr = idx, err
+	if idx == nil {
+		t.index, t.lost, t.scanErr = scanFrames(ra, headerEnd, size)
+	}
+	return t, nil
 }

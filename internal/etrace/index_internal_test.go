@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -75,9 +78,9 @@ func TestFooterRoundTrip(t *testing.T) {
 		}
 	}
 	// A frame scan over the same region must agree on every boundary.
-	scanned, err := ScanIndex(bytes.NewReader(data), idx.Chunks[0].Offset, idx.DataEnd)
-	if err != nil {
-		t.Fatal(err)
+	scanned, lost, err := scanFrames(bytes.NewReader(data), idx.Chunks[0].Offset, idx.DataEnd)
+	if err != nil || lost != 0 {
+		t.Fatalf("scan of an intact chunk region: %v, %d bytes lost", err, lost)
 	}
 	if len(scanned.Chunks) != len(idx.Chunks) {
 		t.Fatalf("scan found %d chunks, footer %d", len(scanned.Chunks), len(idx.Chunks))
@@ -167,20 +170,30 @@ func TestReadIndexFailsClosed(t *testing.T) {
 
 func int64ToInt(v int64) int { return int(v) }
 
-func TestScanIndexRejects(t *testing.T) {
+// TestScanFramesRejects: the frame scan stops at the first broken frame,
+// naming the damage and counting the bytes it could not reach, and keeps
+// the sound frames before it.
+func TestScanFramesRejects(t *testing.T) {
+	good := append(binary.AppendUvarint(nil, 3), 1, 2, 3)
 	cases := map[string][]byte{
 		"frame past end":   binary.AppendUvarint(nil, 1<<20), // claims 1MiB, file ends here
 		"zero length":      {0x00, 0xaa},
 		"huge length":      binary.AppendUvarint(nil, maxChunkLen+1),
 		"malformed varint": bytes.Repeat([]byte{0x80}, 12),
 	}
-	for name, data := range cases {
-		if _, err := ScanIndex(bytes.NewReader(data), 0, int64(len(data))); err == nil {
+	for name, bad := range cases {
+		data := append(append([]byte(nil), good...), bad...)
+		idx, lost, err := scanFrames(bytes.NewReader(data), 0, int64(len(data)))
+		if err == nil {
 			t.Errorf("%s: scan accepted a broken frame walk", name)
 		}
+		if len(idx.Chunks) != 1 || idx.DataEnd != int64(len(good)) || lost != int64(len(bad)) {
+			t.Errorf("%s: scan kept %d frames ending at %d with %d bytes lost, want 1 frame ending at %d with %d lost",
+				name, len(idx.Chunks), idx.DataEnd, lost, len(good), len(bad))
+		}
 	}
-	if _, err := ScanIndex(bytes.NewReader(nil), 0, 0); err != errTruncated {
-		t.Errorf("empty chunk region: got %v, want errTruncated", err)
+	if idx, lost, err := scanFrames(bytes.NewReader(nil), 0, 0); err != nil || lost != 0 || len(idx.Chunks) != 0 {
+		t.Errorf("empty chunk region: got %d frames, %d bytes lost, %v; want an empty table", len(idx.Chunks), lost, err)
 	}
 }
 
@@ -207,7 +220,7 @@ func TestParallelRejectsTamperedIndex(t *testing.T) {
 		for _, jobs := range []int{1, 3} {
 			idx := freshIndex()
 			tamper(idx)
-			p := &ParallelReplayer{ra: bytes.NewReader(data), hdr: hdr, index: idx, jobs: jobs}
+			p := &ParallelReplayer{traceFile: &traceFile{ra: bytes.NewReader(data), hdr: hdr, index: idx}, jobs: jobs}
 			p.NewConsumer()
 			if err := p.ReplayContext(context.Background()); err == nil {
 				t.Errorf("%s (jobs=%d): tampered index replayed without error", name, jobs)
@@ -218,8 +231,8 @@ func TestParallelRejectsTamperedIndex(t *testing.T) {
 
 // TestStatHostileSkipFlag: the skipped flag is only legal on executable
 // event kinds.  A hand-crafted tag smuggling it onto the end record must
-// fail decode — and can therefore never inflate the Skipped tally —
-// while genuinely skipped events count exactly once.
+// fail its chunk's decode — and can therefore never inflate the Skipped
+// tally — while genuinely skipped events count exactly once.
 func TestStatHostileSkipFlag(t *testing.T) {
 	var hostileEnd []byte
 	hostileEnd = append(hostileEnd, recEnd|flagSkipped)
@@ -227,9 +240,16 @@ func TestStatHostileSkipFlag(t *testing.T) {
 	hostileEnd = binary.AppendUvarint(hostileEnd, 0x1000) // pc
 	hostileEnd = binary.AppendUvarint(hostileEnd, 0)      // exit
 	hostileEnd = append(hostileEnd, 1)                    // halted
-	if _, err := Stat(bytes.NewReader(withRecord(t, hostileEnd))); err == nil ||
-		!strings.Contains(err.Error(), "malformed end tag") {
-		t.Errorf("skip flag on the end record: got %v, want malformed-tag error", err)
+	data := withRecord(t, hostileEnd)
+	info, err := Stat(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Damaged() || info.Bad != 1 || !strings.Contains(info.Chunks[0].Err, "malformed end tag") {
+		t.Errorf("skip flag on the end record: chunk 0 status %q, %d bad chunks; want one malformed-tag chunk", info.Chunks[0].Err, info.Bad)
+	}
+	if info.Skipped != 0 {
+		t.Errorf("Skipped = %d, want 0: the damaged chunk counts nothing", info.Skipped)
 	}
 
 	// A legitimately skipped predicated read counts exactly once.
@@ -240,9 +260,12 @@ func TestStatHostileSkipFlag(t *testing.T) {
 	if err := w.end(3, 0x1010, 0, true); err != nil {
 		t.Fatal(err)
 	}
-	info, err := Stat(bytes.NewReader(buf.Bytes()))
+	info, err = Stat(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if info.Damaged() {
+		t.Errorf("intact trace reported damaged: %+v", info)
 	}
 	if info.Skipped != 1 {
 		t.Errorf("Skipped = %d, want 1 (one skipped read, one executed write)", info.Skipped)
@@ -253,9 +276,10 @@ func TestStatHostileSkipFlag(t *testing.T) {
 }
 
 // TestRemovedRecordKindsFailClosed: record kinds 5 and 7 are unassigned,
-// so a trace holding either fails closed.  Stat and strict replay, with
-// inline decode and with a decode worker pool, stop with an unknown-tag
-// error; salvage replay skips the chunk and reports it damaged.
+// so a trace holding either fails closed.  Strict replay, with inline
+// decode and with a decode worker pool, stops with an unknown-tag error,
+// and Stat reports the chunk damaged with that error; salvage replay
+// skips the chunk and reports it damaged.
 func TestRemovedRecordKindsFailClosed(t *testing.T) {
 	for _, tc := range []struct {
 		kind byte
@@ -266,8 +290,8 @@ func TestRemovedRecordKindsFailClosed(t *testing.T) {
 	} {
 		data := withRecord(t, append([]byte{tc.kind}, tc.rest...))
 		const want = "unknown record tag"
-		if _, err := Stat(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("kind %d: Stat: got %v, want %q", tc.kind, err, want)
+		if info, err := Stat(bytes.NewReader(data), int64(len(data))); err != nil || info.Bad != 1 || !strings.Contains(info.Chunks[0].Err, want) {
+			t.Errorf("kind %d: Stat: got %v, want chunk 0 damaged with %q", tc.kind, err, want)
 		}
 		for _, jobs := range []int{1, 2} {
 			pr, err := NewParallelReplayer(bytes.NewReader(data), int64(len(data)), ParallelOptions{Jobs: jobs})
@@ -288,6 +312,56 @@ func TestRemovedRecordKindsFailClosed(t *testing.T) {
 			if rep := c.SalvageReport(); rep.ChunksBad != 1 || rep.RecordsLost != 1 || !rep.Complete {
 				t.Errorf("kind %d: Jobs %d salvage: %s, want one bad chunk losing one record, end record kept", tc.kind, jobs, rep)
 			}
+		}
+	}
+}
+
+// walkFrames is FuzzIndex's oracle, independent of the index: it decodes
+// b by walking the chunk length prefixes from the header end, as a
+// streaming reader would, and returns the end record.  Whatever follows
+// the end record must be nothing or a valid footer listing exactly the
+// chunks walked.
+func walkFrames(b []byte) (record, error) {
+	hr := newHeaderReader(bytes.NewReader(b), int64(len(b)))
+	hdr, err := readHeader(hr)
+	if err != nil {
+		return record{}, err
+	}
+	off := int(hr.n)
+	var p chunkParser
+	var rec record
+	for chunks := 1; ; chunks++ {
+		size, n := binary.Uvarint(b[off:])
+		if n <= 0 || size == 0 || size > uint64(len(b)-off-n) || (hdr.version >= 2 && size <= crcLen) {
+			return rec, errors.New("etrace: bad chunk frame")
+		}
+		payload := b[off+n : off+n+int(size)]
+		off += n + int(size)
+		if hdr.version >= 2 {
+			body := payload[:len(payload)-crcLen]
+			if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(payload[len(body):]) {
+				return rec, errors.New("etrace: chunk checksum mismatch")
+			}
+			payload = body
+		}
+		for p.reset(payload); !p.done(); {
+			if err := p.parseRecord(&rec); err != nil {
+				return rec, err
+			}
+			if rec.kind != recEnd {
+				continue
+			}
+			if off == len(b) {
+				return rec, nil
+			}
+			footer, err := parseFooter(b[off:])
+			if err != nil {
+				return rec, err
+			}
+			if len(footer) != chunks {
+				return rec, fmt.Errorf("etrace: index lists %d chunks, stream had %d", len(footer), chunks)
+			}
+			return rec, nil
 		}
 	}
 }

@@ -51,16 +51,13 @@ type ParallelOptions struct {
 // the worker count of decoded chunks, each recycled through a pool once
 // every consumer is done with it.
 type ParallelReplayer struct {
-	ra    io.ReaderAt
-	hdr   header
-	index *Index
-	jobs  int
+	*traceFile
+	jobs int
 
-	// salvage-mode state: report collects the decode-side (chunk-level)
-	// damage tally on the coordinator goroutine; consumers get it merged
+	// report collects the decode-side (chunk-level) damage tally of a
+	// salvage replay on the coordinator goroutine; consumers get it merged
 	// into their own reports after the apply goroutines finish.
-	salvage bool
-	report  *SalvageReport
+	report *SalvageReport
 
 	consumers []*Consumer
 	progress  func(ic uint64)
@@ -68,76 +65,38 @@ type ParallelReplayer struct {
 }
 
 // NewParallelReplayer opens a recorded trace for indexed replay.  The
-// trace's index footer is used when present; footer-less v1 traces get
-// an index rebuilt by a chunk-frame scan.  A footer that is present but
-// malformed is an error (fail closed), never silently rescanned.
+// trace's index footer is used when it is valid and starts at the header
+// end; footer-less traces get a chunk table rebuilt by a frame scan.  A
+// strict replay fails closed on a footer that is present but unusable and
+// on framing damage; a salvage replay rebuilds the table by the frame
+// scan and counts the damage.  Header damage fails both.
 func NewParallelReplayer(ra io.ReaderAt, size int64, opts ParallelOptions) (*ParallelReplayer, error) {
-	cr := &countingReader{r: io.NewSectionReader(ra, 0, size)}
-	d := newDecoder(cr)
-	hdr, err := d.readHeader()
+	t, err := openTrace(ra, size)
 	if err != nil {
 		return nil, corrupt(err) // header damage: unreadable, not salvageable
 	}
-	headerEnd := cr.n - int64(d.r.Buffered())
-	report := new(SalvageReport)
-	idx, err := ReadIndex(ra, size)
-	if err != nil {
-		if !opts.Salvage {
-			return nil, corrupt(err)
+	p := &ParallelReplayer{traceFile: t, jobs: opts.Jobs}
+	if opts.Salvage {
+		t.salvage = true
+		p.report = &SalvageReport{
+			TornTail: t.lost > 0,
+			// A checksummed trace always carries a footer; a missing one
+			// means the tail (footer included) was lost.
+			FooterDamaged: t.footerErr != nil || (!t.index.FromFooter && t.hdr.version >= 2),
 		}
-		// Footer present but broken: salvage rebuilds the chunk table by
-		// a frame scan, which stops cleanly at framing damage.
-		report.FooterDamaged = true
-		idx = nil
+	} else if t.footerErr != nil {
+		return nil, corrupt(t.footerErr)
+	} else if t.scanErr != nil {
+		return nil, corrupt(t.scanErr)
 	}
-	if idx == nil {
-		if opts.Salvage {
-			var lost int64
-			idx, lost = salvageScanIndex(ra, headerEnd, size)
-			if lost > 0 {
-				report.TornTail = true
-			}
-			if hdr.version >= 2 && !report.FooterDamaged {
-				// A checksummed trace always carries a footer; a missing
-				// one means the tail (footer included) was lost.
-				report.FooterDamaged = true
-			}
-		} else if idx, err = ScanIndex(ra, headerEnd, size); err != nil {
-			return nil, corrupt(err)
-		}
-	}
-	if len(idx.Chunks) == 0 {
+	if len(t.index.Chunks) == 0 {
 		return nil, corrupt(errTruncated)
 	}
-	if idx.Chunks[0].Offset != headerEnd {
-		return nil, corrupt(fmt.Errorf("etrace: index starts at %d, chunks at %d", idx.Chunks[0].Offset, headerEnd))
-	}
-	jobs := opts.Jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	p := &ParallelReplayer{ra: ra, hdr: hdr, index: idx, jobs: jobs, salvage: opts.Salvage}
-	if opts.Salvage {
-		p.report = report
+	if p.jobs <= 0 {
+		p.jobs = runtime.GOMAXPROCS(0)
 	}
 	return p, nil
 }
-
-// countingReader tracks how many bytes have been read — how the header's
-// end offset is recovered from the streaming parse.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// Index returns the chunk index the replay will follow.
-func (p *ParallelReplayer) Index() *Index { return p.index }
 
 // NewConsumer adds one pin.Host to the fan-out and returns it.  Attach a
 // tool stack to each consumer, then call Replay once.
@@ -278,9 +237,6 @@ fanout:
 				if p.index.FromFooter {
 					if applied := uint64(len(*d.recs)); d.ref.Records > applied {
 						p.report.RecordsLost += d.ref.Records - applied
-					}
-					if len(*d.recs) == 0 {
-						p.report.EventsLost += d.ref.Events
 					}
 					p.report.ICountLost += d.ref.EndIC - d.ref.StartIC
 				}
@@ -512,15 +468,16 @@ func (p *ParallelReplayer) produceParallel(ctx context.Context, out chan<- decod
 }
 
 // decodeChunk reads and decodes one chunk identified by its index entry,
-// appending its records to recs.  The index is never trusted over the
-// bytes: the chunk's own length prefix must agree with the entry, the
-// payload checksum must verify (version >= 2), an end record may close
-// only the final chunk, and a footer entry's record count must match what
-// actually decoded.  In salvage mode (dc non-nil is always true; p.salvage
-// gates it) each of those failures is absorbed into dc's damage flags —
-// keeping exactly the records that are provably sound — instead of
-// returning an error.
-func (p *ParallelReplayer) decodeChunk(ref ChunkRef, last bool, recs []record, dc *decodedChunk) ([]record, error) {
+// appending its records to recs: the one chunk decoder, behind both replay
+// and Stat.  The index is never trusted over the bytes: the chunk's own
+// length prefix must agree with the entry, the payload checksum must
+// verify (version >= 2), an end record may close only the final chunk,
+// and a footer entry's record count must match what actually decoded.  In
+// salvage mode (t.salvage) each of those failures is absorbed into dc's
+// damage flags — keeping exactly the records that are provably sound —
+// instead of returning an error.  A final chunk that decodes cleanly but
+// holds no end record fails with errTruncated.
+func (t *traceFile) decodeChunk(ref ChunkRef, last bool, recs []record, dc *decodedChunk) ([]record, error) {
 	frameBuf := framePool.Get().(*[]byte)
 	defer framePool.Put(frameBuf)
 	frame := *frameBuf
@@ -530,8 +487,8 @@ func (p *ParallelReplayer) decodeChunk(ref ChunkRef, last bool, recs []record, d
 		*frameBuf = frame
 	}
 	frame = frame[:need]
-	if _, err := p.ra.ReadAt(frame, ref.Offset); err != nil {
-		if p.salvage {
+	if _, err := t.ra.ReadAt(frame, ref.Offset); err != nil {
+		if t.salvage {
 			// A short read under a footer index is a truncated file: the
 			// tail chunks the index promises are simply gone.
 			dc.bad, dc.torn = true, true
@@ -541,17 +498,17 @@ func (p *ParallelReplayer) decodeChunk(ref ChunkRef, last bool, recs []record, d
 	}
 	size, n := binary.Uvarint(frame)
 	if n <= 0 || int64(size) != ref.Size || n != uvarintLen(size) {
-		if p.salvage {
+		if t.salvage {
 			dc.bad = true
 			return recs, nil
 		}
 		return recs, errors.New("etrace: index disagrees with chunk boundaries")
 	}
 	payload := frame[n:]
-	checksummed := p.hdr.version >= 2
+	checksummed := t.hdr.version >= 2
 	if checksummed {
 		if len(payload) <= crcLen {
-			if p.salvage {
+			if t.salvage {
 				dc.bad = true
 				return recs, nil
 			}
@@ -559,7 +516,7 @@ func (p *ParallelReplayer) decodeChunk(ref ChunkRef, last bool, recs []record, d
 		}
 		body, sum := payload[:len(payload)-crcLen], payload[len(payload)-crcLen:]
 		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(sum) {
-			if p.salvage {
+			if t.salvage {
 				dc.bad, dc.crcErr = true, true
 				return recs, nil
 			}
@@ -578,7 +535,7 @@ func (p *ParallelReplayer) decodeChunk(ref ChunkRef, last bool, recs []record, d
 		recs = append(recs, record{})
 		rec := &recs[len(recs)-1]
 		if err := cp.parseRecord(rec); err != nil {
-			if p.salvage {
+			if t.salvage {
 				// Keep the sound prefix, drop the half-written slot.
 				recs = recs[:len(recs)-1]
 				dc.bad = true
@@ -587,7 +544,7 @@ func (p *ParallelReplayer) decodeChunk(ref ChunkRef, last bool, recs []record, d
 			return recs, err
 		}
 		if rec.kind == recEnd && !last {
-			if p.salvage {
+			if t.salvage {
 				recs = recs[:len(recs)-1]
 				dc.bad = true
 				return recs, nil
@@ -595,8 +552,8 @@ func (p *ParallelReplayer) decodeChunk(ref ChunkRef, last bool, recs []record, d
 			return recs, errors.New("etrace: data after final chunk (end record mid-trace)")
 		}
 	}
-	if p.index.FromFooter && ref.Records != uint64(len(recs)-base) {
-		if p.salvage {
+	if t.index.FromFooter && ref.Records != uint64(len(recs)-base) {
+		if t.salvage {
 			if checksummed {
 				// The payload checksum held, so the bytes win over the
 				// index hint: keep the records, flag the footer.
@@ -616,7 +573,7 @@ func (p *ParallelReplayer) decodeChunk(ref ChunkRef, last bool, recs []record, d
 		dc.hasEnd = true
 	}
 	if last && !dc.hasEnd {
-		if p.salvage {
+		if t.salvage {
 			dc.torn = true
 			return recs, nil
 		}

@@ -34,7 +34,11 @@ func coreProfile(t *testing.T, rec *recorded, includeStack bool) ([]byte, solo) 
 // policies, an indexed replay must be byte-identical to the inline-decode
 // (Jobs 1) replay — same profile serialisation, same final machine state.
 func TestParallelMatchesSequential(t *testing.T) {
+	t.Parallel()
 	rec := record(t)
+	if idx, err := etrace.ReadIndex(bytes.NewReader(rec.data), int64(len(rec.data))); err != nil || idx == nil {
+		t.Fatalf("fresh recording lacks a footer index: %v", err)
+	}
 	for _, includeStack := range []bool{true, false} {
 		want, seq := coreProfile(t, rec, includeStack)
 		for _, jobs := range []int{1, 2, 4, 0} {
@@ -42,9 +46,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 				etrace.ParallelOptions{Jobs: jobs})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if idx := pr.Index(); !idx.FromFooter {
-				t.Fatal("fresh recording lacks a footer index")
 			}
 			host := pr.NewConsumer()
 			tool := core.Attach(host, core.Options{SliceInterval: 10_000, IncludeStack: includeStack})
@@ -71,6 +72,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 // configured consumers, each matching its own dedicated solo replay
 // exactly.
 func TestParallelFanOut(t *testing.T) {
+	t.Parallel()
 	rec := record(t)
 	pr, err := etrace.NewParallelReplayer(bytes.NewReader(rec.data), int64(len(rec.data)),
 		etrace.ParallelOptions{Jobs: 4})
@@ -134,14 +136,14 @@ func TestParallelV1Fallback(t *testing.T) {
 		t.Fatalf("footer index: %v", err)
 	}
 	v1 := rec.data[:idx.DataEnd] // strip the footer: a v1 trace
+	if idx, err := etrace.ReadIndex(bytes.NewReader(v1), int64(len(v1))); err != nil || idx != nil {
+		t.Fatalf("stripped trace still carries a footer index: %v", err)
+	}
 
 	want, seq := coreProfile(t, rec, true)
 	pr, err := etrace.NewParallelReplayer(bytes.NewReader(v1), int64(len(v1)), etrace.ParallelOptions{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if pr.Index().FromFooter {
-		t.Fatal("stripped trace still reports a footer index")
 	}
 	host := pr.NewConsumer()
 	tool := core.Attach(host, core.Options{SliceInterval: 10_000, IncludeStack: true})
@@ -227,6 +229,7 @@ func TestParallelReplayTwiceFails(t *testing.T) {
 // Err reports it, and the healthy consumer sharing the pass finishes
 // with a profile identical to its solo replay.
 func TestParallelPanicIsolated(t *testing.T) {
+	t.Parallel()
 	rec := record(t)
 	want, _ := coreProfile(t, rec, true)
 	for _, jobs := range []int{1, 2} {
@@ -271,13 +274,14 @@ func TestParallelPanicIsolated(t *testing.T) {
 }
 
 // FuzzIndex drives arbitrary bytes through the indexed replay pipeline,
-// with Stat as an independent oracle: Stat's decoder walks the chunk
+// with an independent oracle: WalkFrames decodes by walking the chunk
 // frames and ignores the index.  The contract: never a panic or hang;
-// and whenever the indexed replay succeeds, Stat succeeds on the same
-// bytes and reports a complete trace with the identical final state.
-// (The reverse implication does not hold: the indexed replay
-// additionally rejects non-canonical chunk length prefixes, mid-trace
-// end records and index hints that a pure stream decode cannot check.)
+// and whenever the indexed replay succeeds, the frame walk succeeds on
+// the same bytes with the identical final state, and Stat reports the
+// trace intact with that final state too.  (The frame walk need not
+// hold the other way: the indexed replay additionally rejects
+// non-canonical chunk length prefixes, mid-trace end records and index
+// hints that a pure stream decode cannot check.)
 func FuzzIndex(f *testing.F) {
 	data := bytes.Clone(record(f).data)
 	f.Add(data)
@@ -300,16 +304,27 @@ func FuzzIndex(f *testing.F) {
 			return
 		}
 		// The indexed replay accepted the input: the frame walk must agree.
-		info, err := etrace.Stat(bytes.NewReader(b))
+		ic, exit, halted, err := etrace.WalkFrames(b)
+		if err != nil {
+			t.Fatalf("indexed replay succeeded, the frame walk failed: %v", err)
+		}
+		if par.ICount() != ic || par.ExitCode() != exit || par.Halted() != halted {
+			t.Fatalf("indexed replay (ic=%d exit=%d halted=%v) and the frame walk (ic=%d exit=%d halted=%v) disagree on final state",
+				par.ICount(), par.ExitCode(), par.Halted(), ic, exit, halted)
+		}
+		// And Stat, which shares the replay's chunk location and decoder,
+		// must call it intact.
+		info, err := etrace.Stat(bytes.NewReader(b), int64(len(b)))
 		if err != nil {
 			t.Fatalf("indexed replay succeeded, Stat failed: %v", err)
 		}
-		if !info.Complete {
-			t.Fatal("indexed replay succeeded, Stat found no end record")
+		if info.Damaged() {
+			t.Fatalf("indexed replay succeeded, Stat reports damage: %d bad chunks, index error %q, %d bytes lost, complete %v",
+				info.Bad, info.IndexErr, info.LostTailBytes, info.Complete)
 		}
-		if par.ICount() != info.FinalICount || par.ExitCode() != info.ExitCode || par.Halted() != info.Halted {
+		if info.FinalICount != ic || info.ExitCode != exit || info.Halted != halted {
 			t.Fatalf("indexed replay (ic=%d exit=%d halted=%v) and Stat (ic=%d exit=%d halted=%v) disagree on final state",
-				par.ICount(), par.ExitCode(), par.Halted(), info.FinalICount, info.ExitCode, info.Halted)
+				ic, exit, halted, info.FinalICount, info.ExitCode, info.Halted)
 		}
 	})
 }

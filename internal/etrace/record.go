@@ -86,7 +86,7 @@ func (w *writer) resetDeltas() {
 // flush seals the current chunk: payload checksum (version >= 2), length
 // prefix, payload, fresh deltas — and records the chunk's index entry.
 // The CRC lands inside the length prefix, so framing (and every framing
-// consumer: ScanIndex, frameLen, the refill loop) is version-independent.
+// consumer: the frame scan, frameLen, decodeChunk) is version-independent.
 func (w *writer) flush() {
 	if w.err != nil || len(w.buf) == 0 {
 		return

@@ -161,62 +161,46 @@ func (p *chunkParser) delta(prev *uint64) (uint64, error) {
 	return v, nil
 }
 
-// decoder streams records out of a chunked trace: a sequential refill
-// loop over chunk frames feeding one chunkParser.  It walks the frames
-// without consulting the index, which makes it Stat's engine; replay goes
-// through the index (ParallelReplayer) and uses the decoder only for the
-// header.
-type decoder struct {
-	r       *bufio.Reader
-	p       chunkParser
-	buf     []byte // chunk payload, capacity reused across refills
-	version byte
-
-	chunks int
-	ended  bool
-
-	// footer holds the trace's index when the stream carried one; nil
-	// for footer-less v1 traces.  Populated once the end record has been
-	// read and the trailing bytes validated.
-	footer *Index
-}
-
-func newDecoder(r io.Reader) *decoder {
-	return &decoder{r: bufio.NewReaderSize(r, 64<<10)}
-}
-
-// crcReader hashes exactly the bytes the header parse consumes from the
-// buffered reader.  A tee below the bufio.Reader would hash read-ahead
-// bytes past the header; consuming through this wrapper keeps the sum
-// aligned with the parse position, so the header checksum can be checked
-// the moment the stream crosses it.
-type crcReader struct {
+// headerReader hashes and counts exactly the bytes the header parse
+// consumes from the buffered reader.  A tee below the bufio.Reader would
+// hash read-ahead bytes past the header; consuming through this wrapper
+// keeps the sum aligned with the parse position, so the header checksum
+// can be checked the moment the parse crosses it, and the count is where
+// the first chunk begins.
+type headerReader struct {
 	r   *bufio.Reader
 	crc uint32
+	n   int64
 }
 
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
+func (h *headerReader) Read(p []byte) (int, error) {
+	n, err := h.r.Read(p)
+	h.crc = crc32.Update(h.crc, castagnoli, p[:n])
+	h.n += int64(n)
 	return n, err
 }
 
-func (c *crcReader) ReadByte() (byte, error) {
-	b, err := c.r.ReadByte()
+func (h *headerReader) ReadByte() (byte, error) {
+	b, err := h.r.ReadByte()
 	if err != nil {
 		return 0, err
 	}
 	one := [1]byte{b}
-	c.crc = crc32.Update(c.crc, castagnoli, one[:])
+	h.crc = crc32.Update(h.crc, castagnoli, one[:])
+	h.n++
 	return b, nil
 }
 
-// readHeader parses and validates the preamble.  Header damage is always
-// fatal — there is no salvaging a trace whose routine table cannot be
-// trusted.
-func (d *decoder) readHeader() (header, error) {
+// newHeaderReader reads the trace in ra from its first byte.
+func newHeaderReader(ra io.ReaderAt, size int64) *headerReader {
+	return &headerReader{r: bufio.NewReaderSize(io.NewSectionReader(ra, 0, size), 64<<10)}
+}
+
+// readHeader parses and validates the preamble; hr.n is then the offset
+// of the first chunk.  Header damage is always fatal — there is no
+// salvaging a trace whose routine table cannot be trusted.
+func readHeader(hr *headerReader) (header, error) {
 	var hdr header
-	hr := &crcReader{r: d.r}
 	pre := make([]byte, len(magic)+1)
 	if _, err := io.ReadFull(hr, pre); err != nil {
 		return hdr, fmt.Errorf("etrace: short header: %w", err)
@@ -272,25 +256,17 @@ func (d *decoder) readHeader() (header, error) {
 	if hdr.version >= 2 {
 		want := hr.crc // checksum of every header byte parsed above
 		var sum [crcLen]byte
-		if _, err := io.ReadFull(d.r, sum[:]); err != nil {
+		if _, err := io.ReadFull(hr, sum[:]); err != nil {
 			return hdr, fmt.Errorf("etrace: header checksum: %w", err)
 		}
 		if binary.LittleEndian.Uint32(sum[:]) != want {
 			return hdr, errors.New("etrace: header checksum mismatch")
 		}
 	}
-	d.version = hdr.version
 	return hdr, nil
 }
 
-// byteScanner is the reader shape the header parse needs: streaming reads
-// plus the byte-at-a-time access binary.ReadUvarint wants.
-type byteScanner interface {
-	io.Reader
-	io.ByteReader
-}
-
-func readString(r byteScanner, cap uint64) (string, error) {
+func readString(r *headerReader, cap uint64) (string, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return "", err
@@ -305,85 +281,8 @@ func readString(r byteScanner, cap uint64) (string, error) {
 	return string(b), nil
 }
 
-// errTruncated marks a stream that stops before its end record.
+// errTruncated marks a trace that stops before its end record.
 var errTruncated = errors.New("etrace: truncated trace (no end record)")
-
-// next returns the next record.  After the end record it returns io.EOF;
-// a stream that runs dry without one fails with errTruncated.
-func (d *decoder) next() (record, error) {
-	var rec record
-	if d.ended {
-		return rec, io.EOF
-	}
-	for d.p.done() {
-		n, err := binary.ReadUvarint(d.r)
-		if err == io.EOF {
-			return rec, errTruncated
-		}
-		if err != nil {
-			return rec, fmt.Errorf("etrace: chunk length: %w", err)
-		}
-		if n == 0 || n > maxChunkLen || (d.version >= 2 && n <= crcLen) {
-			return rec, fmt.Errorf("etrace: bad chunk length %d", n)
-		}
-		if uint64(cap(d.buf)) < n {
-			d.buf = make([]byte, n)
-		}
-		d.buf = d.buf[:n]
-		if _, err := io.ReadFull(d.r, d.buf); err != nil {
-			return rec, fmt.Errorf("etrace: short chunk: %w", err)
-		}
-		d.chunks++
-		payload := d.buf
-		if d.version >= 2 {
-			body, sum := payload[:len(payload)-crcLen], payload[len(payload)-crcLen:]
-			if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(sum) {
-				return rec, fmt.Errorf("etrace: chunk %d checksum mismatch", d.chunks-1)
-			}
-			payload = body
-		}
-		d.p.reset(payload)
-	}
-	if err := d.p.parseRecord(&rec); err != nil {
-		return rec, err
-	}
-	if rec.kind == recEnd {
-		if err := d.readTrailing(); err != nil {
-			return rec, err
-		}
-		d.ended = true
-	}
-	return rec, nil
-}
-
-// readTrailing validates whatever follows the final chunk: nothing (a
-// footer-less v1 trace) or a well-formed index footer whose chunk table
-// matches what was just decoded.  Anything else is an error — trailing
-// garbage must not pass for a clean trace.
-func (d *decoder) readTrailing() error {
-	if _, err := d.r.Peek(1); err != nil {
-		if err == io.EOF {
-			return nil
-		}
-		return fmt.Errorf("etrace: read after final chunk: %w", err)
-	}
-	b, err := io.ReadAll(io.LimitReader(d.r, maxFooterLen+trailerLen+1))
-	if err != nil {
-		return fmt.Errorf("etrace: read after final chunk: %w", err)
-	}
-	if len(b) > maxFooterLen+trailerLen {
-		return errors.New("etrace: data after final chunk (oversized index footer)")
-	}
-	chunks, err := parseFooter(b)
-	if err != nil {
-		return fmt.Errorf("etrace: data after final chunk (%s)", err)
-	}
-	if len(chunks) != d.chunks {
-		return fmt.Errorf("etrace: index lists %d chunks, stream had %d", len(chunks), d.chunks)
-	}
-	d.footer = &Index{Chunks: chunks, FromFooter: true}
-	return nil
-}
 
 // site is one compiled static instruction during replay.
 type site struct {

@@ -1,5 +1,5 @@
-// Trace integrity: corruption classification, salvage accounting, and
-// the standalone verifier behind tqdump's health report.
+// Trace integrity: corruption classification and salvage accounting.
+// Stat (stat.go) is the standalone check behind tqdump's health report.
 //
 // The integrity model has two tiers.  Detection is fail-closed: a strict
 // replay of a checksummed (version >= 2) trace either produces the exact
@@ -12,26 +12,22 @@
 package etrace
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 
 	"tquad/internal/vm"
 )
 
 // SalvageReport tallies what a salvage replay lost.  Counts are exact for
-// what the replay observed; RecordsLost/EventsLost/ICountLost come from
-// the index footer's per-chunk hints and are zero when the trace carried
-// none (a scanned index has no hints).
+// what the replay observed; RecordsLost/ICountLost come from the index
+// footer's per-chunk hints and are zero when the trace carried none (a
+// scanned chunk table has no hints).
 type SalvageReport struct {
 	ChunksTotal int // chunks the replay visited (including damaged ones)
 	ChunksBad   int // chunks skipped whole or in part
 	CRCErrors   int // chunks whose payload checksum did not match
 
 	RecordsLost    uint64 // records in skipped chunks (footer hint)
-	EventsLost     uint64 // dynamic events in fully-skipped chunks (footer hint)
 	ICountLost     uint64 // guest-instruction span of damaged chunks (footer hint)
 	RecordsDropped uint64 // records that decoded but could not apply
 
@@ -83,7 +79,6 @@ func (r *SalvageReport) merge(o *SalvageReport) {
 	r.ChunksBad = o.ChunksBad
 	r.CRCErrors = o.CRCErrors
 	r.RecordsLost = o.RecordsLost
-	r.EventsLost = o.EventsLost
 	r.ICountLost = o.ICountLost
 	r.TornTail = o.TornTail
 	r.FooterDamaged = o.FooterDamaged
@@ -115,150 +110,4 @@ func corrupt(err error) error {
 		return err
 	}
 	return &CorruptError{Err: err}
-}
-
-// salvageScanIndex is ScanIndex in fail-soft mode: it walks chunk length
-// prefixes from start and stops cleanly at the first framing damage,
-// returning whatever prefix of the chunk table it recovered plus the
-// byte count of the unreachable tail.  Unlike ScanIndex it can return an
-// empty index (a trace whose first frame is already broken).
-func salvageScanIndex(ra io.ReaderAt, start, end int64) (*Index, int64) {
-	idx := &Index{DataEnd: end}
-	off := start
-	var hdr [binary.MaxVarintLen64]byte
-	for off < end && len(idx.Chunks) < maxIndexEntries {
-		h := hdr[:]
-		if rem := end - off; rem < int64(len(h)) {
-			h = h[:rem]
-		}
-		if _, err := ra.ReadAt(h, off); err != nil {
-			break
-		}
-		size, n := binary.Uvarint(h)
-		if n <= 0 || size == 0 || size > maxChunkLen {
-			break
-		}
-		frame := int64(n) + int64(size)
-		if off+frame > end {
-			break
-		}
-		idx.Chunks = append(idx.Chunks, ChunkRef{Offset: off, Size: int64(size)})
-		off += frame
-	}
-	idx.DataEnd = off
-	return idx, end - off
-}
-
-// ChunkStatus is one chunk's entry in a trace health report.
-type ChunkStatus struct {
-	Ref ChunkRef
-	Err string // empty when the chunk is healthy
-}
-
-// Health is the verifier's per-chunk view of one stored trace — what
-// tqdump renders and scripts triage on.
-type Health struct {
-	Version     int  // format revision of the stream
-	Checksummed bool // version >= 2: payloads carry CRC32C
-
-	Indexed  bool   // an index footer was present and valid
-	IndexErr string // footer present but broken (salvage fell back to a scan)
-
-	Chunks        []ChunkStatus
-	Bad           int   // chunks with a non-empty Err
-	LostTailBytes int64 // bytes past the last frame the scan could reach
-	Complete      bool  // final chunk ends in a well-formed end record
-}
-
-// Damaged reports whether anything at all is wrong with the trace.
-func (h *Health) Damaged() bool {
-	return h.Bad > 0 || h.IndexErr != "" || h.LostTailBytes > 0 || !h.Complete
-}
-
-// Verify checks one stored trace end to end — header, index footer, every
-// chunk's checksum and record stream — without applying a single record
-// to any tool.  It returns an error only when the header is unreadable
-// (nothing downstream can be trusted); all other damage is reported in
-// the Health.
-func Verify(ra io.ReaderAt, size int64) (*Health, error) {
-	cr := &countingReader{r: io.NewSectionReader(ra, 0, size)}
-	d := newDecoder(cr)
-	hdr, err := d.readHeader()
-	if err != nil {
-		return nil, corrupt(err)
-	}
-	headerEnd := cr.n - int64(d.r.Buffered())
-	h := &Health{Version: int(hdr.version), Checksummed: hdr.version >= 2}
-
-	dataEnd := size
-	idx, err := ReadIndex(ra, size)
-	switch {
-	case err != nil:
-		h.IndexErr = err.Error()
-	case idx != nil:
-		h.Indexed = true
-		dataEnd = idx.DataEnd
-	}
-	if !h.Indexed {
-		// No trusted footer: find the data end by scanning frames forward.
-		var lost int64
-		idx, lost = salvageScanIndex(ra, headerEnd, dataEnd)
-		h.LostTailBytes = lost
-	}
-
-	sawEnd := false
-	for i, ref := range idx.Chunks {
-		st := ChunkStatus{Ref: ref}
-		last := i == len(idx.Chunks)-1
-		if err := verifyChunk(ra, ref, hdr.version, last, &sawEnd); err != nil {
-			st.Err = err.Error()
-			h.Bad++
-		}
-		h.Chunks = append(h.Chunks, st)
-	}
-	h.Complete = sawEnd
-	return h, nil
-}
-
-// verifyChunk checks one chunk's framing, checksum, and record stream.
-func verifyChunk(ra io.ReaderAt, ref ChunkRef, version byte, last bool, sawEnd *bool) error {
-	frame := make([]byte, ref.frameLen())
-	if _, err := ra.ReadAt(frame, ref.Offset); err != nil {
-		return fmt.Errorf("read: %v", err)
-	}
-	size, n := binary.Uvarint(frame)
-	if n <= 0 || int64(size) != ref.Size || n != uvarintLen(size) {
-		return errors.New("length prefix disagrees with index")
-	}
-	payload := frame[n:]
-	if version >= 2 {
-		if len(payload) <= crcLen {
-			return errors.New("chunk too short for checksum")
-		}
-		body, sum := payload[:len(payload)-crcLen], payload[len(payload)-crcLen:]
-		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(sum) {
-			return errors.New("checksum mismatch")
-		}
-		payload = body
-	}
-	var cp chunkParser
-	cp.reset(payload)
-	var rec record
-	records := uint64(0)
-	for !cp.done() {
-		if err := cp.parseRecord(&rec); err != nil {
-			return fmt.Errorf("record %d: %v", records, err)
-		}
-		records++
-		if rec.kind == recEnd {
-			if !last {
-				return errors.New("end record mid-trace")
-			}
-			*sawEnd = true
-		}
-	}
-	if ref.Records != 0 && ref.Records != records {
-		return fmt.Errorf("index lists %d records, chunk decoded %d", ref.Records, records)
-	}
-	return nil
 }

@@ -1,9 +1,13 @@
 package etrace
 
-import "io"
+import (
+	"errors"
+	"io"
+)
 
-// Info summarises one trace file without replaying it through any tools
-// (the tqdump inspector's view).
+// Info is one stored trace checked end to end without replaying it
+// through any tools: the tqdump inspector's view, and what a checkpoint
+// validates a trace with.
 type Info struct {
 	Version     int  // format revision of the stream itself
 	Checksummed bool // Version >= 2: header/chunk/footer CRC32C present
@@ -11,12 +15,17 @@ type Info struct {
 	StackBase   uint64
 	Routines    []Routine
 
-	// Indexed reports whether the trace carried an index footer;
-	// IndexChunks is the footer's chunk-entry count when it did.
-	Indexed     bool
-	IndexChunks int
+	// Indexed reports whether the chunk table came from the index footer;
+	// IndexErr is why a footer that is present went unused, the table then
+	// being rebuilt by a frame scan.
+	Indexed  bool
+	IndexErr string
 
-	Chunks  int
+	Chunks        []ChunkStatus
+	Bad           int   // chunks with a non-empty Err
+	LostTailBytes int64 // bytes past the last frame the scan could reach
+
+	// Record counts over the chunks that decoded cleanly.
 	Statics uint64
 	Reads   uint64
 	Writes  uint64
@@ -32,35 +41,62 @@ type Info struct {
 	Halted      bool
 }
 
-// Stat scans a trace and returns its summary.  A trace that decodes
-// cleanly but stops before its end record is reported with Complete
-// false rather than as an error, so partial recordings stay inspectable.
-func Stat(rd io.Reader) (*Info, error) {
-	d := newDecoder(rd)
-	hdr, err := d.readHeader()
+// ChunkStatus is one chunk's entry in Info.
+type ChunkStatus struct {
+	Ref ChunkRef
+	Err string // the replay decoder's error; empty when the chunk is sound
+}
+
+// Damaged reports whether anything at all is wrong with the trace.
+func (info *Info) Damaged() bool {
+	return info.Bad > 0 || info.IndexErr != "" || info.LostTailBytes > 0 || !info.Complete
+}
+
+// Stat checks one stored trace end to end — header, index footer, every
+// chunk's checksum and record stream — through the replay's own chunk
+// location and decoder, without applying a single record to any tool.
+// It returns an error only when the header is unreadable (nothing
+// downstream can be trusted); all other damage is reported in the Info,
+// one status per chunk, so a trace that stops before its end record is
+// still inspectable.
+func Stat(ra io.ReaderAt, size int64) (*Info, error) {
+	t, err := openTrace(ra, size)
 	if err != nil {
-		return nil, err
+		return nil, corrupt(err)
 	}
 	info := &Info{
-		Version:     int(hdr.version),
-		Checksummed: hdr.version >= 2,
-		Workload:    hdr.workload,
-		StackBase:   hdr.stackBase,
-		Routines:    hdr.routines,
+		Version:       int(t.hdr.version),
+		Checksummed:   t.hdr.version >= 2,
+		Workload:      t.hdr.workload,
+		StackBase:     t.hdr.stackBase,
+		Routines:      t.hdr.routines,
+		Indexed:       t.index.FromFooter,
+		LostTailBytes: t.lost,
 	}
-	for {
-		rec, err := d.next()
-		if err == io.EOF || err == errTruncated {
-			info.Chunks = d.chunks
-			if d.footer != nil {
-				info.Indexed = true
-				info.IndexChunks = len(d.footer.Chunks)
-			}
-			return info, nil
+	if t.footerErr != nil {
+		info.IndexErr = t.footerErr.Error()
+	}
+	var recs []record
+	last := len(t.index.Chunks) - 1
+	for i, ref := range t.index.Chunks {
+		var dc decodedChunk
+		recs, err = t.decodeChunk(ref, i == last, recs[:0], &dc)
+		st := ChunkStatus{Ref: ref}
+		if err != nil && !errors.Is(err, errTruncated) {
+			st.Err = err.Error()
+			info.Bad++
+		} else {
+			info.count(recs)
 		}
-		if err != nil {
-			return nil, err
-		}
+		info.Chunks = append(info.Chunks, st)
+	}
+	return info, nil
+}
+
+// count tallies one cleanly decoded chunk's records.
+func (info *Info) count(recs []record) {
+	for i := range recs {
+		rec := &recs[i]
 		switch rec.kind {
 		case recStatic:
 			info.Statics++
@@ -79,14 +115,10 @@ func Stat(rd io.Reader) (*Info, error) {
 			info.ExitCode = rec.exitCode
 			info.Halted = rec.halted
 		}
-		// Only executable event kinds carry the skipped flag; a hostile
-		// tag smuggling it onto an end record must not inflate the
-		// tally.
-		switch rec.kind {
-		case recRead, recWrite, recCall, recReturn:
-			if !rec.executed {
-				info.Skipped++
-			}
+		// parseRecord rejects the skipped flag on static and end tags, so
+		// only executable events can count here.
+		if !rec.executed {
+			info.Skipped++
 		}
 	}
 }

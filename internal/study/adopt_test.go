@@ -77,20 +77,19 @@ func unchanged(t *testing.T, path string, want []byte) {
 // without a guest execution or a re-recording; under salvage the same
 // runs succeed, each with the damage reported.  Either way the adopted
 // file stays byte for byte as it was, and the dashboard's replay budget
-// is the recorded instruction total: it comes from the index footer, so
-// damage mid-payload does not hide it.
+// is the recorded instruction total: etrace.Stat reads it from the end
+// record past the damaged chunk, so damage mid-payload does not hide it.
 func TestSchedulerTraceSource(t *testing.T) {
 	s := newStudy(t, nil)
 	path := filepath.Join(t.TempDir(), "guest.etrace")
 	recordTo(t, s, path)
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := etrace.Stat(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
+	info, err := etrace.Stat(bytes.NewReader(b), int64(len(b)))
+	if err != nil || info.Damaged() {
+		t.Fatalf("recorded trace: %v (%+v)", err, info)
 	}
 	// budget fails the test unless the adopted recording's events carry
 	// the recorded instruction total.

@@ -156,11 +156,11 @@ func (c *Checkpoint) markDone(e doneEntry) error {
 
 // PersistedTrace returns the path of the journalled, validated event
 // trace for an execution-equivalence key (the scheduler's ExecKey), or
-// ok=false when none has been persisted yet or the file does not decode
-// to a complete trace (in which case the recording runs fresh and
-// persists over it).  Only a trace this process has neither persisted
-// nor validated yet is decoded.  The jobd daemon archives a finished
-// job's recording from here into its artifact store.
+// ok=false when none has been persisted yet or etrace.Stat finds the file
+// damaged (in which case the recording runs fresh and persists over it).
+// Only a trace this process has neither persisted nor validated yet is
+// decoded.  The jobd daemon archives a finished job's recording from
+// here into its artifact store.
 func (c *Checkpoint) PersistedTrace(execKey string) (string, bool) {
 	path := c.tracePath(execKey)
 	c.mu.Lock()
@@ -174,8 +174,12 @@ func (c *Checkpoint) PersistedTrace(execKey string) (string, bool) {
 		return "", false
 	}
 	defer f.Close()
-	info, err := etrace.Stat(f)
-	if err != nil || !info.Complete {
+	fi, err := f.Stat()
+	if err != nil {
+		return "", false
+	}
+	info, err := etrace.Stat(f, fi.Size())
+	if err != nil || info.Damaged() {
 		return "", false
 	}
 	c.setValid(execKey, true)

@@ -238,9 +238,10 @@ func copyFile(src, dst string) error {
 
 // statTraceICount reads an adopted trace's recorded instruction
 // total — the budget the live dashboard shows replays progressing
-// against — from the last chunk of its index footer, decoding the
-// whole trace only when it has no footer.  Only paid when events are
-// on; any failure just yields an unknown (zero) budget.
+// against — from its end record through etrace.Stat, which decodes
+// every chunk, so damage in one chunk does not hide the end record in
+// the last.  Only paid when events are on; any failure just yields an
+// unknown (zero) budget.
 func statTraceICount(pol policy, path string) uint64 {
 	if pol.events == nil {
 		return 0
@@ -254,14 +255,7 @@ func statTraceICount(pol policy, path string) uint64 {
 	if err != nil {
 		return 0
 	}
-	idx, err := etrace.ReadIndex(f, fi.Size())
-	if err != nil {
-		return 0
-	}
-	if idx != nil {
-		return idx.Chunks[len(idx.Chunks)-1].EndIC
-	}
-	info, err := etrace.Stat(f)
+	info, err := etrace.Stat(f, fi.Size())
 	if err != nil {
 		return 0
 	}
@@ -425,7 +419,9 @@ type groupRun struct {
 // damage is an etrace.CorruptError.  Past that, runs fail one by one: a
 // bad tool configuration, a panicking analysis routine (a *PanicError)
 // or a non-zero recorded exit code fails its own run only, while trace
-// damage and cancellation reach every run the pass was still feeding.
+// damage and cancellation reach every run the pass was still feeding.  A
+// salvage replay that applied no instruction fails too, its error
+// carrying the salvage report: there is no profile to report.
 // opts sets the decode workers and salvage mode, and wrap, when non-nil,
 // wraps the trace file (Hooks.ReplayReader).
 func (s *Study) replayGroup(ctx context.Context, runs []*groupRun, path string, opts etrace.ParallelOptions, wrap func(io.ReaderAt, int64) (io.ReaderAt, int64)) {
@@ -514,6 +510,9 @@ func (s *Study) replayGroup(ctx context.Context, runs []*groupRun, path string, 
 		err := m.host.Err()
 		if err == nil && m.host.ExitCode() != 0 {
 			err = fmt.Errorf("guest exit code %d", m.host.ExitCode())
+		}
+		if rep := m.host.SalvageReport(); err == nil && rep != nil && m.host.ICount() == 0 {
+			err = fmt.Errorf("salvage replay applied no instruction: %s", rep)
 		}
 		var pe *etrace.PanicError
 		switch {
