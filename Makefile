@@ -47,18 +47,20 @@ chaos:
 # class, lying but checksummed footers included × inline and worker-pool
 # decode × strict and salvage — detected or byte-identical, never silent
 # divergence — with Stat reporting damage exactly when strict replay
-# fails), the format-generation compat suite (footer instruction counts
-# included), the unassigned record kinds failing closed in Stat and in
-# every replay mode, the end-to-end rerecord-on-corrupt scheduler
-# scenarios (a checkpoint resumed over a damaged trace re-records once;
-# a rerecord makes the checkpoint forget the trace it trusted), the
-# checkpoint's validate-once rule, the scheduler's adopted-trace rules
-# (an adopted trace's replay budget read from its end record past a
-# damaged chunk), the profiler's -record and -replay contract (a
-# damaged -replay trace fails strict, salvages to its golden and is
-# never modified, and a salvage that replays nothing fails; a failed
-# -record leaves no file), and tqdump's -etrace verdicts (text and
-# -json exit alike: 0 intact, 3 damaged, 4 unreadable).
+# fails, and a byte flipped inside the footer costing salvage no sound
+# chunk and not the final state), the format-generation compat suite
+# (footer instruction counts included), the unassigned record kinds
+# failing closed in Stat and in every replay mode, the end-to-end
+# rerecord-on-corrupt scheduler scenarios (a checkpoint resumed over a
+# damaged trace re-records once; a rerecord makes the checkpoint forget
+# the trace it trusted), the checkpoint's validate-once rule, the
+# scheduler's adopted-trace rules (an adopted trace's replay budget read
+# from its end record past a damaged chunk), the profiler's -record and
+# -replay contract (a damaged -replay trace fails strict, salvages to
+# its golden and is never modified, and a salvage that replays nothing
+# fails; a failed -record leaves no file), and tqdump's -etrace verdicts
+# (text and -json exit alike: 0 intact, 3 damaged, 4 unreadable; the
+# integrity line names the footer only when there is one).
 corrupt:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestCorruptionMatrix|TestSalvageAccounting|TestFormatGenerations|TestStatReportsGenerations|TestRemovedRecordKindsFailClosed' -v ./internal/etrace
 	$(GO) test -timeout $(TEST_TIMEOUT) -run 'TestChaosCorrupt|TestChaosENOSPC|TestChaosTornTail|TestCheckpointResumeOverDamagedTrace|TestRerecordForgetsCheckpointTrace' -v .

@@ -183,8 +183,11 @@ func dumpTraceReader(w io.Writer, name string, ra io.ReaderAt, size int64, salva
 	fmt.Fprintf(w, "final state: %d instructions, pc %#x, exit code %d, %s\n",
 		info.FinalICount, info.FinalPC, info.ExitCode, halted)
 	integrity := "no checksums (v1 format)"
-	if info.Checksummed {
+	switch {
+	case info.Checksummed && info.Indexed:
 		integrity = fmt.Sprintf("header, %d chunks and index footer verified (CRC32C)", len(info.Chunks))
+	case info.Checksummed:
+		integrity = fmt.Sprintf("header and %d chunks verified (CRC32C)", len(info.Chunks))
 	}
 	fmt.Fprintf(w, "integrity: ok, %s\n", integrity)
 	return exitTraceOK

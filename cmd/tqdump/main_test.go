@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
@@ -131,6 +132,30 @@ func TestDumpTraceTruncated(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "index: footer") {
 		t.Errorf("truncated dump should not claim an index footer:\n%s", out.String())
+	}
+}
+
+// TestDumpTraceFooterStripped: a checksummed trace whose footer was cut
+// off dumps clean, and its integrity line names only what was verified.
+func TestDumpTraceFooterStripped(t *testing.T) {
+	data := recordTrace(t)
+	idx := traceIndex(t, data)
+	stripped := data[:idx.DataEnd]
+	var out strings.Builder
+	if code := dumpTraceReader(&out, "stripped.etrace", bytes.NewReader(stripped), idx.DataEnd, false); code != exitTraceOK {
+		t.Fatalf("exit code %d, want %d:\n%s", code, exitTraceOK, out.String())
+	}
+	dump := out.String()
+	for _, want := range []string{
+		"index: none (footer absent",
+		fmt.Sprintf("integrity: ok, header and %d chunks verified (CRC32C)\n", len(idx.Chunks)),
+	} {
+		if !strings.Contains(dump, want) {
+			t.Errorf("dump missing %q:\n%s", want, dump)
+		}
+	}
+	if strings.Contains(dump, "index footer verified") {
+		t.Errorf("dump of a footer-stripped trace claims a verified footer:\n%s", dump)
 	}
 }
 

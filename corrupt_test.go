@@ -201,13 +201,13 @@ func TestRerecordForgetsCheckpointTrace(t *testing.T) {
 		RecordCorruptions: 1,
 	}).Hooks()
 	records, before := 0, hooks.BeforeRecord
-	hooks.BeforeRecord = func(ctx context.Context, key string, attempt int) error {
+	hooks.BeforeRecord = func(ctx context.Context, attempt int) error {
 		if records++; records == 2 {
-			if path, ok := ck.PersistedTrace(key); ok {
+			if path, ok := ck.PersistedTrace(); ok {
 				t.Errorf("re-recording: checkpoint still offers the corrupt trace %s", path)
 			}
 		}
-		return before(ctx, key, attempt)
+		return before(ctx, attempt)
 	}
 	sch.SetHooks(hooks)
 	cfg := chaosConfigs()[3]
@@ -221,7 +221,7 @@ func TestRerecordForgetsCheckpointTrace(t *testing.T) {
 	if records != 2 {
 		t.Fatalf("%d recordings, want 2 (original + one re-recording)", records)
 	}
-	path, ok := ck.PersistedTrace(study.RunConfig{}.ExecKey())
+	path, ok := ck.PersistedTrace()
 	if !ok {
 		t.Fatal("checkpoint offers no trace after the re-recording was persisted")
 	}

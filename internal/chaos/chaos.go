@@ -156,8 +156,8 @@ func (in *Injector) beforeRun(ctx context.Context, cfg study.RunConfig, attempt 
 	return nil
 }
 
-func (in *Injector) beforeRecord(ctx context.Context, execKey string, attempt int) error {
-	key := "record/" + execKey
+func (in *Injector) beforeRecord(ctx context.Context, attempt int) error {
+	const key = "record/guest" // the recording's key in PanicConfigs and HangConfigs
 	if in.panics[key] {
 		panic(fmt.Sprintf("chaos: injected panic in %s", key))
 	}

@@ -122,24 +122,29 @@ func TestCorruptionMatrix(t *testing.T) {
 		// count the damage.  False only for header damage, where nothing
 		// downstream can be trusted and even salvage fails closed.
 		salvageRuns bool
+		// keepsEnd: every chunk is sound, so the salvage modes must apply
+		// them all and keep the final state — damage confined to the
+		// footer must not be scanned as chunk frames.
+		keepsEnd bool
 	}{
-		{"header bit flip", flip(6), false},
-		{"first chunk bit flip", flip(firstStart + firstSize/2), true},
-		{"mid chunk bit flip", flip(midStart + midSize/2), true},
-		{"last chunk bit flip", flip(lastStart + lastSize/2), true},
-		{"footer bit flip", flip(idx.DataEnd + 5), true},
-		{"length prefix bit flip", flip(idx.Chunks[mid].Offset), true},
+		{"header bit flip", flip(6), false, false},
+		{"first chunk bit flip", flip(firstStart + firstSize/2), true, false},
+		{"mid chunk bit flip", flip(midStart + midSize/2), true, false},
+		{"last chunk bit flip", flip(lastStart + lastSize/2), true, false},
+		{"footer bit flip", flip(idx.DataEnd + 5), true, true},
+		{"footer payload bit flip", flip((idx.DataEnd + int64(len(rec.data))) / 2), true, true},
+		{"length prefix bit flip", flip(idx.Chunks[mid].Offset), true, false},
 		{"zeroed chunk", func(b []byte) []byte {
 			for i := midStart; i < midStart+midSize; i++ {
 				b[i] = 0
 			}
 			return b
-		}, true},
-		{"truncated mid chunk", cut(midStart + midSize/2), true},
-		{"truncated at chunk boundary", cut(idx.Chunks[mid].Offset), true},
-		{"torn tail bytes", cut(int64(len(rec.data)) - 3), true},
-		{"footer leaves out chunk 0", footer(func(c []etrace.ChunkRef) []etrace.ChunkRef { return c[1:] }), true},
-		{"footer overcounts chunk 1", footer(func(c []etrace.ChunkRef) []etrace.ChunkRef { c[1].Records++; return c }), true},
+		}, true, false},
+		{"truncated mid chunk", cut(midStart + midSize/2), true, false},
+		{"truncated at chunk boundary", cut(idx.Chunks[mid].Offset), true, false},
+		{"torn tail bytes", cut(int64(len(rec.data)) - 3), true, false},
+		{"footer leaves out chunk 0", footer(func(c []etrace.ChunkRef) []etrace.ChunkRef { return c[1:] }), true, true},
+		{"footer overcounts chunk 1", footer(func(c []etrace.ChunkRef) []etrace.ChunkRef { c[1].Records++; return c }), true, false},
 	}
 	// The cases share nothing they write, so they run side by side: each
 	// decodes the whole trace in its salvage modes and in Stat.
@@ -178,6 +183,9 @@ func TestCorruptionMatrix(t *testing.T) {
 				}
 				if m.salvage && tc.salvageRuns && err == nil && !rep.Damaged() {
 					t.Errorf("%s/%s: salvage replay saw no damage in a damaged trace", tc.name, m.name)
+				}
+				if m.salvage && tc.keepsEnd && err == nil && (!rep.Complete || rep.ChunksBad > 0 || d != want) {
+					t.Errorf("%s/%s: salvage lost sound chunks or the final state: %s", tc.name, m.name, rep)
 				}
 			}
 			info, err := etrace.Stat(bytes.NewReader(data), int64(len(data)))

@@ -13,9 +13,10 @@
 // reads the header, then uses the footer when it is valid and its first
 // entry starts at the header end.  Otherwise — a trace recorded before
 // the footer existed, or one whose footer was lost or damaged — one frame
-// scan rebuilds the offset table by walking the chunk length prefixes,
-// paying one cheap sequential pass of frame headers (not payloads) and
-// yielding a table without the record-count and instruction-count hints.
+// scan rebuilds the offset table by walking the chunk length prefixes up
+// to where a damaged footer's intact trailer says it starts, paying one
+// cheap sequential pass of frame headers (not payloads) and yielding a
+// table without the record-count and instruction-count hints.
 //
 // Footer validation is deliberately strict.  A footer that is present but
 // malformed — truncated, length-mismatched, claiming offsets that are not
@@ -294,7 +295,8 @@ type traceFile struct {
 
 // openTrace reads a stored trace's header and locates its chunks: through
 // the index footer when it is valid and its first entry starts at the
-// header end, otherwise by one frame scan from the header end.  Only
+// header end, otherwise by one frame scan from the header end to the
+// footer's start (see framesEnd) or the end of the trace.  Only
 // header damage is an error; a bad footer or a scan that stopped at
 // damage is left in the traceFile for the caller to judge.
 func openTrace(ra io.ReaderAt, size int64) (*traceFile, error) {
@@ -311,7 +313,31 @@ func openTrace(ra io.ReaderAt, size int64) (*traceFile, error) {
 	}
 	t.index, t.footerErr = idx, err
 	if idx == nil {
-		t.index, t.lost, t.scanErr = scanFrames(ra, headerEnd, size)
+		t.index, t.lost, t.scanErr = scanFrames(ra, headerEnd, framesEnd(ra, headerEnd, size))
 	}
 	return t, nil
+}
+
+// framesEnd returns where openTrace's frame scan stops: where a footer
+// that went unused starts, when its trailer magic is intact, its length
+// in range and its payload magic at the offset that length implies, so
+// the footer's bytes are never read as chunk frames; otherwise size.
+func framesEnd(ra io.ReaderAt, headerEnd, size int64) int64 {
+	var b [trailerLen]byte
+	if size-trailerLen < headerEnd {
+		return size
+	}
+	if _, err := ra.ReadAt(b[:], size-trailerLen); err != nil || string(b[4:]) != indexMagic {
+		return size
+	}
+	payload := int64(binary.LittleEndian.Uint32(b[:4]))
+	start := size - trailerLen - payload
+	if payload > maxFooterLen || start < headerEnd {
+		return size
+	}
+	magic := b[:len(indexMagic)]
+	if _, err := ra.ReadAt(magic, start); err != nil || string(magic) != indexMagic {
+		return size
+	}
+	return start
 }

@@ -417,13 +417,14 @@ func (d *Daemon) executeJob(ctx context.Context, job Job, tracker *live.Tracker,
 	sch.SetCheckpoint(ck)
 
 	// The same sweep grid as cmd/tquad's (-slice 0 sizes for ~64 slices
-	// off the native count, itself replayed cheaply).
+	// off the native count, which costs a replay pass of its own).
 	resolved, pend, err := sch.SubmitSweep(spec.Slices, spec.Caches, spec.includeStack(), spec.IgnoreLibs)
 	if err != nil {
 		return nil, sch.GuestExecutions(), err
 	}
 	// The Table I–IV report rides the same recorded execution: four more
-	// replays plus one fine-sliced profile, no extra guest work.
+	// replays plus one fine-sliced profile, queued with the sweep's runs
+	// for the one replay pass Flush starts, no extra guest work.
 	var tables []*study.Pending
 	if !spec.SkipTables {
 		tables = []*study.Pending{
@@ -502,7 +503,7 @@ func (d *Daemon) executeJob(ctx context.Context, job Job, tracker *live.Tracker,
 
 	// The recorded guest event trace, straight from the checkpoint
 	// journal (inspect with tqdump -etrace [-json]).
-	if path, ok := ck.PersistedTrace(study.RunConfig{}.ExecKey()); ok {
+	if path, ok := ck.PersistedTrace(); ok {
 		if err := add(d.art.PutFile("trace.etrace", path)); err != nil {
 			return nil, sch.GuestExecutions(), err
 		}

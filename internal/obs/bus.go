@@ -51,7 +51,7 @@ const (
 )
 
 // Event is one structured lifecycle event.  Key identifies the run (a
-// study.RunConfig key, or "record/<exec-key>" for guest recordings).
+// study.RunConfig key, or "record/guest" for the guest recording).
 // Progress fields are populated on heartbeats: ICount versus Budget is
 // the position, Rate the observed instructions/second, ETASeconds the
 // projected time to completion (both enriched by the progress model;

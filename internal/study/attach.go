@@ -44,10 +44,9 @@ func Attach(h pin.Host, cfg RunConfig, tr *obs.Tracer) (*Tools, error) {
 		ts.flat = flatprof.Attach(h, flatprof.Options{Tracer: tr})
 	case RunTQUAD:
 		ts.core = core.Attach(h, core.Options{
-			SliceInterval:   cfg.SliceInterval,
-			IncludeStack:    cfg.IncludeStack,
-			ExcludeLibs:     cfg.ExcludeLibs,
-			TracePrefetches: cfg.TracePrefetches,
+			SliceInterval: cfg.SliceInterval,
+			IncludeStack:  cfg.IncludeStack,
+			ExcludeLibs:   cfg.ExcludeLibs,
 		})
 		if cfg.Cache != "" {
 			mc, err := memsim.ParseConfig(cfg.Cache)

@@ -1,8 +1,8 @@
 // Sweep checkpoint/resume: a journal directory that persists each
 // completed run's key (done.jsonl, one JSON object per line, appended
-// and fsynced as runs finish) and each finished guest recording's event
-// trace (trace-<exec-key>.etrace, moved into place atomically via a
-// .part rename).  A sweep killed mid-flight and restarted with the same
+// and fsynced as runs finish) and the finished guest recording's event
+// trace (trace-guest.etrace, moved into place atomically via a .part
+// rename).  A sweep killed mid-flight and restarted with the same
 // journal re-executes zero completed guest work: recordings are served
 // from the persisted trace — after validating it decodes to a complete
 // end record — and completed configurations replay from it cheaply.
@@ -55,10 +55,9 @@ type Checkpoint struct {
 	mu   sync.Mutex
 	done map[string]doneEntry
 	f    *os.File // done.jsonl, append-only
-	// valid holds the execution keys whose trace file is known complete
-	// in this process: persisted here by the scheduler, or validated by
-	// a full decode.
-	valid map[string]bool
+	// valid: the trace file is known complete in this process, persisted
+	// here by the scheduler or validated by a full decode.
+	valid bool
 }
 
 // OpenCheckpoint opens (creating if needed) the journal directory and
@@ -69,7 +68,7 @@ func OpenCheckpoint(dir string) (*Checkpoint, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("study: checkpoint: %w", err)
 	}
-	c := &Checkpoint{dir: dir, done: make(map[string]doneEntry), valid: make(map[string]bool)}
+	c := &Checkpoint{dir: dir, done: make(map[string]doneEntry)}
 	path := filepath.Join(dir, doneFile)
 	if b, err := os.ReadFile(path); err == nil {
 		for _, line := range bytes.Split(b, []byte("\n")) {
@@ -155,16 +154,15 @@ func (c *Checkpoint) markDone(e doneEntry) error {
 }
 
 // PersistedTrace returns the path of the journalled, validated event
-// trace for an execution-equivalence key (the scheduler's ExecKey), or
-// ok=false when none has been persisted yet or etrace.Stat finds the file
-// damaged (in which case the recording runs fresh and persists over it).
-// Only a trace this process has neither persisted nor validated yet is
-// decoded.  The jobd daemon archives a finished job's recording from
-// here into its artifact store.
-func (c *Checkpoint) PersistedTrace(execKey string) (string, bool) {
-	path := c.tracePath(execKey)
+// trace, or ok=false when none has been persisted yet or etrace.Stat
+// finds the file damaged (in which case the recording runs fresh and
+// persists over it).  Only a trace this process has neither persisted
+// nor validated yet is decoded.  The jobd daemon archives a finished
+// job's recording from here into its artifact store.
+func (c *Checkpoint) PersistedTrace() (string, bool) {
+	path := c.tracePath()
 	c.mu.Lock()
-	valid := c.valid[execKey]
+	valid := c.valid
 	c.mu.Unlock()
 	if valid {
 		return path, true
@@ -182,36 +180,16 @@ func (c *Checkpoint) PersistedTrace(execKey string) (string, bool) {
 	if err != nil || info.Damaged() {
 		return "", false
 	}
-	c.setValid(execKey, true)
+	c.setValid(true)
 	return path, true
 }
 
-// setValid records whether execKey's trace file is known complete.
-func (c *Checkpoint) setValid(execKey string, ok bool) {
+// setValid records whether the trace file is known complete.
+func (c *Checkpoint) setValid(ok bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ok {
-		c.valid[execKey] = true
-	} else {
-		delete(c.valid, execKey)
-	}
+	c.valid = ok
+	c.mu.Unlock()
 }
 
-// tracePath returns the persisted trace location for an
-// execution-equivalence key.
-func (c *Checkpoint) tracePath(execKey string) string {
-	return filepath.Join(c.dir, "trace-"+sanitizeKey(execKey)+".etrace")
-}
-
-// sanitizeKey maps a run key onto a safe filename fragment.
-func sanitizeKey(key string) string {
-	b := []byte(key)
-	for i, c := range b {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '.':
-		default:
-			b[i] = '_'
-		}
-	}
-	return string(b)
-}
+// tracePath returns the persisted trace location.
+func (c *Checkpoint) tracePath() string { return filepath.Join(c.dir, "trace-guest.etrace") }

@@ -23,8 +23,7 @@ func TestCheckpointValidatesTraceOnce(t *testing.T) {
 		t.Cleanup(func() { ck.Close() })
 		return ck
 	}
-	key := study.RunConfig{}.ExecKey()
-	path := filepath.Join(dir, "trace-"+key+".etrace")
+	path := filepath.Join(dir, "trace-guest.etrace")
 
 	persisted := open()
 	sch := study.NewScheduler(newStudy(t, nil), 2)
@@ -48,20 +47,20 @@ func TestCheckpointValidatesTraceOnce(t *testing.T) {
 	}
 
 	write(damaged)
-	if got, ok := persisted.PersistedTrace(key); !ok || got != path {
+	if got, ok := persisted.PersistedTrace(); !ok || got != path {
 		t.Errorf("persisting checkpoint: PersistedTrace = %q, %v; want %q, true without a decode", got, ok, path)
 	}
-	if _, ok := open().PersistedTrace(key); ok {
+	if _, ok := open().PersistedTrace(); ok {
 		t.Error("fresh checkpoint accepted a damaged trace found on disk")
 	}
 
 	write(intact)
 	validated := open()
-	if _, ok := validated.PersistedTrace(key); !ok {
+	if _, ok := validated.PersistedTrace(); !ok {
 		t.Fatal("fresh checkpoint rejected an intact trace")
 	}
 	write(damaged)
-	if _, ok := validated.PersistedTrace(key); !ok {
+	if _, ok := validated.PersistedTrace(); !ok {
 		t.Error("validating checkpoint decoded its trace a second time")
 	}
 }

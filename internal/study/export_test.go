@@ -5,6 +5,6 @@ package study
 // with an event sink attached.
 func (sc *Scheduler) SetHeartbeatStride(n uint64) {
 	sc.mu.Lock()
-	sc.beatEvery = n
+	sc.pol.beatEvery = n
 	sc.mu.Unlock()
 }

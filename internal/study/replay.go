@@ -1,10 +1,12 @@
 // Record-once/replay-many execution for the scheduler: every profiling
 // configuration observes the same dynamic event stream (analysis
-// routines never perturb the guest), so a sweep needs one recorded guest
-// execution per execution-equivalence group, replayed through every
-// configuration's tools in one decode pass.  This file holds the
-// recording and replay plumbing; replayed runs attach and report through
-// the same Attach and Collect as live ones (attach.go).
+// routines never perturb the guest, and analysis cost lands in a
+// separate overhead counter), so a sweep needs one recorded guest
+// execution, replayed through every configuration's tools — all the
+// configurations queued when a result is awaited in one decode pass.
+// This file holds the recording and replay plumbing; replayed runs
+// attach and report through the same Attach and Collect as live ones
+// (attach.go).
 package study
 
 import (
@@ -23,14 +25,6 @@ import (
 	"tquad/internal/wfs"
 )
 
-// ExecKey is the execution-equivalence key: submissions whose guest
-// executions are indistinguishable share one recording.  Instrumentation
-// is purely observational (analysis cost lands in the separate overhead
-// counter and tools never write guest state), so every run kind —
-// including the native baseline — replays the same event stream and the
-// key is a constant.
-func (c RunConfig) ExecKey() string { return "guest" }
-
 // known reports whether k is a defined run kind.
 func (k RunKind) known() bool {
 	switch k {
@@ -40,8 +34,8 @@ func (k RunKind) known() bool {
 	return false
 }
 
-// recording is one in-flight or finished guest recording, shared by all
-// configurations in its execution-equivalence group.
+// recording is one in-flight or finished guest recording, shared by
+// every replayed configuration.
 type recording struct {
 	done   chan struct{}
 	path   string // trace file; a temp file unless kept
@@ -51,72 +45,60 @@ type recording struct {
 	spans  *obs.Tracer
 	err    error
 
-	// Corruption recovery state, guarded by the scheduler's mu.  A
-	// recording whose trace later fails integrity verification is retired
-	// and replaced by a fresh guest execution (Scheduler.rerecord);
-	// generation counts how many predecessors this recording replaced,
-	// bounding the re-execution budget.
-	generation  int
-	replacement *recording
-
-	// Replay-pass state, guarded by the scheduler's mu: the members
-	// queued for the recording's next pass, and whether a pass
-	// coordinator is live to run it (see Scheduler.batchReplays).
-	batch    []*member
-	batching bool
+	// generation counts how many corrupt predecessors this recording
+	// replaced (Scheduler.rerecord), bounding the re-execution budget.
+	generation int
 }
 
-// recordingLocked returns the group's recording, starting it on first
-// use.  Callers hold sc.mu.  The goroutine takes a worker slot itself
-// (inside recordOnce); configurations wait on rec.done before acquiring
-// theirs, so the record-then-replay chain cannot deadlock even at
-// jobs=1.
-func (sc *Scheduler) recordingLocked(key string) *recording {
-	if rec, ok := sc.recs[key]; ok {
-		return rec
+// recordingLocked returns the scheduler's recording, starting it on
+// first use.  Callers hold sc.mu.  The goroutine takes a worker slot
+// itself (inside recordOnce); a replay pass waits on rec.done before
+// acquiring its own, so the record-then-replay chain cannot deadlock
+// even at jobs=1.
+func (sc *Scheduler) recordingLocked() *recording {
+	if sc.rec == nil {
+		sc.rec = &recording{done: make(chan struct{})}
+		sc.recs = append(sc.recs, sc.rec)
+		go sc.record(sc.pol, sc.rec)
 	}
-	rec := &recording{done: make(chan struct{})}
-	sc.recs[key] = rec
-	go sc.record(sc.policyLocked(), key, rec)
-	return rec
+	return sc.rec
 }
 
 // record drives one recording under the supervision policy.  An
 // existing trace — the trace source, or the checkpoint journal's — is
 // adopted, executing the guest zero times.  Otherwise the guest is
 // recorded in attempts, with panic recovery and transient retry on a
-// schedule seeded from "record/<key>", and the finished trace is
-// persisted to the sink: the trace sink, or the checkpoint journal,
-// which keeps the temp file when it cannot persist.  A recording that
-// fails leaves nothing at its sink.
-func (sc *Scheduler) record(pol policy, key string, rec *recording) {
+// schedule seeded from recordKey, and the finished trace is persisted
+// to the sink: the trace sink, or the checkpoint journal, which keeps
+// the temp file when it cannot persist.  A recording that fails leaves
+// nothing at its sink.
+func (sc *Scheduler) record(pol policy, rec *recording) {
 	defer close(rec.done)
-	evKey := "record/" + key
-	pol.emit(obs.Event{Type: obs.EventQueued, Key: evKey})
-	if path, ok := pol.adopt(key); ok {
+	pol.emit(obs.Event{Type: obs.EventQueued, Key: recordKey})
+	if path, ok := pol.adopt(); ok {
 		rec.path, rec.kept = path, true
 		rec.icount = statTraceICount(pol, path)
 		sc.sup.CheckpointHits.Inc()
-		pol.emit(obs.Event{Type: obs.EventCheckpointed, Key: evKey, ICount: rec.icount})
-		pol.emit(obs.Event{Type: obs.EventSucceeded, Key: evKey, ICount: rec.icount})
+		pol.emit(obs.Event{Type: obs.EventCheckpointed, Key: recordKey, ICount: rec.icount})
+		pol.emit(obs.Event{Type: obs.EventSucceeded, Key: recordKey, ICount: rec.icount})
 		return
 	}
 	ctx := pol.ctx
-	sink := pol.sinkPath(key)
-	sched := backoffSchedule(evKey, pol.retries, pol.base, pol.cap)
+	sink := pol.sinkPath()
+	sched := backoffSchedule(recordKey, pol.retries, pol.base, pol.cap)
 	for attempt := 0; ; attempt++ {
 		if rec.err = ctx.Err(); rec.err != nil {
 			break
 		}
-		rec.err = sc.recordOnce(pol, key, attempt, rec)
+		rec.err = sc.recordOnce(pol, attempt, rec)
 		if rec.err == nil && sink != "" {
 			if err := persistTrace(rec.path, sink); err == nil {
 				rec.path, rec.kept = sink, true
 				if pol.ckptSink() {
-					pol.ckpt.setValid(key, true)
+					pol.ckpt.setValid(true)
 				}
 				sc.sup.CheckpointSaves.Inc()
-				pol.emit(obs.Event{Type: obs.EventCheckpointed, Key: evKey, ICount: rec.icount})
+				pol.emit(obs.Event{Type: obs.EventCheckpointed, Key: recordKey, ICount: rec.icount})
 			} else if pol.sink != "" {
 				rec.err = fmt.Errorf("study: persist trace: %w", err)
 				os.Remove(rec.path)
@@ -125,46 +107,46 @@ func (sc *Scheduler) record(pol policy, key string, rec *recording) {
 			}
 		}
 		if rec.err == nil {
-			pol.emit(obs.Event{Type: obs.EventSucceeded, Key: evKey, ICount: rec.icount})
+			pol.emit(obs.Event{Type: obs.EventSucceeded, Key: recordKey, ICount: rec.icount})
 			return
 		}
 		if attempt >= pol.retries || !IsTransient(rec.err) {
 			break
 		}
 		sc.sup.Retries.Inc()
-		pol.emit(obs.Event{Type: obs.EventRetry, Key: evKey, Attempt: attempt + 1, Err: rec.err.Error()})
+		pol.emit(obs.Event{Type: obs.EventRetry, Key: recordKey, Attempt: attempt + 1, Err: rec.err.Error()})
 		if !sleepCtx(ctx, sched[attempt]) {
 			break
 		}
 	}
-	pol.removeSink(key)
+	pol.removeSink()
 	if IsCancelled(rec.err) && ctx.Err() != nil {
 		sc.sup.Cancels.Inc()
 	} else {
 		sc.sup.Failures.Inc()
 	}
-	pol.emit(obs.Event{Type: obs.EventFailed, Key: evKey, Err: rec.err.Error()})
+	pol.emit(obs.Event{Type: obs.EventFailed, Key: recordKey, Err: rec.err.Error()})
 }
 
-// adopt returns the existing trace the group's recording is served
-// from: the trace source, unvalidated — its damage must surface at
-// replay — or else the checkpoint journal's trace once it validates.
-func (pol policy) adopt(key string) (string, bool) {
+// adopt returns the existing trace the recording is served from: the
+// trace source, unvalidated — its damage must surface at replay — or
+// else the checkpoint journal's trace once it validates.
+func (pol policy) adopt() (string, bool) {
 	if pol.source != "" {
 		return pol.source, true
 	}
 	if pol.ckpt != nil {
-		return pol.ckpt.PersistedTrace(key)
+		return pol.ckpt.PersistedTrace()
 	}
 	return "", false
 }
 
-// sinkPath returns where the group's finished recording is persisted:
-// the trace sink, else the checkpoint journal's trace path, else ""
-// (nowhere: the recording stays a temp file).
-func (pol policy) sinkPath(key string) string {
+// sinkPath returns where the finished recording is persisted: the trace
+// sink, else the checkpoint journal's trace path, else "" (nowhere: the
+// recording stays a temp file).
+func (pol policy) sinkPath() string {
 	if pol.ckptSink() {
-		return pol.ckpt.tracePath(key)
+		return pol.ckpt.tracePath()
 	}
 	return pol.sink
 }
@@ -173,13 +155,13 @@ func (pol policy) sinkPath(key string) string {
 // journal.
 func (pol policy) ckptSink() bool { return pol.sink == "" && pol.ckpt != nil }
 
-// removeSink deletes the group's persisted trace, if it has a sink,
-// after making the checkpoint forget it was valid.
-func (pol policy) removeSink(key string) {
+// removeSink deletes the persisted trace, if there is a sink, after
+// making the checkpoint forget it was valid.
+func (pol policy) removeSink() {
 	if pol.ckptSink() {
-		pol.ckpt.setValid(key, false)
+		pol.ckpt.setValid(false)
 	}
-	if sink := pol.sinkPath(key); sink != "" {
+	if sink := pol.sinkPath(); sink != "" {
 		os.Remove(sink)
 	}
 }
@@ -267,7 +249,7 @@ func statTraceICount(pol policy, path string) uint64 {
 // temp trace is removed here, immediately, rather than lingering until
 // Close: a sweep interrupted mid-record leaks no files even if the
 // process exits right after the context is cancelled.
-func (sc *Scheduler) recordOnce(pol policy, key string, attempt int, rec *recording) (err error) {
+func (sc *Scheduler) recordOnce(pol policy, attempt int, rec *recording) (err error) {
 	ctx := pol.ctx
 	select {
 	case sc.sem <- struct{}{}:
@@ -278,7 +260,7 @@ func (sc *Scheduler) recordOnce(pol policy, key string, attempt int, rec *record
 	defer func() {
 		if r := recover(); r != nil {
 			sc.sup.Panics.Inc()
-			err = &PanicError{Key: "record/" + key, Value: r, Stack: debug.Stack()}
+			err = &PanicError{Key: recordKey, Value: r, Stack: debug.Stack()}
 		}
 		if err != nil && rec.path != "" {
 			os.Remove(rec.path)
@@ -287,9 +269,9 @@ func (sc *Scheduler) recordOnce(pol policy, key string, attempt int, rec *record
 	}()
 	actx, cancel := pol.attemptContext()
 	defer cancel()
-	pol.emit(obs.Event{Type: obs.EventStarted, Key: "record/" + key, Attempt: attempt + 1})
+	pol.emit(obs.Event{Type: obs.EventStarted, Key: recordKey, Attempt: attempt + 1})
 	if hook := pol.hooks.BeforeRecord; hook != nil {
-		if herr := hook(actx, key, attempt); herr != nil {
+		if herr := hook(actx, attempt); herr != nil {
 			return herr
 		}
 	}
@@ -306,7 +288,7 @@ func (sc *Scheduler) recordOnce(pol policy, key string, attempt int, rec *record
 	sc.guestExecs.Add(1)
 	reg, spans, icount, err := sc.study.recordGuest(bw, runOptions{
 		ctx: actx, maxInstr: pol.maxInstr, hooks: pol.hooks,
-		beat: pol.beatFunc("record/"+key, pol.maxInstr),
+		beat: pol.beatFunc(recordKey, pol.maxInstr),
 	})
 	// Flush, fsync, close — in that order, every error surfaced.  The
 	// fsync is what makes the recording crash-safe: once recordOnce
@@ -335,7 +317,7 @@ func (sc *Scheduler) recordOnce(pol policy, key string, attempt int, rec *record
 
 // recordGuest executes the guest once with only the event-trace recorder
 // attached, writing the trace to w.  It returns the recording run's
-// private observability (merged by Flush under a "record/" root so trace
+// private observability (merged by Flush under a recordKey root so trace
 // output distinguishes the recording from the replays that consume it)
 // and the executed instruction total, which becomes the replays' budget
 // on the live dashboard.  Trace-write failures are host I/O, not guest

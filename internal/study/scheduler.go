@@ -83,11 +83,10 @@ func (k RunKind) String() string {
 // memoisation key.  Two submissions with equal RunConfigs share a single
 // guest execution.
 type RunConfig struct {
-	Kind            RunKind
-	SliceInterval   uint64 // tQUAD only
-	IncludeStack    bool   // QUAD and tQUAD
-	ExcludeLibs     bool   // QUAD and tQUAD
-	TracePrefetches bool   // tQUAD only
+	Kind          RunKind
+	SliceInterval uint64 // tQUAD only
+	IncludeStack  bool   // QUAD and tQUAD
+	ExcludeLibs   bool   // QUAD and tQUAD
 	// Cache, when non-empty, additionally attaches the memory-hierarchy
 	// simulator with this geometry (a memsim.ParseConfig string; use the
 	// canonical Key() form so equal hierarchies memoise together).
@@ -112,9 +111,10 @@ func (c RunConfig) Key() string {
 		}
 		return key
 	default:
-		key := fmt.Sprintf("tquad/slice=%d/stack=%s/libs=%s/prefetch=%s",
-			c.SliceInterval, stackWord(c.IncludeStack),
-			word(c.ExcludeLibs, "main", "all"), word(c.TracePrefetches, "traced", "fast"))
+		// Every run takes the prefetch fast path; the component stays so
+		// checkpointed keys, error texts and artifact names keep their form.
+		key := fmt.Sprintf("tquad/slice=%d/stack=%s/libs=%s/prefetch=fast",
+			c.SliceInterval, stackWord(c.IncludeStack), word(c.ExcludeLibs, "main", "all"))
 		// The cache component appears only when set, so pre-memsim keys —
 		// and everything ordered by them — are unchanged.
 		if c.Cache != "" {
@@ -163,16 +163,30 @@ type RunResult struct {
 
 // Pending is a handle to a submitted (possibly shared) run.
 type Pending struct {
-	key  string
+	sc   *Scheduler
 	done chan struct{}
 	res  *RunResult
 	err  error
+
+	// awaited: a Wait has blocked on the run, so its next replay pass
+	// starts as soon as it is queued.  Guarded by the scheduler's mu.
+	awaited bool
 }
 
-// Wait blocks until the run completes and returns its result.  Multiple
-// goroutines may Wait on the same Pending.
+// Wait blocks until the run completes and returns its result.  A Wait
+// that has to block starts a replay pass over every queued replay; one
+// on a finished run starts nothing.  Multiple goroutines may Wait on the
+// same Pending.
 func (p *Pending) Wait() (*RunResult, error) {
-	<-p.done
+	select {
+	case <-p.done:
+	default:
+		p.sc.mu.Lock()
+		p.awaited = true
+		p.sc.mu.Unlock()
+		p.sc.startPass()
+		<-p.done
+	}
 	return p.res, p.err
 }
 
@@ -180,13 +194,13 @@ func (p *Pending) Wait() (*RunResult, error) {
 // config-keyed memoisation.  Safe for concurrent use.
 type Scheduler struct {
 	study *Study
-	jobs  int
 	sem   chan struct{}
 
-	// replay selects record-once/replay-many execution (the default):
-	// one guest execution per execution-equivalence group, recorded as
-	// an event trace, then one cheap replay per configuration.  Disable
-	// with SetReplay(false) to execute every configuration live.
+	// replay selects record-once/replay-many execution (the default): one
+	// guest execution, recorded as an event trace, then cheap replays of
+	// it, as many configurations per decode pass as were queued when a
+	// result was awaited.  Disable with SetReplay(false) to execute every
+	// configuration live.
 	replay     bool
 	guestExecs atomic.Uint64
 
@@ -198,31 +212,23 @@ type Scheduler struct {
 	replayJobs   int
 	decodePasses atomic.Uint64
 
-	// Supervision policy (see supervise.go).  Configured before the
-	// first Submit; defaults are a background context, no retries, no
-	// per-run timeout, and the wfs instruction budget.
-	ctx         context.Context
-	retries     int
-	backoffBase time.Duration
-	backoffCap  time.Duration
-	runTimeout  time.Duration
-	maxInstr    uint64
-	hooks       Hooks
-	ckpt        *Checkpoint
-	source      string // SetTraceSource's adopted trace
-	salvage     bool
-	sink        string // SetTraceSink's path
-	sup         obs.Supervision
-	events      obs.EventSink
-	beatEvery   uint64
+	sup obs.Supervision
 
-	mu        sync.Mutex
-	memo      map[string]*Pending
-	recs      map[string]*recording // execution-equivalence key -> recording
-	retired   []*recording          // corrupt recordings replaced by rerecord
-	merged    map[string]bool       // keys already folded into the study observer
-	recMerged map[string]bool       // recordings already folded in
+	mu sync.Mutex
+	// pol is the supervision policy each submission copies (see
+	// supervise.go).  Configured before the first Submit; defaults are a
+	// background context, no retries, no per-run timeout, and the wfs
+	// instruction budget.
+	pol    policy
+	memo   map[string]*Pending
+	rec    *recording      // the recording replays read; nil before the first replay
+	recs   []*recording    // every recording made, rec's corrupt predecessors included
+	queue  []*member       // replays waiting for the next pass
+	merged map[string]bool // keys, recordKey included, already folded into the study observer
 }
+
+// recordKey is the guest recording's event key and span root.
+const recordKey = "record/guest"
 
 // NewScheduler creates a scheduler over the study's workload.  jobs
 // bounds the number of concurrently executing guests; values <= 0 select
@@ -236,19 +242,18 @@ func NewScheduler(s *Study, jobs int) *Scheduler {
 		reg = s.Obs.Registry()
 	}
 	return &Scheduler{
-		study:       s,
-		jobs:        jobs,
-		sem:         make(chan struct{}, jobs),
-		replay:      true,
-		ctx:         context.Background(),
-		backoffBase: 100 * time.Millisecond,
-		backoffCap:  5 * time.Second,
-		maxInstr:    wfs.MaxInstr,
-		sup:         obs.SupervisionCounters(reg),
-		memo:        make(map[string]*Pending),
-		recs:        make(map[string]*recording),
-		merged:      make(map[string]bool),
-		recMerged:   make(map[string]bool),
+		study:  s,
+		sem:    make(chan struct{}, jobs),
+		replay: true,
+		sup:    obs.SupervisionCounters(reg),
+		pol: policy{
+			ctx:      context.Background(),
+			base:     100 * time.Millisecond,
+			cap:      5 * time.Second,
+			maxInstr: wfs.MaxInstr,
+		},
+		memo:   make(map[string]*Pending),
+		merged: make(map[string]bool),
 	}
 }
 
@@ -261,7 +266,7 @@ func (sc *Scheduler) SetContext(ctx context.Context) {
 		ctx = context.Background()
 	}
 	sc.mu.Lock()
-	sc.ctx = ctx
+	sc.pol.ctx = ctx
 	sc.mu.Unlock()
 }
 
@@ -273,7 +278,7 @@ func (sc *Scheduler) SetRetries(n int) {
 	if n < 0 {
 		n = 0
 	}
-	sc.retries = n
+	sc.pol.retries = n
 	sc.mu.Unlock()
 }
 
@@ -281,7 +286,7 @@ func (sc *Scheduler) SetRetries(n int) {
 // deterministic per run key.
 func (sc *Scheduler) SetBackoff(base, cap time.Duration) {
 	sc.mu.Lock()
-	sc.backoffBase, sc.backoffCap = base, cap
+	sc.pol.base, sc.pol.cap = base, cap
 	sc.mu.Unlock()
 }
 
@@ -290,7 +295,7 @@ func (sc *Scheduler) SetBackoff(base, cap time.Duration) {
 // so a hang would only repeat.
 func (sc *Scheduler) SetRunTimeout(d time.Duration) {
 	sc.mu.Lock()
-	sc.runTimeout = d
+	sc.pol.runTimeout = d
 	sc.mu.Unlock()
 }
 
@@ -301,7 +306,7 @@ func (sc *Scheduler) SetMaxInstr(n uint64) {
 	if n == 0 {
 		n = wfs.MaxInstr
 	}
-	sc.maxInstr = n
+	sc.pol.maxInstr = n
 	sc.mu.Unlock()
 }
 
@@ -309,7 +314,7 @@ func (sc *Scheduler) SetMaxInstr(n uint64) {
 // the first Submit.
 func (sc *Scheduler) SetHooks(h Hooks) {
 	sc.mu.Lock()
-	sc.hooks = h
+	sc.pol.hooks = h
 	sc.mu.Unlock()
 }
 
@@ -321,7 +326,7 @@ func (sc *Scheduler) SetHooks(h Hooks) {
 // Submit.
 func (sc *Scheduler) SetEvents(sink obs.EventSink) {
 	sc.mu.Lock()
-	sc.events = sink
+	sc.pol.events = sink
 	sc.mu.Unlock()
 }
 
@@ -332,7 +337,7 @@ func (sc *Scheduler) SetEvents(sink obs.EventSink) {
 // before the first Submit.  The scheduler does not close the journal.
 func (sc *Scheduler) SetCheckpoint(c *Checkpoint) {
 	sc.mu.Lock()
-	sc.ckpt = c
+	sc.pol.ckpt = c
 	sc.mu.Unlock()
 }
 
@@ -345,7 +350,7 @@ func (sc *Scheduler) SetCheckpoint(c *Checkpoint) {
 // Submit.
 func (sc *Scheduler) SetTraceSource(path string, salvage bool) {
 	sc.mu.Lock()
-	sc.source, sc.salvage = path, salvage
+	sc.pol.source, sc.pol.salvage = path, salvage
 	sc.mu.Unlock()
 }
 
@@ -355,7 +360,7 @@ func (sc *Scheduler) SetTraceSource(path string, salvage bool) {
 // replay is re-recorded into it.  Call before the first Submit.
 func (sc *Scheduler) SetTraceSink(path string) {
 	sc.mu.Lock()
-	sc.sink = path
+	sc.pol.sink = path
 	sc.mu.Unlock()
 }
 
@@ -387,8 +392,8 @@ func (sc *Scheduler) SetReplayJobs(n int) {
 }
 
 // DecodePasses returns how many decode passes over recorded traces the
-// scheduler has performed — one per recording per drain of its member
-// queue, rather than one per submitted configuration.
+// scheduler has performed — one per wait for a result that found
+// replays queued, rather than one per submitted configuration.
 func (sc *Scheduler) DecodePasses() uint64 { return sc.decodePasses.Load() }
 
 // Close waits for all submitted work and removes the recorded trace
@@ -402,15 +407,14 @@ func (sc *Scheduler) Close() {
 	for _, p := range sc.memo {
 		pend = append(pend, p)
 	}
-	recs := make([]*recording, 0, len(sc.recs)+len(sc.retired))
-	for _, r := range sc.recs {
-		recs = append(recs, r)
-	}
-	recs = append(recs, sc.retired...)
 	sc.mu.Unlock()
 	for _, p := range pend {
-		<-p.done
+		p.Wait()
 	}
+	// Every run has settled, so no rerecord can add a recording now.
+	sc.mu.Lock()
+	recs := sc.recs
+	sc.mu.Unlock()
 	for _, r := range recs {
 		<-r.done
 		if r.path != "" && !r.kept {
@@ -423,52 +427,37 @@ func (sc *Scheduler) Close() {
 // Submit schedules the configuration for execution and returns a handle
 // to its (possibly already running or finished) result.  Submissions
 // with a configuration seen before — by this scheduler — reuse the
-// earlier run.
-func (sc *Scheduler) Submit(cfg RunConfig) *Pending { return sc.submit(cfg)[0] }
-
-// submit is Submit for several configurations at once.  Their replays
-// are queued together, so they share one decode pass even when their
-// recording is already done, as an adopted trace is at once.
-func (sc *Scheduler) submit(cfgs ...RunConfig) []*Pending {
-	pend := make([]*Pending, len(cfgs))
-	var rec *recording
-	var queued []*member
-	for i, cfg := range cfgs {
-		key := cfg.Key()
-		sc.mu.Lock()
-		if p, ok := sc.memo[key]; ok {
-			sc.mu.Unlock()
-			pend[i] = p
-			continue
-		}
-		p := &Pending{key: key, done: make(chan struct{})}
-		sc.memo[key], pend[i] = p, p
-		m := &member{p: p, cfg: cfg, key: key, pol: sc.policyLocked()}
-		replay := sc.replay
-		if replay && cfg.Kind.known() {
-			// ExecKey is a constant, so every replayed run shares rec.
-			rec = sc.recordingLocked(cfg.ExecKey())
-		}
+// earlier run.  A live run starts at once; a replay starts the
+// recording if it is the first, then waits in the queue for the next
+// pass, which the next blocking Wait, Flush or Close starts.
+func (sc *Scheduler) Submit(cfg RunConfig) *Pending {
+	key := cfg.Key()
+	sc.mu.Lock()
+	if p, ok := sc.memo[key]; ok {
 		sc.mu.Unlock()
-		m.pol.emit(obs.Event{Type: obs.EventQueued, Key: key})
-		switch {
-		case replay && !cfg.Kind.known():
-			// Reject before recording anything: an unknown kind must not cost
-			// (or wait for) a guest execution, and its failure must surface
-			// for every duplicate submission of the same key.
-			p.err = fmt.Errorf("study: unknown run kind %d", cfg.Kind)
-			m.pol.emit(obs.Event{Type: obs.EventFailed, Key: key, Err: p.err.Error()})
-			close(p.done)
-		case replay:
-			queued = append(queued, m)
-		default:
-			sc.dispatch(nil, m)
-		}
+		return p
 	}
-	if len(queued) > 0 {
-		sc.dispatch(rec, queued...)
+	p := &Pending{sc: sc, done: make(chan struct{})}
+	sc.memo[key] = p
+	m := &member{p: p, cfg: cfg, key: key, pol: sc.pol}
+	replay := sc.replay
+	var rec *recording
+	if replay && cfg.Kind.known() {
+		rec = sc.recordingLocked()
 	}
-	return pend
+	sc.mu.Unlock()
+	m.pol.emit(obs.Event{Type: obs.EventQueued, Key: key})
+	if replay && rec == nil {
+		// Reject before recording anything: an unknown kind must not cost
+		// (or wait for) a guest execution, and its failure must surface
+		// for every duplicate submission of the same key.
+		p.err = fmt.Errorf("study: unknown run kind %d", cfg.Kind)
+		m.pol.emit(obs.Event{Type: obs.EventFailed, Key: key, Err: p.err.Error()})
+		close(p.done)
+		return p
+	}
+	sc.enqueue(rec, m)
+	return p
 }
 
 // member is one submitted configuration, with the policy snapshot from
@@ -486,54 +475,48 @@ type member struct {
 	cancel context.CancelFunc
 }
 
-// dispatch queues members for their next pass: their recording's next
-// replay pass, or — with rec nil, replay off — a live run each.
-func (sc *Scheduler) dispatch(rec *recording, ms ...*member) {
+// enqueue sends a member to its next pass.  With rec nil (replay off)
+// that is a live run of its own, started at once.  Otherwise the member
+// joins the replay queue, and when its result is already awaited — a
+// retry, a rerecord or a BeforeRun hook re-queues it — its pass starts
+// at once.
+func (sc *Scheduler) enqueue(rec *recording, m *member) {
 	if rec == nil {
-		for _, m := range ms {
-			go sc.runPass(nil, []*member{m})
-		}
+		go sc.runPass(nil, []*member{m})
 		return
 	}
 	sc.mu.Lock()
-	rec.batch = append(rec.batch, ms...)
-	start := !rec.batching
-	rec.batching = true
+	sc.queue = append(sc.queue, m)
+	awaited := m.p.awaited
 	sc.mu.Unlock()
-	if start {
-		go sc.batchReplays(rec)
+	if awaited {
+		sc.startPass()
 	}
 }
 
-// batchReplays is the per-recording pass coordinator: once the
-// recording lands it drains the member queue in passes — each pass one
-// decode of the trace fanned out to every drained member — until no new
-// members arrived, then retires.  A later dispatch starts a fresh
-// coordinator (the recording is done by then, so its pass starts
-// immediately).
-func (sc *Scheduler) batchReplays(rec *recording) {
-	<-rec.done
-	for {
-		sc.mu.Lock()
-		members := rec.batch
-		rec.batch = nil
-		if len(members) == 0 {
-			rec.batching = false
-			sc.mu.Unlock()
-			return
-		}
-		sc.mu.Unlock()
-		sc.runPass(rec, members)
+// startPass starts one replay pass over every queued member, once the
+// scheduler's recording is done.  With nothing queued it starts nothing.
+func (sc *Scheduler) startPass() {
+	sc.mu.Lock()
+	members, rec := sc.queue, sc.rec
+	sc.queue = nil
+	sc.mu.Unlock()
+	if len(members) == 0 {
+		return
 	}
+	go func() {
+		<-rec.done
+		sc.runPass(rec, members)
+	}()
 }
 
 // runPass runs the members' attempts: with rec nil, a single live
-// member's; otherwise those of the members drained from rec's queue.  A
-// failed recording fails them all.  Otherwise the pass takes one worker
-// slot, begins every member's attempt that is not yet under way, and
-// runs the members ready to go — a live guest execution, or one replay
-// of the recorded trace with a consumer each.  Every member's outcome is
-// then settled on its own.
+// member's; otherwise those of the members of one replay pass over rec.
+// A failed recording fails them all.  Otherwise the pass takes one
+// worker slot, begins every member's attempt that is not yet under way,
+// and runs the members ready to go — a live guest execution, or one
+// replay of the recorded trace with a consumer each.  Every member's
+// outcome is then settled on its own.
 func (sc *Scheduler) runPass(rec *recording, members []*member) {
 	if rec != nil && rec.err != nil {
 		for _, m := range members {
@@ -592,8 +575,8 @@ func (sc *Scheduler) runPass(rec *recording, members []*member) {
 // context under the member's own run timeout, then the BeforeRun hook.
 // It reports whether the member can run in this pass.  A member with a
 // hook cannot: the hook runs on the member's own goroutine — one that
-// hangs holds up no other member — and the member joins its recording's
-// next pass once the hook lets it through.
+// hangs holds up no other member — and the member is queued again once
+// the hook lets it through.
 func (sc *Scheduler) begin(rec *recording, m *member) bool {
 	if cerr := m.pol.ctx.Err(); cerr != nil {
 		sc.settle(rec, m, nil, fmt.Errorf("study: run %s: %w", m.key, cerr))
@@ -608,7 +591,7 @@ func (sc *Scheduler) begin(rec *recording, m *member) bool {
 		if err := beforeRun(m); err != nil {
 			sc.settle(rec, m, nil, err)
 		} else {
-			sc.dispatch(rec, m)
+			sc.enqueue(rec, m)
 		}
 	}()
 	return false
@@ -662,10 +645,10 @@ func (sc *Scheduler) execute(ctx context.Context, rec *recording, pol policy, ru
 
 // settle applies the one outcome rule to a member after an attempt.
 // Success finishes it.  A corrupt recorded trace sends it through
-// rerecord and re-queues it on the replacement recording without
-// spending an attempt.  A transient failure with attempts left emits a
-// retry event and dispatches it again after its backoff.  Anything else
-// — permanent errors, panics, cancellation — fails it.
+// rerecord and queues it for the replacement recording without spending
+// an attempt.  A transient failure with attempts left emits a retry
+// event and queues it again after its backoff.  Anything else —
+// permanent errors, panics, cancellation — fails it.
 func (sc *Scheduler) settle(rec *recording, m *member, res *RunResult, err error) {
 	if m.cancel != nil {
 		m.cancel()
@@ -682,8 +665,8 @@ func (sc *Scheduler) settle(rec *recording, m *member, res *RunResult, err error
 		close(m.p.done)
 		return
 	case rec != nil && etrace.IsCorrupt(err):
-		if fresh := sc.rerecord(m.pol, m.cfg.ExecKey(), rec); fresh != nil {
-			sc.dispatch(fresh, m)
+		if fresh := sc.rerecord(m.pol, rec); fresh != nil {
+			sc.enqueue(fresh, m)
 			return
 		}
 	case m.attempt < m.pol.retries && IsTransient(err):
@@ -693,7 +676,7 @@ func (sc *Scheduler) settle(rec *recording, m *member, res *RunResult, err error
 		m.attempt++
 		go func() {
 			if sleepCtx(m.pol.ctx, delay) {
-				sc.dispatch(rec, m)
+				sc.enqueue(rec, m)
 			} else {
 				sc.fail(m, err)
 			}
@@ -718,19 +701,18 @@ func (sc *Scheduler) fail(m *member, err error) {
 
 // rerecord handles a recorded trace that failed integrity verification
 // at replay time: the guest execution was fine — the bytes rotted after
-// recording — so the trace is re-recordable, not a config-group
-// failure.  It retires the bad recording, removes the copy at its sink
-// (a resume must not serve the same rot), and starts one replacement
-// guest execution shared by every configuration in the group.
-// Concurrent callers converge on the same replacement; the budget is one
-// re-execution per recording chain (a corrupt replacement means the
-// fault is systematic, and the second failure surfaces).  Returns nil
-// when the budget is exhausted, or when the trace is the adopted trace
-// source, which is never re-recorded.
-func (sc *Scheduler) rerecord(pol policy, key string, bad *recording) *recording {
+// recording — so the trace is re-recordable, not a sweep failure.  It
+// replaces the bad recording with one fresh guest execution, which every
+// later pass reads, and removes the copy at its sink (a resume must not
+// serve the same rot).  Concurrent callers converge on the same
+// replacement; the budget is one re-execution (a corrupt replacement
+// means the fault is systematic, and the second failure surfaces).
+// Returns nil when the budget is exhausted, or when the trace is the
+// adopted trace source, which is never re-recorded.
+func (sc *Scheduler) rerecord(pol policy, bad *recording) *recording {
 	sc.mu.Lock()
-	if bad.replacement != nil {
-		fresh := bad.replacement
+	if sc.rec != bad {
+		fresh := sc.rec
 		sc.mu.Unlock()
 		return fresh
 	}
@@ -739,19 +721,18 @@ func (sc *Scheduler) rerecord(pol policy, key string, bad *recording) *recording
 		return nil
 	}
 	fresh := &recording{done: make(chan struct{}), generation: bad.generation + 1}
-	bad.replacement = fresh
-	sc.retired = append(sc.retired, bad)
-	sc.recs[key] = fresh
+	sc.rec = fresh
+	sc.recs = append(sc.recs, fresh)
 	sc.mu.Unlock()
-	pol.removeSink(key)
+	pol.removeSink()
 	if sc.study != nil && sc.study.Obs != nil {
 		sc.study.Obs.Registry().Counter(obs.MetricSchedRerecords).Inc()
 	}
 	pol.emit(obs.Event{
-		Type: obs.EventRetry, Key: "record/" + key,
+		Type: obs.EventRetry, Key: recordKey,
 		Attempt: fresh.generation + 1, Err: "recorded trace corrupt; re-executing guest",
 	})
-	go sc.record(pol, key, fresh)
+	go sc.record(pol, fresh)
 	return fresh
 }
 
@@ -801,7 +782,7 @@ func (sc *Scheduler) SliceForCount(slices uint64) (uint64, error) {
 // SubmitSweep submits the tQUAD sweep grid of the profiler and of a
 // daemon job: each 0 interval resolves to ~64 slices, then one run per
 // interval × cache key (none: one cache-less run), interval-major, all
-// queued for one replay pass.  It returns the resolved intervals
+// queued for the next replay pass.  It returns the resolved intervals
 // (WriteSweepReport's) and the runs in submission order.
 func (sc *Scheduler) SubmitSweep(intervals []uint64, caches []string, includeStack, excludeLibs bool) ([]uint64, []*Pending, error) {
 	resolved := make([]uint64, len(intervals))
@@ -817,15 +798,15 @@ func (sc *Scheduler) SubmitSweep(intervals []uint64, caches []string, includeSta
 	if len(caches) == 0 {
 		caches = []string{""}
 	}
-	cfgs := make([]RunConfig, 0, len(resolved)*len(caches))
+	pend := make([]*Pending, 0, len(resolved)*len(caches))
 	for _, iv := range resolved {
 		for _, c := range caches {
-			cfgs = append(cfgs, RunConfig{
+			pend = append(pend, sc.Submit(RunConfig{
 				Kind: RunTQUAD, SliceInterval: iv, IncludeStack: includeStack, ExcludeLibs: excludeLibs, Cache: c,
-			})
+			}))
 		}
 	}
-	return resolved, sc.submit(cfgs...), nil
+	return resolved, pend, nil
 }
 
 // WaitAll waits for every run and returns their results in order, or
@@ -842,42 +823,31 @@ func WaitAll(pend ...*Pending) ([]*RunResult, error) {
 	return results, nil
 }
 
-// Flush waits for every submitted run and folds each run's private
-// observability into the study's observer, in config-key order, exactly
-// once per run.  It returns the failed runs' errors, also in config-key
-// order (empty when the whole sweep succeeded).
+// Flush waits for every submitted run — starting a replay pass over
+// whatever is queued — and folds each run's private observability into
+// the study's observer, in config-key order, exactly once per run.  It
+// returns the failed runs' errors, also in config-key order (empty when
+// the whole sweep succeeded).
 func (sc *Scheduler) Flush() []error {
 	sc.mu.Lock()
 	keys := make([]string, 0, len(sc.memo))
 	for key := range sc.memo {
 		keys = append(keys, key)
 	}
-	recKeys := make([]string, 0, len(sc.recs))
-	for key := range sc.recs {
-		recKeys = append(recKeys, key)
-	}
+	rec := sc.rec
 	sc.mu.Unlock()
 	sort.Strings(keys)
-	sort.Strings(recKeys)
 
-	// Recordings merge first, under a "record/" root, so the trace output
-	// shows each guest execution ahead of the replays it feeds.  A failed
-	// recording is not reported here: its error reaches every dependent
-	// configuration's Pending below.
-	for _, key := range recKeys {
-		sc.mu.Lock()
-		rec := sc.recs[key]
-		sc.mu.Unlock()
+	// The recording merges first, under its recordKey root, so the trace
+	// output shows the guest execution ahead of the replays it feeds.  A
+	// failed recording is not reported here: its error reaches every
+	// dependent configuration's Pending below.
+	if rec != nil {
 		<-rec.done
-		sc.mu.Lock()
-		seen := sc.recMerged[key]
-		sc.recMerged[key] = true
-		sc.mu.Unlock()
-		if seen || rec.err != nil || rec.reg == nil {
-			continue
+		if rec.err == nil && rec.reg != nil && sc.firstMerge(recordKey) {
+			sc.study.Obs.Registry().Merge(rec.reg)
+			sc.study.Obs.Tracer().Adopt(recordKey, rec.spans)
 		}
-		sc.study.Obs.Registry().Merge(rec.reg)
-		sc.study.Obs.Tracer().Adopt("record/"+key, rec.spans)
 	}
 
 	var errs []error
@@ -890,17 +860,23 @@ func (sc *Scheduler) Flush() []error {
 			errs = append(errs, err)
 			continue
 		}
-		sc.mu.Lock()
-		seen := sc.merged[key]
-		sc.merged[key] = true
-		sc.mu.Unlock()
-		if seen || res.Registry == nil {
+		if res.Registry == nil || !sc.firstMerge(key) {
 			continue
 		}
 		sc.study.Obs.Registry().Merge(res.Registry)
 		sc.study.Obs.Tracer().Adopt(key, res.Spans)
 	}
 	return errs
+}
+
+// firstMerge reports whether key's observability is not yet folded into
+// the study observer, and marks it folded.
+func (sc *Scheduler) firstMerge(key string) bool {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	seen := sc.merged[key]
+	sc.merged[key] = true
+	return !seen
 }
 
 // Slowdown reproduces the Section V.A sweep through the scheduler: the

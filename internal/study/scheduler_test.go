@@ -1,9 +1,10 @@
 package study_test
 
 import (
-	"context"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"tquad/internal/obs"
 	"tquad/internal/study"
@@ -174,6 +175,33 @@ func TestSchedulerFullSweepParallel(t *testing.T) {
 	}
 }
 
+// TestSchedulerConcurrentWaiters: runs submitted and awaited from many
+// goroutines at once, several of them sharing a configuration, all
+// finish off one recording, each pass started by a wait that found
+// replays queued.
+func TestSchedulerConcurrentWaiters(t *testing.T) {
+	sch := study.NewScheduler(newStudy(t, nil), 2)
+	defer sch.Close()
+	var wg sync.WaitGroup
+	for i := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cfg := study.RunConfig{Kind: study.RunTQUAD, SliceInterval: uint64(50_000 * (1 + i%4)), IncludeStack: true}
+			if _, err := sch.Run(cfg); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := sch.GuestExecutions(); n != 1 {
+		t.Errorf("guest executions = %d, want 1", n)
+	}
+	if n := sch.DecodePasses(); n == 0 || n > 4 {
+		t.Errorf("4 distinct configs used %d decode passes, want 1 to 4", n)
+	}
+}
+
 // TestSchedulerReportsFailures asserts a failing run surfaces through
 // both Wait and Flush (the CLIs turn this into a non-zero exit).
 func TestSchedulerReportsFailures(t *testing.T) {
@@ -308,20 +336,14 @@ func TestSchedulerSweepRecordsOnce(t *testing.T) {
 // TestSchedulerSweepDecodesOnce: the batched fan-out contract.  A sweep
 // of N replayed configs over one recorded execution must cost exactly
 // one trace decode pass — every consumer rides the same record stream.
+// Submitting only queues a replay: the pass starts when a result is
+// awaited, so a replay submitted long after the one before it still
+// shares its pass, and a wait on a finished run starts none.
 func TestSchedulerSweepDecodesOnce(t *testing.T) {
 	s := newStudy(t, nil)
 	sch := study.NewScheduler(s, 4)
 	defer sch.Close()
 	sch.SetReplayJobs(2)
-	// Hold the recording until every config is queued, so no submission
-	// can miss the batch and trigger a second pass.
-	submitted := make(chan struct{})
-	sch.SetHooks(study.Hooks{
-		BeforeRecord: func(ctx context.Context, execKey string, attempt int) error {
-			<-submitted
-			return nil
-		},
-	})
 	configs := []study.RunConfig{
 		{Kind: study.RunFlat},
 		{Kind: study.RunQUAD, IncludeStack: true},
@@ -333,7 +355,6 @@ func TestSchedulerSweepDecodesOnce(t *testing.T) {
 	for i, cfg := range configs {
 		pend[i] = sch.Submit(cfg)
 	}
-	close(submitted)
 	if errs := sch.Flush(); len(errs) != 0 {
 		t.Fatalf("sweep errors: %v", errs)
 	}
@@ -347,5 +368,25 @@ func TestSchedulerSweepDecodesOnce(t *testing.T) {
 	}
 	if n := sch.DecodePasses(); n != 1 {
 		t.Errorf("sweep of %d replayed configs used %d decode passes, want 1", len(configs), n)
+	}
+
+	// The native sizing run, then two replays submitted apart with a
+	// wait on the finished native run between them: the recording is
+	// long done, yet the two still share one pass.
+	if _, err := sch.NativeICount(); err != nil {
+		t.Fatal(err)
+	}
+	before := sch.DecodePasses()
+	first := sch.Submit(study.RunConfig{Kind: study.RunTQUAD, SliceInterval: 80_000, IncludeStack: true})
+	time.Sleep(100 * time.Millisecond)
+	if _, err := sch.NativeICount(); err != nil {
+		t.Fatal(err)
+	}
+	second := sch.Submit(study.RunConfig{Kind: study.RunTQUAD, SliceInterval: 160_000, IncludeStack: true})
+	if _, err := study.WaitAll(first, second); err != nil {
+		t.Fatal(err)
+	}
+	if n := sch.DecodePasses() - before; n != 1 {
+		t.Errorf("two replays submitted 100ms apart used %d decode passes, want 1", n)
 	}
 }

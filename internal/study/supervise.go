@@ -122,7 +122,7 @@ type Hooks struct {
 	// fails the attempt; panicking exercises panic isolation.
 	BeforeRun func(ctx context.Context, cfg RunConfig, attempt int) error
 	// BeforeRecord fires before a guest recording attempt.
-	BeforeRecord func(ctx context.Context, execKey string, attempt int) error
+	BeforeRecord func(ctx context.Context, attempt int) error
 	// RecordWriter wraps the recording's trace writer (I/O fault seam).
 	RecordWriter func(w io.Writer) io.Writer
 	// ReplayReader wraps the trace file a replay pass reads, given and
@@ -147,10 +147,11 @@ type runOptions struct {
 	beat func(ic uint64)
 }
 
-// policy is a submission-time snapshot of the scheduler's supervision
-// settings: each submitted run (and each recording) is governed by the
-// policy in force when it was submitted, so reconfiguring the scheduler
-// between submissions is safe and never races with in-flight work.
+// policy is the scheduler's supervision settings.  The scheduler holds
+// one and each submitted run (and each recording) copies it, so a run is
+// governed by the policy in force when it was submitted: reconfiguring
+// the scheduler between submissions is safe and never races with
+// in-flight work.
 type policy struct {
 	ctx        context.Context
 	retries    int
@@ -159,30 +160,11 @@ type policy struct {
 	maxInstr   uint64
 	hooks      Hooks
 	ckpt       *Checkpoint
-	source     string
+	source     string // SetTraceSource's adopted trace
 	salvage    bool
-	sink       string
+	sink       string // SetTraceSink's path
 	events     obs.EventSink
 	beatEvery  uint64
-}
-
-// policyLocked snapshots the current policy.  Callers hold sc.mu.
-func (sc *Scheduler) policyLocked() policy {
-	return policy{
-		ctx:        sc.ctx,
-		retries:    sc.retries,
-		base:       sc.backoffBase,
-		cap:        sc.backoffCap,
-		runTimeout: sc.runTimeout,
-		maxInstr:   sc.maxInstr,
-		hooks:      sc.hooks,
-		ckpt:       sc.ckpt,
-		source:     sc.source,
-		salvage:    sc.salvage,
-		sink:       sc.sink,
-		events:     sc.events,
-		beatEvery:  sc.beatEvery,
-	}
 }
 
 // attemptContext derives one run attempt's context: the sweep context,
