@@ -58,7 +58,9 @@ chaos:
 # from its end record past a damaged chunk), the profiler's -record and
 # -replay contract (a damaged -replay trace fails strict, salvages to
 # its golden and is never modified, and a salvage that replays nothing
-# fails; a failed -record leaves no file), and tqdump's -etrace verdicts
+# fails; a trace cut at its footer's start is intact to Stat, strict
+# replay and salvage alike; a failed -record leaves no file), and
+# tqdump's -etrace verdicts
 # (text and -json exit alike: 0 intact, 3 damaged, 4 unreadable; the
 # integrity line names the footer only when there is one).
 corrupt:
@@ -74,15 +76,20 @@ corrupt:
 # index-free frame walk kept as its test oracle, and against Stat's
 # verdict) and the cache-geometry grammar.  None may panic on any
 # input.  Then QUAD's page-span shadow walk against its per-byte map
-# oracle: any access stream must give both identical reports.  Last,
-# the block engine against the reference stepper on arbitrary guest
-# code loaded as an image: every run must be observably identical.
+# oracle: any access stream must give both identical reports.  Then
+# tQUAD's and the simulator's interval fusion: any event stream must
+# give every interval of one shared attribution (simulation) what a
+# tool attached alone reports.  Last, the block engine against the
+# reference stepper on arbitrary guest code loaded as an image: every
+# run must be observably identical.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReplay -fuzztime 10s ./internal/etrace
 	$(GO) test -run xxx -fuzz FuzzSalvage -fuzztime 10s ./internal/etrace
 	$(GO) test -run xxx -fuzz FuzzIndex -fuzztime 10s ./internal/etrace
 	$(GO) test -run xxx -fuzz FuzzCacheConfig -fuzztime 10s ./internal/memsim
 	$(GO) test -run xxx -fuzz FuzzQUADMatchesMapRef -fuzztime 10s ./internal/quad
+	$(GO) test -run xxx -fuzz FuzzIntervalsMatchSolo -fuzztime 10s ./internal/core
+	$(GO) test -run xxx -fuzz FuzzIntervalsMatchSolo -fuzztime 10s ./internal/memsim
 	$(GO) test -run xxx -fuzz FuzzBlockEngineEquivalence -fuzztime 10s ./internal/vm
 
 # Every Go benchmark, 10 samples each: the code-cache, prefetch

@@ -134,6 +134,56 @@ func TestReplayContractDamagedTrace(t *testing.T) {
 	}
 }
 
+// TestReplayContractFooterless: a checksummed trace cut at the start of
+// its index footer has lost the index and nothing else.  Stat calls it
+// intact, a salvage replay reports no damage, strict and salvage replays
+// alike print the live run's golden, and a salvage replay at the default
+// -slice 0 sizes its slices as a strict replay of the intact trace does.
+func TestReplayContractFooterless(t *testing.T) {
+	dir := t.TempDir()
+	trace := recordSmall(t, dir)
+	b, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := etrace.ReadIndex(bytes.NewReader(b), int64(len(b)))
+	if err != nil || idx == nil {
+		t.Fatalf("index of %s: %v (%v)", trace, idx, err)
+	}
+	cut := b[:idx.DataEnd]
+	footerless := filepath.Join(dir, "footerless.etrace")
+	if err := os.WriteFile(footerless, cut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	info, err := etrace.Stat(bytes.NewReader(cut), int64(len(cut)))
+	if err != nil || info.Damaged() || info.Indexed {
+		t.Fatalf("Stat of the footerless trace: damaged %v, indexed %v (%v); want intact and unindexed", info.Damaged(), info.Indexed, err)
+	}
+	pr, err := etrace.NewParallelReplayer(bytes.NewReader(cut), int64(len(cut)), etrace.ParallelOptions{Jobs: 1, Salvage: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := pr.NewConsumer()
+	if err := pr.Replay(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := c.SalvageReport(); rep.Damaged() {
+		t.Errorf("salvage report of the footerless trace: %s; want no damage", rep)
+	}
+
+	want := golden(t, "golden_small_200000.txt")
+	for _, args := range [][]string{{"-slice", "200000"}, {"-salvage", "-slice", "200000"}} {
+		if got := runSelf(t, append([]string{"-replay", footerless}, args...)...); got != want {
+			t.Errorf("tquad %v on the footerless trace differs from the live run's golden:\n--- got ---\n%s--- want ---\n%s", args, got, want)
+		}
+	}
+	want = runSelf(t, "-replay", trace)
+	if got := runSelf(t, "-replay", footerless, "-salvage"); got != want {
+		t.Errorf("tquad -salvage on the footerless trace differs from a strict replay of the intact trace:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
 // TestRecordContractFailureLeavesNoFile: a recording whose guest runs
 // out of budget leaves no trace file, not even one that existed before.
 func TestRecordContractFailureLeavesNoFile(t *testing.T) {

@@ -55,10 +55,12 @@ func TestChaosCorruptTraceRerecord(t *testing.T) {
 }
 
 // TestChaosCorruptTraceRerecordBudget: when every recording attempt is
-// corrupted, the one-re-execution budget caps the damage — the sweep
+// corrupted, the one-re-execution budget caps the damage — every replay
 // fails with the corruption identified, rather than re-running the
-// guest forever.
+// guest forever.  The native run reads no trace: it is the recording
+// machine's own count, which the damage on disk cannot reach.
 func TestChaosCorruptTraceRerecordBudget(t *testing.T) {
+	baseline := baselineResults(t)
 	sch := study.NewScheduler(chaosStudy(t), 2)
 	defer sch.Close()
 	sch.SetHooks(chaos.New(chaos.Plan{
@@ -66,7 +68,13 @@ func TestChaosCorruptTraceRerecordBudget(t *testing.T) {
 		// RecordCorruptions 0: every attempt, including the re-recording.
 	}).Hooks())
 	for _, cfg := range chaosConfigs() {
-		_, err := sch.Run(cfg)
+		res, err := sch.Run(cfg)
+		if cfg.Kind == study.RunNative {
+			if err != nil || renderResult(res) != baseline[cfg.Key()] {
+				t.Errorf("native: %v; want the fault-free result, served by the recording", err)
+			}
+			continue
+		}
 		if err == nil {
 			t.Fatalf("%s succeeded on a trace corrupted every attempt", cfg.Key())
 		}

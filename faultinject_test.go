@@ -505,13 +505,21 @@ func TestChaosGuestTrapFailsSweep(t *testing.T) {
 }
 
 // TestChaosTruncatedReplay: a torn trace stream fails every replay
-// cleanly — no panics, errors for all configs.
+// cleanly — no panics, errors for every config that replays.  The
+// native run replays nothing: the recording serves it, fault-free.
 func TestChaosTruncatedReplay(t *testing.T) {
+	baseline := baselineResults(t)
 	sch := study.NewScheduler(chaosStudy(t), 2)
 	defer sch.Close()
 	sch.SetHooks(chaos.New(chaos.Plan{ReplayTruncate: 64}).Hooks())
 	for _, cfg := range chaosConfigs() {
-		if _, err := sch.Run(cfg); err == nil {
+		res, err := sch.Run(cfg)
+		switch {
+		case cfg.Kind == study.RunNative:
+			if err != nil || renderResult(res) != baseline[cfg.Key()] {
+				t.Errorf("native: %v; want the fault-free result, served by the recording", err)
+			}
+		case err == nil:
 			t.Errorf("%s succeeded on a truncated trace", cfg.Key())
 		}
 	}

@@ -88,15 +88,23 @@ func (a *mapAccum) kernels() []*KernelProfile {
 	return out
 }
 
-// denseCharge applies one charge to the tool's dense accumulator the way
-// the analysis routines do: an access through account's point update,
-// instruction time alone (size 0) through chargeInstr.
-func (t *Tool) denseCharge(name string, slice, delta, size uint64, isRead, isStack bool) {
+// denseCharge applies one charge at clock ic to the tool's dense
+// accumulator the way account does: through the pending run, turned when
+// the kernel or the slice changes, as a traced access, or, with size 0,
+// as the early-discard path's instruction time alone.
+func (t *Tool) denseCharge(name string, ic, delta, size uint64, isRead, isStack bool) {
+	a := t.attribution
 	if size == 0 {
-		t.chargeInstr(name, slice, delta)
+		if name != a.pendName || ic >= a.skipBound {
+			a.turn(name, ic, false)
+		}
+		a.pend.Instr += delta
 		return
 	}
-	pt := t.series[t.kernelID(name)].at(slice)
+	if name != a.pendName || ic >= a.traceBound {
+		a.turn(name, ic, true)
+	}
+	pt := &a.pend
 	pt.Instr += delta
 	if isRead {
 		pt.ReadIncl += size
@@ -123,7 +131,7 @@ func TestDenseMatchesMapAccum(t *testing.T) {
 		for _, incl := range []bool{true, false} {
 			t.Run(fmt.Sprintf("iv%d_stack%v", interval, incl), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(interval)))
-				dense := &Tool{series: []*kernelSeries{nil}, ids: make(map[string]uint16)}
+				dense := Attach(&fakeHost{}, Options{SliceInterval: interval})
 				ref := newMapAccum()
 				var ic, lastIC uint64
 				name := kernels[0]
@@ -150,7 +158,7 @@ func TestDenseMatchesMapAccum(t *testing.T) {
 						}
 						size = 0
 					}
-					dense.denseCharge(name, slice, delta, size, isRead, isStack)
+					dense.denseCharge(name, ic, delta, size, isRead, isStack)
 					ref.add(name, slice, delta, size, isRead, isStack)
 				}
 				got, want := dense.assemble(), ref.kernels()

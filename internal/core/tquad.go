@@ -71,9 +71,6 @@ const (
 )
 
 func (o *Options) setDefaults() {
-	if o.SliceInterval == 0 {
-		o.SliceInterval = DefaultSliceInterval
-	}
 	if o.CostTrace == 0 {
 		o.CostTrace = DefaultCostTrace
 	}
@@ -110,6 +107,15 @@ func (p SlicePoint) Total(includeStack bool) uint64 {
 	return p.ReadExcl + p.WriteExcl
 }
 
+// add folds q's traffic and instruction time into p (q.Slice unused).
+func (p *SlicePoint) add(q *SlicePoint) {
+	p.ReadIncl += q.ReadIncl
+	p.ReadExcl += q.ReadExcl
+	p.WriteIncl += q.WriteIncl
+	p.WriteExcl += q.WriteExcl
+	p.Instr += q.Instr
+}
+
 // kernelSeries accumulates one kernel's temporal data during the run as
 // an append-only dense series.  Slice indices derive from the monotonic
 // instruction clock, so points arrive in non-decreasing slice order and
@@ -133,32 +139,38 @@ func (ks *kernelSeries) at(slice uint64) *SlicePoint {
 	return ks.cur
 }
 
-// Tool is one attached tQUAD instance.
-type Tool struct {
+// attribution is the half of tQUAD that does not depend on the slice
+// interval: the call stack, the kernel table, the instruction clock and
+// the per-path call counters.  Every interval attached together
+// (AttachIntervals) shares one, so the analysis routines run once per
+// event however many intervals are profiled.
+//
+// Consecutive attributed events of one kernel that fall in one slice of
+// every interval form the pending run: the fast path adds an event to
+// pend, and turn hands the run to each interval's accumulator only when
+// the kernel or some interval's slice changes — so an event costs the
+// same for one interval as for many.
+type attribution struct {
 	opts  Options
 	host  pin.Host
 	stack *callstack.Stack
+	views []*Tool // one accumulator per interval
 
-	series []*kernelSeries
-	ids    map[string]uint16
-	// One-entry memo over ids: consecutive events overwhelmingly belong
-	// to the same kernel (the name string is the same frame's, so the
-	// comparison is usually a pointer-equal fast path), turning the
-	// per-event string-map lookup into a compare.  lastName is "" until
-	// the first lookup; "" is never a kernel name (anonymous routines
-	// get sub_%x names).
-	lastName string
-	lastID   uint16
-	// curSlice is the slice the instruction clock currently lies in and
-	// sliceEnd its exclusive upper bound in instructions: the per-event
-	// slice-boundary check is one compare against sliceEnd, and the
-	// division that names the new slice is paid only at the boundary
-	// (inside rotate, the snapshot tick), not per traced event.
-	curSlice uint64
-	sliceEnd uint64
-	lastIC   uint64 // ICount at the previous attributed event
-	// Snapshots counts slice-boundary snapshot operations.
-	Snapshots uint64
+	ids map[string]uint16 // kernel name → id; ids start at 1
+
+	// The pending run: its kernel (pendID 0 before the first), the
+	// traffic and instruction time it has gathered, and the clock at
+	// which it ends — for a traced event (traceBound) the first slice
+	// boundary or due snapshot of any interval, for a discarded one
+	// (skipBound) the first slice boundary.
+	pendName   string
+	pendID     uint16
+	pend       SlicePoint
+	traceBound uint64
+	skipBound  uint64
+
+	lastIC uint64 // ICount at the previous attributed event
+
 	// Per-path analysis-call counters — the measured analogue of the
 	// paper's Table III overhead breakdown.  Each path charges its own
 	// simulated cost (CostTrace/CostSkip/CostPrefetch per call,
@@ -168,130 +180,154 @@ type Tool struct {
 	PrefetchCalls uint64 // prefetch fast path ("return immediately")
 }
 
+// Tool is one attached tQUAD instance: the accumulator of one slice
+// interval over an attribution it may share with other intervals.
+type Tool struct {
+	*attribution
+	interval uint64
+	series   []*kernelSeries // by kernel id; id 0 reserved
+
+	// slice is the slice the pending run lies in and sliceEnd its
+	// exclusive upper bound in instructions: the division that names a
+	// slice is paid only when the clock crosses a boundary.  snapEnd is
+	// the upper bound of the slice the last snapshot rotated to.
+	slice    uint64
+	sliceEnd uint64
+	snapEnd  uint64
+	// Snapshots counts slice-boundary snapshot operations.
+	Snapshots uint64
+}
+
 // Attach wires a tQUAD tool onto the host — a live pin.Engine or a
 // trace replayer.  Call before running the machine (or the replay).
 func Attach(h pin.Host, opts Options) *Tool {
+	return AttachIntervals(h, opts, []uint64{opts.SliceInterval})[0]
+}
+
+// AttachIntervals wires one tQUAD attribution onto the host with an
+// accumulator per slice interval, replacing opts.SliceInterval; zero
+// selects the default.  The i-th tool profiles intervals[i] exactly as a
+// tool attached alone would, and its Breakdown is what that tool would
+// charge; the host's clock is charged each path cost once and every
+// interval's snapshots.
+func AttachIntervals(h pin.Host, opts Options, intervals []uint64) []*Tool {
 	opts.setDefaults()
-	t := &Tool{
-		opts:     opts,
-		host:     h,
-		series:   []*kernelSeries{nil}, // id 0 reserved
-		ids:      make(map[string]uint16),
-		sliceEnd: opts.SliceInterval,
+	a := &attribution{opts: opts, host: h, ids: make(map[string]uint16)}
+	for _, iv := range intervals {
+		if iv == 0 {
+			iv = DefaultSliceInterval
+		}
+		a.views = append(a.views, &Tool{
+			attribution: a,
+			interval:    iv,
+			series:      []*kernelSeries{nil},
+			sliceEnd:    iv,
+			snapEnd:     iv,
+		})
 	}
 	h.InitSymbols()
-	t.stack = callstack.New(func(target uint64) (string, bool, bool) {
+	a.stack = callstack.New(func(target uint64) (string, bool, bool) {
 		rtn, ok := h.RTNFindByAddress(target)
 		if !ok {
 			return "", false, false
 		}
 		return rtn.Name(), rtn.IsInMainImage(), true
 	}, opts.ExcludeLibs)
-	h.INSAddInstrumentFunction(t.instruction)
-	return t
+	h.INSAddInstrumentFunction(a.instruction)
+	return a.views
 }
 
-func (t *Tool) kernelID(name string) uint16 {
-	if name == t.lastName && name != "" {
-		return t.lastID
-	}
-	id, ok := t.ids[name]
+// kernelID returns the kernel's id, registering it — a series in every
+// interval's accumulator — on first sight.
+func (a *attribution) kernelID(name string) uint16 {
+	id, ok := a.ids[name]
 	if !ok {
-		id = uint16(len(t.series))
-		t.ids[name] = id
-		t.series = append(t.series, &kernelSeries{name: name})
+		id = uint16(len(a.ids) + 1)
+		a.ids[name] = id
+		for _, v := range a.views {
+			v.series = append(v.series, &kernelSeries{name: name})
+		}
 	}
-	t.lastName, t.lastID = name, id
 	return id
 }
 
 // numKernels returns the number of kernels observed so far.
-func (t *Tool) numKernels() uint64 { return uint64(len(t.ids)) }
+func (a *attribution) numKernels() uint64 { return uint64(len(a.ids)) }
 
 // instruction is the Instruction() instrumentation routine: it sets up
 // the analysis calls for memory references, calls and returns.
-func (t *Tool) instruction(ins *pin.INS) {
-	h := t.host
+func (a *attribution) instruction(ins *pin.INS) {
+	h := a.host
 	switch {
 	case ins.IsCall():
 		ins.InsertCall(func(ctx *pin.Context) {
-			t.account(ctx, false, true)
-			t.stack.OnCall(ctx.Target) // EnterFC: update the call stack
+			a.account(ctx, false, true)
+			a.stack.OnCall(ctx.Target) // EnterFC: update the call stack
 		})
 	case ins.IsRet():
 		ins.InsertCall(func(ctx *pin.Context) {
-			t.account(ctx, true, true)
-			t.stack.OnReturn()
+			a.account(ctx, true, true)
+			a.stack.OnReturn()
 		})
 	case ins.IsMemoryRead():
 		ins.InsertPredicatedCall(func(ctx *pin.Context) {
-			if ctx.Prefetch && !t.opts.TracePrefetches {
-				t.PrefetchCalls++
-				h.ChargeOverhead(t.opts.CostPrefetch)
+			if ctx.Prefetch && !a.opts.TracePrefetches {
+				a.PrefetchCalls++
+				h.ChargeOverhead(a.opts.CostPrefetch)
 				return
 			}
-			t.account(ctx, true, h.IsStackAddr(ctx.Addr, ctx.SP))
+			a.account(ctx, true, h.IsStackAddr(ctx.Addr, ctx.SP))
 		})
 	case ins.IsMemoryWrite():
 		ins.InsertPredicatedCall(func(ctx *pin.Context) {
 			if ctx.Prefetch {
-				t.PrefetchCalls++
-				h.ChargeOverhead(t.opts.CostPrefetch)
+				a.PrefetchCalls++
+				h.ChargeOverhead(a.opts.CostPrefetch)
 				return
 			}
-			t.account(ctx, false, h.IsStackAddr(ctx.Addr, ctx.SP))
+			a.account(ctx, false, h.IsStackAddr(ctx.Addr, ctx.SP))
 		})
 	}
 }
 
-// rotate is the snapshot tick: it advances the current slice to the one
-// containing ic, charging the snapshot-management cost once per observed
-// boundary crossing (rotating the bandwidth usage data list).  The only
-// division on the tracing path lives here.
-func (t *Tool) rotate(ic uint64) {
-	t.curSlice = ic / t.opts.SliceInterval
-	t.sliceEnd = (t.curSlice + 1) * t.opts.SliceInterval
-	t.host.ChargeOverhead(t.opts.CostSnapshot)
-	t.Snapshots++
-}
-
 // account is the IncreaseRead/IncreaseWrite analysis body: it charges the
-// current kernel's slice accumulator.
-func (t *Tool) account(ctx *pin.Context, isRead, isStack bool) {
-	ic := t.host.ICount()
+// current kernel's slice accumulators.  An attributed event lands in the
+// slice containing its ICount in every interval.
+func (a *attribution) account(ctx *pin.Context, isRead, isStack bool) {
+	ic := a.host.ICount()
 	// Instructions executed since the previous event all belong to the
 	// current kernel (calls and returns are themselves events, so the
 	// kernel cannot have changed in between).
-	delta := ic - t.lastIC
-	t.lastIC = ic
-	fr, ok := t.stack.Current()
+	delta := ic - a.lastIC
+	a.lastIC = ic
+	fr, ok := a.stack.Current()
 	if !ok {
-		t.SkipCalls++
-		t.host.ChargeOverhead(t.opts.CostSkip)
+		a.SkipCalls++
+		a.host.ChargeOverhead(a.opts.CostSkip)
 		return
 	}
-	if !t.opts.IncludeStack && isStack {
-		t.SkipCalls++
-		t.host.ChargeOverhead(t.opts.CostSkip)
+	if !a.opts.IncludeStack && isStack {
+		a.SkipCalls++
+		a.host.ChargeOverhead(a.opts.CostSkip)
 		// The early-discard path attributes time but performs no
 		// snapshot management (the paper charges that to the tracing
-		// path), so the slice is named without rotating.
-		slice := t.curSlice
-		if ic >= t.sliceEnd {
-			slice = ic / t.opts.SliceInterval
+		// path), and with no time to attribute it touches nothing.
+		if delta == 0 {
+			return
 		}
-		t.chargeInstr(fr.Name, slice, delta)
+		if fr.Name != a.pendName || ic >= a.skipBound {
+			a.turn(fr.Name, ic, false)
+		}
+		a.pend.Instr += delta
 		return
 	}
-	t.TraceCalls++
-	t.host.ChargeOverhead(t.opts.CostTrace)
-	if ic >= t.sliceEnd {
-		// Slice boundary: snapshot management, the slice-dependent part
-		// of the overhead.
-		t.rotate(ic)
+	a.TraceCalls++
+	a.host.ChargeOverhead(a.opts.CostTrace)
+	if fr.Name != a.pendName || ic >= a.traceBound {
+		a.turn(fr.Name, ic, true)
 	}
 	size := uint64(ctx.Size)
-	pt := t.series[t.kernelID(fr.Name)].at(t.curSlice)
+	pt := &a.pend
 	pt.Instr += delta
 	if isRead {
 		pt.ReadIncl += size
@@ -306,13 +342,46 @@ func (t *Tool) account(ctx *pin.Context, isRead, isStack bool) {
 	}
 }
 
-// chargeInstr attributes instruction time to a kernel's slice without any
-// byte traffic (the early-discarded-access path).
-func (t *Tool) chargeInstr(name string, slice, delta uint64) {
-	if delta == 0 {
+// turn prepares the pending run for an event at ic in the named kernel
+// that the fast path cannot take.  When the kernel or some interval's
+// slice changes, the pending run goes to every accumulator and a new one
+// starts.  A traced event then takes the snapshot tick in each interval
+// whose last snapshot lies in an earlier slice: snapshot management, the
+// slice-dependent part of the overhead, charged once per observed
+// boundary crossing (rotating the bandwidth usage data list).
+func (a *attribution) turn(name string, ic uint64, traced bool) {
+	if a.pendID == 0 || name != a.pendName || ic >= a.skipBound {
+		a.flush()
+		if a.pendID == 0 || name != a.pendName {
+			a.pendName, a.pendID = name, a.kernelID(name)
+		}
+	}
+	a.traceBound, a.skipBound = ^uint64(0), ^uint64(0)
+	for _, v := range a.views {
+		if ic >= v.sliceEnd {
+			v.slice = ic / v.interval
+			v.sliceEnd = (v.slice + 1) * v.interval
+		}
+		if traced && ic >= v.snapEnd {
+			v.snapEnd = v.sliceEnd
+			a.host.ChargeOverhead(a.opts.CostSnapshot)
+			v.Snapshots++
+		}
+		a.traceBound = min(a.traceBound, v.snapEnd)
+		a.skipBound = min(a.skipBound, v.sliceEnd)
+	}
+}
+
+// flush adds the pending run into each interval's point for its kernel
+// and slice, and empties it.
+func (a *attribution) flush() {
+	if a.pendID == 0 {
 		return
 	}
-	t.series[t.kernelID(name)].at(slice).Instr += delta
+	for _, v := range a.views {
+		v.series[a.pendID].at(v.slice).add(&a.pend)
+	}
+	a.pend = SlicePoint{}
 }
 
 // KernelProfile is the finished temporal record of one kernel.
@@ -448,6 +517,7 @@ func (kp *KernelProfile) finish() {
 
 // assemble materialises the per-kernel profiles, sorted by name.
 func (t *Tool) assemble() []*KernelProfile {
+	t.flush()
 	var out []*KernelProfile
 	for id := 1; id < len(t.series); id++ {
 		ks := t.series[id]
@@ -466,8 +536,8 @@ func (t *Tool) assemble() []*KernelProfile {
 func (t *Tool) Snapshot() *Profile {
 	ic := t.host.ICount()
 	return &Profile{
-		SliceInterval: t.opts.SliceInterval,
-		NumSlices:     (ic + t.opts.SliceInterval - 1) / t.opts.SliceInterval,
+		SliceInterval: t.interval,
+		NumSlices:     (ic + t.interval - 1) / t.interval,
 		TotalInstr:    ic,
 		IncludeStack:  t.opts.IncludeStack,
 		Kernels:       t.assemble(),
@@ -523,7 +593,7 @@ func (b OverheadBreakdown) Total() uint64 {
 // Breakdown returns the overhead accounting accumulated so far.
 func (t *Tool) Breakdown() OverheadBreakdown {
 	return OverheadBreakdown{
-		SliceInterval: t.opts.SliceInterval,
+		SliceInterval: t.interval,
 		TraceCalls:    t.TraceCalls,
 		SkipCalls:     t.SkipCalls,
 		PrefetchCalls: t.PrefetchCalls,

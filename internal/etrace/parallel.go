@@ -78,12 +78,9 @@ func NewParallelReplayer(ra io.ReaderAt, size int64, opts ParallelOptions) (*Par
 	p := &ParallelReplayer{traceFile: t, jobs: opts.Jobs}
 	if opts.Salvage {
 		t.salvage = true
-		p.report = &SalvageReport{
-			TornTail: t.lost > 0,
-			// A checksummed trace always carries a footer; a missing one
-			// means the tail (footer included) was lost.
-			FooterDamaged: t.footerErr != nil || (!t.index.FromFooter && t.hdr.version >= 2),
-		}
+		// A missing footer is no damage by itself: a tail lost with it
+		// shows as a torn tail or a missing end record, as in Stat.
+		p.report = &SalvageReport{TornTail: t.lost > 0, FooterDamaged: t.footerErr != nil}
 	} else if t.footerErr != nil {
 		return nil, corrupt(t.footerErr)
 	} else if t.scanErr != nil {

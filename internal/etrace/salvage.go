@@ -34,7 +34,7 @@ type SalvageReport struct {
 	// TornTail: the stream ended before its end record was decoded —
 	// truncation or unrecoverable framing damage at the tail.
 	TornTail bool
-	// FooterDamaged: the index footer was missing, malformed, or
+	// FooterDamaged: the index footer was present but unusable, or
 	// disagreed with the decoded stream.
 	FooterDamaged bool
 	// Complete: the end record was decoded (final state is trustworthy).

@@ -78,7 +78,7 @@ type SlicePoint struct {
 // OffChip returns the slice's effective off-chip traffic in bytes.
 func (p SlicePoint) OffChip() uint64 { return p.FillBytes + p.WBBytes }
 
-// add folds q into p (totals aggregation).
+// add folds q into p (q.Slice unused).
 func (p *SlicePoint) add(q SlicePoint) {
 	p.Accesses += q.Accesses
 	for i := range p.Hits {
@@ -185,8 +185,17 @@ type dramState struct {
 	Fills, Writebacks, RowHits, RowMisses uint64
 }
 
-// Tool is one attached memory-hierarchy simulator.
-type Tool struct {
+// sim is the half of the simulator that does not depend on the slice
+// interval: the hierarchy state, the call stack, the kernel table and
+// the event counters.  Every interval attached together
+// (AttachIntervals) shares one, so each access is simulated once however
+// many intervals are accounted.
+//
+// Consecutive accesses of one kernel within one slice of every interval
+// form the pending run: the hot path counts into pend, and turn hands the
+// run to each interval's accounting only when the kernel or some
+// interval's slice changes.
+type sim struct {
 	opts Options
 	host pin.Host
 
@@ -199,14 +208,16 @@ type Tool struct {
 	lineShift uint
 	rowShift  uint
 
-	series []*kernelSeries
-	ids    map[string]uint16
-	curKey string        // last attributed kernel name
-	curKS  *kernelSeries // its series
-	pt     *SlicePoint   // accounting point of the in-flight access
+	views []*Tool // one accounting per interval
 
-	curSlice uint64
-	sliceEnd uint64
+	ids map[string]uint16 // kernel name → id; ids start at 1
+	// The pending run: its kernel (pendID 0 before the first), the
+	// activity it has gathered, and the clock at which it ends (the
+	// first slice boundary of any interval).
+	pendName string
+	pendID   uint16
+	pend     SlicePoint
+	bound    uint64
 
 	// Event-level counters (the obs group's source).
 	Accesses      uint64 // traced access events simulated
@@ -214,42 +225,70 @@ type Tool struct {
 	MemCost       uint64 // modelled DRAM cost (instruction-equivalents), not charged to the clock
 }
 
+// Tool is one attached memory-hierarchy simulator: the per-slice
+// accounting of one interval over a simulation it may share with other
+// intervals.
+type Tool struct {
+	*sim
+	interval uint64
+	series   []*kernelSeries // by kernel id; id 0 reserved
+
+	// slice is the slice the pending run lies in, sliceEnd its exclusive
+	// upper bound in instructions.
+	slice    uint64
+	sliceEnd uint64
+}
+
 // Attach wires a simulator onto the host — a live pin.Engine or an
 // etrace.Consumer.  Call before running the machine (or the replay).
 func Attach(h pin.Host, opts Options) (*Tool, error) {
-	if err := opts.Config.Validate(); err != nil {
+	ts, err := AttachIntervals(h, opts, []uint64{opts.SliceInterval})
+	if err != nil {
 		return nil, err
 	}
-	if opts.SliceInterval == 0 {
-		opts.SliceInterval = DefaultSliceInterval
+	return ts[0], nil
+}
+
+// AttachIntervals wires one simulation onto the host with a per-slice
+// accounting per interval, replacing opts.SliceInterval; zero selects
+// the default.  The i-th tool's Snapshot is what a simulator attached
+// alone at intervals[i] reports.  The host's clock is charged once per
+// access, as for one simulator.
+func AttachIntervals(h pin.Host, opts Options, intervals []uint64) ([]*Tool, error) {
+	if err := opts.Config.Validate(); err != nil {
+		return nil, err
 	}
 	if opts.CostAccess == 0 {
 		opts.CostAccess = DefaultCostAccess
 	}
-	t := &Tool{
+	s := &sim{
 		opts:     opts,
 		host:     h,
 		nlev:     len(opts.Config.Levels),
 		lineSize: uint64(opts.Config.LineSize()),
-		series:   []*kernelSeries{nil}, // id 0 reserved
 		ids:      make(map[string]uint16),
-		sliceEnd: opts.SliceInterval,
 	}
 	for i, lc := range opts.Config.Levels {
-		t.levels[i] = newLevel(lc)
+		s.levels[i] = newLevel(lc)
 	}
-	t.lineShift = uint(shift(t.lineSize))
-	t.rowShift = uint(shift(opts.Config.DRAM.RowSize))
+	s.lineShift = uint(shift(s.lineSize))
+	s.rowShift = uint(shift(opts.Config.DRAM.RowSize))
+	for _, iv := range intervals {
+		if iv == 0 {
+			iv = DefaultSliceInterval
+		}
+		s.views = append(s.views, &Tool{sim: s, interval: iv, series: []*kernelSeries{nil}, sliceEnd: iv})
+	}
 	h.InitSymbols()
-	t.stack = callstack.New(func(target uint64) (string, bool, bool) {
+	s.stack = callstack.New(func(target uint64) (string, bool, bool) {
 		rtn, ok := h.RTNFindByAddress(target)
 		if !ok {
 			return "", false, false
 		}
 		return rtn.Name(), rtn.IsInMainImage(), true
 	}, opts.ExcludeLibs)
-	h.INSAddInstrumentFunction(t.instruction)
-	return t, nil
+	h.INSAddInstrumentFunction(s.instruction)
+	return s.views, nil
 }
 
 // shift returns log2 of a power of two.
@@ -265,89 +304,114 @@ func shift(v uint64) int {
 // instruction is the instrumentation routine: call/return events
 // maintain the internal call stack, memory references drive the
 // hierarchy.
-func (t *Tool) instruction(ins *pin.INS) {
+func (s *sim) instruction(ins *pin.INS) {
 	switch {
 	case ins.IsCall():
-		ins.InsertCall(func(ctx *pin.Context) { t.stack.OnCall(ctx.Target) })
+		ins.InsertCall(func(ctx *pin.Context) { s.stack.OnCall(ctx.Target) })
 	case ins.IsRet():
-		ins.InsertCall(func(ctx *pin.Context) { t.stack.OnReturn() })
+		ins.InsertCall(func(ctx *pin.Context) { s.stack.OnReturn() })
 	case ins.IsMemoryRead():
-		ins.InsertPredicatedCall(func(ctx *pin.Context) { t.access(ctx, false) })
+		ins.InsertPredicatedCall(func(ctx *pin.Context) { s.access(ctx, false) })
 	case ins.IsMemoryWrite():
-		ins.InsertPredicatedCall(func(ctx *pin.Context) { t.access(ctx, true) })
+		ins.InsertPredicatedCall(func(ctx *pin.Context) { s.access(ctx, true) })
 	}
 }
 
-// access simulates one executed memory reference.
-func (t *Tool) access(ctx *pin.Context, write bool) {
+// access simulates one executed memory reference, accounted to the slice
+// containing the current ICount in every interval.
+func (s *sim) access(ctx *pin.Context, write bool) {
 	if ctx.Prefetch {
 		// The paper's tools return immediately on prefetches; the
 		// simulator mirrors that so its access stream matches tQUAD's.
-		t.PrefetchSkips++
+		s.PrefetchSkips++
 		return
 	}
-	t.Accesses++
-	t.host.ChargeOverhead(t.opts.CostAccess)
-	ic := t.host.ICount()
-	if ic >= t.sliceEnd {
-		t.curSlice = ic / t.opts.SliceInterval
-		t.sliceEnd = (t.curSlice + 1) * t.opts.SliceInterval
-	}
+	s.Accesses++
+	s.host.ChargeOverhead(s.opts.CostAccess)
+	ic := s.host.ICount()
 	name := Outside
-	if fr, ok := t.stack.Current(); ok {
+	if fr, ok := s.stack.Current(); ok {
 		name = fr.Name
 	}
-	t.pt = t.seriesFor(name).at(t.curSlice)
+	if name != s.pendName || ic >= s.bound {
+		s.turn(name, ic)
+	}
 
 	addr := ctx.Addr
-	la := addr >> t.lineShift
-	last := (addr + uint64(ctx.Size) - 1) >> t.lineShift
+	la := addr >> s.lineShift
+	last := (addr + uint64(ctx.Size) - 1) >> s.lineShift
 	for ; la <= last; la++ {
-		t.pt.Accesses++
-		t.fetch(0, la, write)
+		s.pend.Accesses++
+		s.fetch(0, la, write)
 	}
 }
 
-// seriesFor resolves the kernel's series, caching the previous
-// resolution so back-to-back accesses from the same kernel — the
-// overwhelmingly common case — skip the map.
-func (t *Tool) seriesFor(name string) *kernelSeries {
-	if t.curKS != nil && t.curKey == name {
-		return t.curKS
+// turn ends the pending run and starts one for an access at ic in the
+// named kernel.
+func (s *sim) turn(name string, ic uint64) {
+	s.flush()
+	if s.pendID == 0 || name != s.pendName {
+		s.pendName, s.pendID = name, s.kernelID(name)
 	}
-	id, ok := t.ids[name]
+	s.bound = ^uint64(0)
+	for _, v := range s.views {
+		if ic >= v.sliceEnd {
+			v.slice = ic / v.interval
+			v.sliceEnd = (v.slice + 1) * v.interval
+		}
+		s.bound = min(s.bound, v.sliceEnd)
+	}
+}
+
+// flush adds the pending run into each interval's point for its kernel
+// and slice, and empties it.
+func (s *sim) flush() {
+	if s.pendID == 0 {
+		return
+	}
+	for _, v := range s.views {
+		v.series[s.pendID].at(v.slice).add(s.pend)
+	}
+	s.pend = SlicePoint{}
+}
+
+// kernelID returns the kernel's id, registering it — a series in every
+// interval's accounting — on first sight.
+func (s *sim) kernelID(name string) uint16 {
+	id, ok := s.ids[name]
 	if !ok {
-		id = uint16(len(t.series))
-		t.ids[name] = id
-		t.series = append(t.series, &kernelSeries{name: name})
+		id = uint16(len(s.ids) + 1)
+		s.ids[name] = id
+		for _, v := range s.views {
+			v.series = append(v.series, &kernelSeries{name: name})
+		}
 	}
-	t.curKey, t.curKS = name, t.series[id]
-	return t.curKS
+	return id
 }
 
 // fetch ensures la is present at level i, recursing outward on a miss
 // (write-allocate).  Only the innermost level's copy turns dirty on a
 // write; outer levels are filled by reads.
-func (t *Tool) fetch(i int, la uint64, write bool) {
-	if i == t.nlev {
-		t.dramFill(la)
+func (s *sim) fetch(i int, la uint64, write bool) {
+	if i == s.nlev {
+		s.dramFill(la)
 		return
 	}
-	lv := &t.levels[i]
+	lv := &s.levels[i]
 	if lv.probe(la, write) {
 		lv.Hits++
-		t.pt.Hits[i]++
+		s.pend.Hits[i]++
 		return
 	}
 	lv.Misses++
-	t.pt.Misses[i]++
-	t.fetch(i+1, la, false)
+	s.pend.Misses[i]++
+	s.fetch(i+1, la, false)
 	vtag, vdirty, vvalid := lv.install(la, write)
 	if vvalid {
 		lv.Evictions++
 		if vdirty {
 			lv.Writebacks++
-			t.writeback(i+1, vtag)
+			s.writeback(i+1, vtag)
 		}
 	}
 }
@@ -356,41 +420,41 @@ func (t *Tool) fetch(i int, la uint64, write bool) {
 // the line absorbs it (turns dirty); past the last level it pays the
 // DRAM write.  Write-backs are attributed to the kernel whose access
 // caused the eviction — the standard simulator attribution caveat.
-func (t *Tool) writeback(i int, la uint64) {
-	for ; i < t.nlev; i++ {
-		if t.levels[i].markDirty(la) {
+func (s *sim) writeback(i int, la uint64) {
+	for ; i < s.nlev; i++ {
+		if s.levels[i].markDirty(la) {
 			return
 		}
 	}
-	t.dramWriteback(la)
+	s.dramWriteback(la)
 }
 
-func (t *Tool) dramFill(la uint64) {
-	t.rowTouch(la)
-	t.dram.Fills++
-	t.pt.FillBytes += t.lineSize
-	t.MemCost += t.opts.Config.DRAM.FillCost
+func (s *sim) dramFill(la uint64) {
+	s.rowTouch(la)
+	s.dram.Fills++
+	s.pend.FillBytes += s.lineSize
+	s.MemCost += s.opts.Config.DRAM.FillCost
 }
 
-func (t *Tool) dramWriteback(la uint64) {
-	t.rowTouch(la)
-	t.dram.Writebacks++
-	t.pt.WBBytes += t.lineSize
-	t.MemCost += t.opts.Config.DRAM.WritebackCost
+func (s *sim) dramWriteback(la uint64) {
+	s.rowTouch(la)
+	s.dram.Writebacks++
+	s.pend.WBBytes += s.lineSize
+	s.MemCost += s.opts.Config.DRAM.WritebackCost
 }
 
 // rowTouch charges the open-row model for one DRAM line transfer.
-func (t *Tool) rowTouch(la uint64) {
-	row := (la << t.lineShift) >> t.rowShift
-	if t.dram.hasRow && t.dram.openRow == row {
-		t.dram.RowHits++
-		t.MemCost += t.opts.Config.DRAM.RowHitCost
+func (s *sim) rowTouch(la uint64) {
+	row := (la << s.lineShift) >> s.rowShift
+	if s.dram.hasRow && s.dram.openRow == row {
+		s.dram.RowHits++
+		s.MemCost += s.opts.Config.DRAM.RowHitCost
 		return
 	}
-	t.dram.hasRow = true
-	t.dram.openRow = row
-	t.dram.RowMisses++
-	t.MemCost += t.opts.Config.DRAM.RowMissCost
+	s.dram.hasRow = true
+	s.dram.openRow = row
+	s.dram.RowMisses++
+	s.MemCost += s.opts.Config.DRAM.RowMissCost
 }
 
 // LevelStats are one level's aggregate counters.
@@ -498,11 +562,12 @@ func (p *Profile) Kernel(name string) (*KernelProfile, bool) {
 // Snapshot assembles the profile accumulated so far (normally called
 // after the machine halts or the replay ends).
 func (t *Tool) Snapshot() *Profile {
+	t.flush()
 	ic := t.host.ICount()
 	p := &Profile{
 		Config:        t.opts.Config,
-		SliceInterval: t.opts.SliceInterval,
-		NumSlices:     (ic + t.opts.SliceInterval - 1) / t.opts.SliceInterval,
+		SliceInterval: t.interval,
+		NumSlices:     (ic + t.interval - 1) / t.interval,
 		TotalInstr:    ic,
 		Accesses:      t.Accesses,
 		PrefetchSkips: t.PrefetchSkips,
@@ -531,6 +596,10 @@ func (t *Tool) Snapshot() *Profile {
 	sort.Slice(p.Kernels, func(i, j int) bool { return p.Kernels[i].Name < p.Kernels[j].Name })
 	return p
 }
+
+// Overhead returns the analysis cost the simulator charged its host:
+// CostAccess per simulated access.
+func (t *Tool) Overhead() uint64 { return t.Accesses * t.opts.CostAccess }
 
 // PublishMetrics exports the simulator's counter group.  A nil registry
 // is a no-op.

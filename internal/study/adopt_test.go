@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -188,4 +189,52 @@ func TestSchedulerTraceSource(t *testing.T) {
 			unchanged(t, damaged, want)
 		}
 	})
+}
+
+// TestNativeServedByRecording: a scheduler that executed the guest
+// serves the native run from its recording with no decode pass — the
+// study's native instruction count, no overhead, and in its registry the
+// vm counters a tool-less replay of the trace publishes.  A scheduler
+// that adopts the trace still pays one pass for it: an adopted trace's
+// count and damage are known only by reading it.
+func TestNativeServedByRecording(t *testing.T) {
+	s := newStudy(t, obs.NewObserver())
+	want, err := s.NativeICount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	native := study.RunConfig{Kind: study.RunNative}
+	path := filepath.Join(t.TempDir(), "guest.etrace")
+
+	fresh := study.NewScheduler(s, 2)
+	defer fresh.Close()
+	fresh.SetTraceSink(path)
+	if got, err := fresh.NativeICount(); err != nil || got != want {
+		t.Fatalf("fresh scheduler's NativeICount = %d (%v), want the study's %d", got, err, want)
+	}
+	if n := fresh.DecodePasses(); n != 0 {
+		t.Errorf("fresh scheduler's native run cost %d decode passes, want 0", n)
+	}
+	served, err := fresh.Run(native)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	adopted := study.NewScheduler(s, 2)
+	defer adopted.Close()
+	adopted.SetTraceSource(path, false)
+	replayed, err := adopted.Run(native)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := adopted.DecodePasses(); n != 1 {
+		t.Errorf("adopted trace's native run cost %d decode passes, want 1", n)
+	}
+	if served.ICount != replayed.ICount || served.Overhead != 0 || served.Time != replayed.Time {
+		t.Errorf("served native run ic=%d ov=%d t=%d, replayed ic=%d ov=%d t=%d",
+			served.ICount, served.Overhead, served.Time, replayed.ICount, replayed.Overhead, replayed.Time)
+	}
+	if got, want := served.Registry.Snapshot(), replayed.Registry.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("served native registry %+v, replayed %+v", got, want)
+	}
 }

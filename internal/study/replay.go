@@ -5,8 +5,8 @@
 // execution, replayed through every configuration's tools — all the
 // configurations queued when a result is awaited in one decode pass.
 // This file holds the recording and replay plumbing; replayed runs
-// attach and report through the same Attach and Collect as live ones
-// (attach.go).
+// attach and report through the same group attach and Collect as live
+// ones (attach.go).
 package study
 
 import (
@@ -37,13 +37,17 @@ func (k RunKind) known() bool {
 // recording is one in-flight or finished guest recording, shared by
 // every replayed configuration.
 type recording struct {
-	done   chan struct{}
-	path   string // trace file; a temp file unless kept
-	kept   bool   // path was adopted or persisted, so Close keeps it
-	icount uint64 // recorded guest instruction total (replay budget)
-	reg    *obs.Registry
-	spans  *obs.Tracer
-	err    error
+	done    chan struct{}
+	path    string // trace file; a temp file unless kept
+	kept    bool   // path was adopted or persisted, so Close keeps it
+	adopted bool   // path is an existing trace: the guest did not execute
+	icount  uint64 // recorded guest instruction total (replay budget)
+	// mem is the recording machine's memory-reference counters: what a
+	// tool-less replay of the trace reproduces (zero when adopted).
+	mem   vm.MemStats
+	reg   *obs.Registry
+	spans *obs.Tracer
+	err   error
 
 	// generation counts how many corrupt predecessors this recording
 	// replaced (Scheduler.rerecord), bounding the re-execution budget.
@@ -76,7 +80,7 @@ func (sc *Scheduler) record(pol policy, rec *recording) {
 	defer close(rec.done)
 	pol.emit(obs.Event{Type: obs.EventQueued, Key: recordKey})
 	if path, ok := pol.adopt(); ok {
-		rec.path, rec.kept = path, true
+		rec.path, rec.kept, rec.adopted = path, true, true
 		rec.icount = statTraceICount(pol, path)
 		sc.sup.CheckpointHits.Inc()
 		pol.emit(obs.Event{Type: obs.EventCheckpointed, Key: recordKey, ICount: rec.icount})
@@ -286,7 +290,7 @@ func (sc *Scheduler) recordOnce(pol policy, attempt int, rec *recording) (err er
 	}
 	bw := bufio.NewWriterSize(out, 1<<16)
 	sc.guestExecs.Add(1)
-	reg, spans, icount, err := sc.study.recordGuest(bw, runOptions{
+	reg, spans, m, err := sc.study.recordGuest(bw, runOptions{
 		ctx: actx, maxInstr: pol.maxInstr, hooks: pol.hooks,
 		beat: pol.beatFunc(recordKey, pol.maxInstr),
 	})
@@ -311,7 +315,7 @@ func (sc *Scheduler) recordOnce(pol policy, attempt int, rec *recording) (err er
 	if err != nil {
 		return err
 	}
-	rec.reg, rec.spans, rec.icount = reg, spans, icount
+	rec.reg, rec.spans, rec.icount, rec.mem = reg, spans, m.ICount, m.MemStats
 	return nil
 }
 
@@ -319,12 +323,12 @@ func (sc *Scheduler) recordOnce(pol policy, attempt int, rec *recording) (err er
 // attached, writing the trace to w.  It returns the recording run's
 // private observability (merged by Flush under a recordKey root so trace
 // output distinguishes the recording from the replays that consume it)
-// and the executed instruction total, which becomes the replays' budget
-// on the live dashboard.  Trace-write failures are host I/O, not guest
-// behaviour, so they are classified by markHostIO (retryable, unless
-// the errno names a stable host condition); guest failures stay
-// permanent.
-func (s *Study) recordGuest(w io.Writer, opt runOptions) (*obs.Registry, *obs.Tracer, uint64, error) {
+// and the machine that ran, whose instruction total becomes the replays'
+// budget on the live dashboard and whose counters serve the native run.
+// Trace-write failures are host I/O, not guest behaviour, so they are
+// classified by markHostIO (retryable, unless the errno names a stable
+// host condition); guest failures stay permanent.
+func (s *Study) recordGuest(w io.Writer, opt runOptions) (*obs.Registry, *obs.Tracer, *vm.Machine, error) {
 	if opt.ctx == nil {
 		opt.ctx = context.Background()
 	}
@@ -347,7 +351,7 @@ func (s *Study) recordGuest(w io.Writer, opt runOptions) (*obs.Registry, *obs.Tr
 	instrument.End()
 	if err != nil {
 		run.End()
-		return nil, nil, 0, markHostIO(err)
+		return nil, nil, nil, markHostIO(err)
 	}
 	if opt.hooks.Machine != nil {
 		opt.hooks.Machine(opt.ctx, m)
@@ -371,14 +375,31 @@ func (s *Study) recordGuest(w io.Writer, opt runOptions) (*obs.Registry, *obs.Tr
 	}
 	run.End()
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, nil, err
 	}
 	m.PublishMetrics(ro.Registry())
 	e.PublishMetrics(ro.Registry())
 	if ro == nil {
-		return nil, nil, m.ICount, nil
+		return nil, nil, m, nil
 	}
-	return ro.Metrics, ro.Spans, m.ICount, nil
+	return ro.Metrics, ro.Spans, m, nil
+}
+
+// nativeResult is the native run of a recording the guest executed for:
+// its instruction count and memory counters, with no analysis overhead,
+// exactly what a tool-less replay of the trace reads — without the
+// decode pass.  Its registry holds the vm counters that replay's
+// consumer publishes, and its spans are one empty "run".
+func (s *Study) nativeResult(rec *recording) *RunResult {
+	cfg := RunConfig{Kind: RunNative}
+	res := &RunResult{Config: cfg, Key: cfg.Key(), ICount: rec.icount, Time: rec.icount}
+	if s.Obs != nil {
+		ro := obs.NewObserver()
+		ro.Tracer().Start("run").End()
+		(&vm.Machine{ICount: rec.icount, MemStats: rec.mem}).PublishMetrics(ro.Registry())
+		res.Registry, res.Spans = ro.Metrics, ro.Spans
+	}
+	return res
 }
 
 // groupRun is one member's attempt in a pass, live or replayed: a
@@ -393,19 +414,22 @@ type groupRun struct {
 
 // replayGroup replays the recorded trace at path ONCE, through an
 // etrace.ParallelReplayer fanning the record stream out to one consumer
-// per run, and settles every run's Res or Err.  Each run gets its own
-// observer, "run"/"instrument"/"replay" spans and private registry —
-// executeConfig's spans, with "replay" where the live path has
-// "execute".  A trace that cannot be opened fails every run alike: a
-// missing or unreadable file is host I/O and reported transient, header
-// damage is an etrace.CorruptError.  Past that, runs fail one by one: a
-// bad tool configuration, a panicking analysis routine (a *PanicError)
-// or a non-zero recorded exit code fails its own run only, while trace
-// damage and cancellation reach every run the pass was still feeding.  A
-// salvage replay that applied no instruction fails too, its error
-// carrying the salvage report: there is no profile to report.
-// opts sets the decode workers and salvage mode, and wrap, when non-nil,
-// wraps the trace file (Hooks.ReplayReader).
+// per group of runs, and settles every run's Res or Err.  Runs with one
+// groupKey — tQUAD runs that differ only in slice interval — share a
+// consumer and one set of tools (attachGroup); every other run has its
+// own.  Each run gets its own observer, "run"/"instrument"/"replay"
+// spans and private registry — executeConfig's spans, with "replay"
+// where the live path has "execute" — and reports what it would have
+// replayed alone.  A trace that cannot be opened fails every run alike:
+// a missing or unreadable file is host I/O and reported transient,
+// header damage is an etrace.CorruptError.  Past that, runs fail group
+// by group: a bad tool configuration, a panicking analysis routine (a
+// *PanicError) or a non-zero recorded exit code fails its own group
+// only, while trace damage and cancellation reach every run the pass
+// was still feeding.  A salvage replay that applied no instruction
+// fails too, its error carrying the salvage report: there is no profile
+// to report.  opts sets the decode workers and salvage mode, and wrap,
+// when non-nil, wraps the trace file (Hooks.ReplayReader).
 func (s *Study) replayGroup(ctx context.Context, runs []*groupRun, path string, opts etrace.ParallelOptions, wrap func(io.ReaderAt, int64) (io.ReaderAt, int64)) {
 	fail := func(err error) {
 		for _, r := range runs {
@@ -442,8 +466,8 @@ func (s *Study) replayGroup(ctx context.Context, runs []*groupRun, path string, 
 		host   *etrace.Consumer
 		ts     *Tools
 	}
-	var members []*member
-	var beats []func(uint64)
+	var keys []string
+	groups := make(map[string][]*member)
 	for _, r := range runs {
 		var ro *obs.Observer
 		if s.Obs != nil {
@@ -451,19 +475,41 @@ func (s *Study) replayGroup(ctx context.Context, runs []*groupRun, path string, 
 		}
 		m := &member{groupRun: r, ro: ro}
 		m.run = ro.Tracer().Start("run")
-		instrument := ro.Tracer().Start("instrument")
-		m.host = pr.NewConsumer()
-		m.ts, err = Attach(m.host, r.Cfg, ro.Tracer())
-		instrument.End()
-		if err != nil {
-			m.run.End()
-			r.Err = fmt.Errorf("study: run %s: %w", r.Cfg.Key(), err)
-			continue
+		key := groupKey(r.Cfg)
+		if groups[key] == nil {
+			keys = append(keys, key)
 		}
-		if r.Beat != nil {
-			beats = append(beats, r.Beat)
+		groups[key] = append(groups[key], m)
+	}
+	var members []*member
+	var beats []func(uint64)
+	for _, key := range keys {
+		g := groups[key]
+		cfgs := make([]RunConfig, len(g))
+		instrument := make([]*obs.Span, len(g))
+		for i, m := range g {
+			cfgs[i] = m.Cfg
+			instrument[i] = m.ro.Tracer().Start("instrument")
 		}
-		members = append(members, m)
+		c := pr.NewConsumer()
+		var host pin.Host = c
+		if cfgs[0].Kind == RunTQUAD {
+			host = unclocked{c}
+		}
+		ts, err := attachGroup(host, cfgs, g[0].ro.Tracer())
+		for i, m := range g {
+			instrument[i].End()
+			if err != nil {
+				m.run.End()
+				m.Err = fmt.Errorf("study: run %s: %w", m.Cfg.Key(), err)
+				continue
+			}
+			m.host, m.ts = c, ts[i]
+			if m.Beat != nil {
+				beats = append(beats, m.Beat)
+			}
+			members = append(members, m)
+		}
 	}
 	if len(members) == 0 {
 		return
@@ -508,7 +554,14 @@ func (s *Study) replayGroup(ctx context.Context, runs []*groupRun, path string, 
 			continue
 		}
 		m.host.PublishMetrics(m.ro.Registry())
-		m.Res = m.ts.Collect(m.host.ICount(), m.host.Overhead(), m.ro)
+		overhead := m.host.Overhead()
+		if m.Cfg.Kind == RunTQUAD {
+			// The consumer is unclocked and published no overhead: the
+			// member's clock is its own tools'.
+			overhead = m.ts.overhead()
+			m.ro.Registry().Counter("tquad_vm_overhead_instr_total").Add(overhead)
+		}
+		m.Res = m.ts.Collect(m.host.ICount(), overhead, m.ro)
 		m.Res.Salvage = m.host.SalvageReport()
 		m.run.End()
 		if m.ro != nil {
@@ -517,3 +570,16 @@ func (s *Study) replayGroup(ctx context.Context, runs []*groupRun, path string, 
 		}
 	}
 }
+
+// unclocked is the replay consumer of a tQUAD group.  Its tools charge
+// one host for every interval's snapshots, so each member's clock is
+// read from its own tools (Tools.overhead) and the consumer keeps none:
+// it discards every charge, and no analysis routine may read its time.
+type unclocked struct{ *etrace.Consumer }
+
+// ChargeOverhead implements pin.Host: it charges nothing.
+func (unclocked) ChargeOverhead(uint64) {}
+
+// Time implements pin.Host.  A group has no shared clock, so reading one
+// is a bug; the panic fails the group's runs.
+func (unclocked) Time() uint64 { panic("study: a tQUAD replay group has no shared clock") }

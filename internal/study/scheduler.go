@@ -392,8 +392,10 @@ func (sc *Scheduler) SetReplayJobs(n int) {
 }
 
 // DecodePasses returns how many decode passes over recorded traces the
-// scheduler has performed — one per wait for a result that found
-// replays queued, rather than one per submitted configuration.
+// scheduler has performed — at most one per wait for a result that
+// found replays queued, rather than one per submitted configuration.  A
+// pass holding only the native run of a recording this scheduler
+// executed decodes nothing: the recording serves it.
 func (sc *Scheduler) DecodePasses() uint64 { return sc.decodePasses.Load() }
 
 // Close waits for all submitted work and removes the recorded trace
@@ -613,7 +615,8 @@ func beforeRun(m *member) (err error) {
 
 // execute runs a pass under the policy of its first member: the lone
 // live member's guest execution when rec is nil, else one replay of
-// rec's trace.  A panic outside the replay consumers' analysis routines
+// rec's trace (none when only a native run, served by the recording,
+// is in the pass).  A panic outside the replay consumers' analysis routines
 // (which fail their own run only) fails every run it left unsettled.
 func (sc *Scheduler) execute(ctx context.Context, rec *recording, pol policy, runs []*groupRun) {
 	defer func() {
@@ -636,11 +639,24 @@ func (sc *Scheduler) execute(ctx context.Context, rec *recording, pol policy, ru
 		})
 		return
 	}
+	// The recording machine already counted what a native replay would,
+	// so a recording the guest executed for serves its native run.
+	var replays []*groupRun
+	for _, r := range runs {
+		if r.Cfg.Kind == RunNative && !rec.adopted {
+			r.Res = sc.study.nativeResult(rec)
+			continue
+		}
+		replays = append(replays, r)
+	}
+	if len(replays) == 0 {
+		return
+	}
 	sc.mu.Lock()
 	jobs := sc.replayJobs
 	sc.mu.Unlock()
 	sc.decodePasses.Add(1)
-	sc.study.replayGroup(ctx, runs, rec.path, etrace.ParallelOptions{Jobs: jobs, Salvage: pol.salvage}, pol.hooks.ReplayReader)
+	sc.study.replayGroup(ctx, replays, rec.path, etrace.ParallelOptions{Jobs: jobs, Salvage: pol.salvage}, pol.hooks.ReplayReader)
 }
 
 // settle applies the one outcome rule to a member after an attempt.
